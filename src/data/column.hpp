@@ -6,10 +6,10 @@
 //   * MultiSelect  — bitmask-encoded "check all that apply" answers
 //                    (up to 64 options, ample for any survey question).
 //
-// Row storage is a PageVec: owned by default, or borrowed straight from a
-// memory-mapped snapshot page (data/snapshot.hpp) with copy-on-write
+// Row storage is a PageVec: a heap buffer shared by a column's copies, or
+// a memory-mapped snapshot page (data/snapshot.hpp), with copy-on-write
 // semantics — every accessor and mutator below behaves identically in
-// both states.
+// both.
 #pragma once
 
 #include <cstdint>

@@ -541,6 +541,24 @@ void verify_page(const SnapshotView& v, const PageEntryView& e) {
                               "): checksum mismatch");
 }
 
+// Copies rows [lo, hi) of one typed array out of its (sorted, tiling)
+// pages. Only the overlapping page slices are touched.
+template <typename T>
+PageVec<T> copy_rows(const SnapshotView& v,
+                     const std::vector<PageEntryView>& pages,
+                     std::uint64_t lo, std::uint64_t hi) {
+  PageVec<T> out;
+  out.reserve(hi - lo);
+  for (const PageEntryView& e : pages) {
+    const std::uint64_t plo = std::max<std::uint64_t>(e.first_row, lo);
+    const std::uint64_t phi = std::min<std::uint64_t>(e.first_row + e.rows, hi);
+    if (plo >= phi) continue;
+    out.append_raw(v.map->data() + e.offset + (plo - e.first_row) * sizeof(T),
+                   phi - plo);
+  }
+  return out;
+}
+
 // Materializes one typed array: a single aligned page aliases the mapping
 // (zero-copy), anything else assembles by page-wise memcpy.
 template <typename T>
@@ -559,10 +577,7 @@ PageVec<T> load_array(const SnapshotView& v, std::size_t column,
         v.map);
   }
   if (borrowed) *borrowed = false;
-  std::vector<T> out(v.row_count);
-  for (const auto& e : pages)
-    std::memcpy(out.data() + e.first_row, base + e.offset, e.bytes);
-  return PageVec<T>::owned(std::move(out));
+  return copy_rows<T>(v, pages, 0, v.row_count);
 }
 
 }  // namespace
@@ -637,28 +652,6 @@ Table read_snapshot(const std::string& path,
   return out;
 }
 
-namespace {
-
-// Copies rows [lo, hi) of one typed array out of its (sorted, tiling)
-// pages. Only the overlapping page slices are touched.
-template <typename T>
-std::vector<T> copy_rows(const SnapshotView& v,
-                         const std::vector<PageEntryView>& pages,
-                         std::uint64_t lo, std::uint64_t hi) {
-  std::vector<T> out(hi - lo);
-  for (const PageEntryView& e : pages) {
-    const std::uint64_t plo = std::max<std::uint64_t>(e.first_row, lo);
-    const std::uint64_t phi = std::min<std::uint64_t>(e.first_row + e.rows, hi);
-    if (plo >= phi) continue;
-    std::memcpy(out.data() + (plo - lo),
-                v.map->data() + e.offset + (plo - e.first_row) * sizeof(T),
-                (phi - plo) * sizeof(T));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::size_t for_each_snapshot_block(
     const std::string& path,
     const std::function<void(const Table& block, std::size_t first_row)>& emit,
@@ -709,8 +702,7 @@ std::size_t for_each_snapshot_block(
       switch (meta.kind) {
         case ColumnKind::kNumeric: {
           auto& col = block.add_numeric(meta.name);
-          col.adopt(PageVec<double>::owned(
-              copy_rows<double>(v, per_column[c].primary, lo, hi)));
+          col.adopt(copy_rows<double>(v, per_column[c].primary, lo, hi));
           break;
         }
         case ColumnKind::kCategorical: {
@@ -730,7 +722,7 @@ std::size_t for_each_snapshot_block(
                 snapshot_fail("page", "column '" + meta.name +
                                           "': code out of dictionary range");
           }
-          col.adopt_codes(PageVec<std::int32_t>::owned(std::move(codes)));
+          col.adopt_codes(std::move(codes));
           break;
         }
         case ColumnKind::kMultiSelect: {
@@ -751,8 +743,7 @@ std::size_t for_each_snapshot_block(
                 snapshot_fail("page", "column '" + meta.name +
                                           "': bad missing flag");
           }
-          col.adopt_rows(PageVec<std::uint64_t>::owned(std::move(masks)),
-                         PageVec<std::uint8_t>::owned(std::move(missing)));
+          col.adopt_rows(std::move(masks), std::move(missing));
           break;
         }
       }

@@ -19,8 +19,11 @@ namespace rcr::data {
 class Table {
  public:
   Table() = default;
-  Table(const Table& other);             // deep copy
-  Table& operator=(const Table& other);  // deep copy
+  // A copy shares row storage with the original (data/page_vec.hpp), so it
+  // costs O(columns). Appending to either extends that storage in place
+  // when it can and never changes the other's rows.
+  Table(const Table& other);
+  Table& operator=(const Table& other);
   Table(Table&&) noexcept = default;
   Table& operator=(Table&&) noexcept = default;
   ~Table() = default;

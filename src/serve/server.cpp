@@ -152,7 +152,9 @@ std::size_t Server::append_delta(std::uint64_t base_epoch,
   }
   lin.engine->append_block(block, config_.pool);
 
-  data::Table merged = base->table;  // deep copy; base stays pinned as-is
+  // The copy shares the base's row storage, and the append writes the
+  // block in place past the base's rows: O(block rows), base unchanged.
+  data::Table merged = base->table;
   merged.append_rows(block);
 
   // Refresh every served spec from the incremental partials and insert

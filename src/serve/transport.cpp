@@ -264,6 +264,16 @@ void TcpServer::worker_loop(Worker& worker) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) break;
 
+    // Drain the wake eventfd before adopting. A connection queued after the
+    // drain rearms it for the next epoll_wait; one queued between an adopt
+    // and a later drain would lose its wake-up and wait forever.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd != worker.wake_fd) continue;
+      std::uint64_t drain;
+      while (::read(worker.wake_fd, &drain, sizeof drain) > 0) {
+      }
+    }
+
     // Adopt connections the acceptor handed off.
     {
       std::lock_guard<std::mutex> lock(worker.mutex);
@@ -282,13 +292,7 @@ void TcpServer::worker_loop(Worker& worker) {
 
     for (int i = 0; i < n && running_; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == worker.wake_fd) {
-        std::uint64_t drain;
-        while (::read(worker.wake_fd, &drain, sizeof drain) > 0) {
-        }
-        continue;
-      }
-      serve_connection(worker, fd);
+      if (fd != worker.wake_fd) serve_connection(worker, fd);
     }
   }
 }

@@ -10,12 +10,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <span>
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "data/snapshot.hpp"
 #include "data/table.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -119,6 +122,10 @@ std::uint64_t engine_runs() {
 #else
   return 0;
 #endif
+}
+
+std::uint64_t copy_bytes() {
+  return obs::registry().counter("data.copy.bytes").total();
 }
 
 bool wait_until(const std::function<bool()>& done) {
@@ -646,12 +653,16 @@ TEST(ServeDeltaTest, RetiringTheBaseKeepsTheDeltaEpochLive) {
 // locks, and append_delta does its O(delta) incremental scan on a
 // privately-extracted lineage (lineage_mutex_ held only for the brief
 // extract/publish). This test — run under TSan in CI — hammers reads on
-// every epoch of a growing chain while the chain is being built, plus a
-// concurrent retire of an old ancestor, and then pins every epoch's bytes
-// against a cold engine run of its cut.
+// every epoch of a growing chain while the chain is being built, plus
+// concurrent retires of old ancestors, and then pins every surviving
+// epoch's bytes against a cold engine run of its cut. Each epoch appends
+// in place past its base's rows in storage the older epochs still read;
+// the chain outgrows that storage twice (delta 1 trades the base's exact
+// fit for a buffer of twice its rows, and delta 7 outgrows that), so
+// growth copies run beside the readers too.
 TEST(ServeDeltaTest, ConcurrentReadsAndRetireDuringDeltaChain) {
-  constexpr std::size_t kBaseRows = 9000, kBlockRows = 500;
-  constexpr std::uint64_t kDeltas = 4;
+  constexpr std::size_t kBaseRows = 9000, kBlockRows = 1500;
+  constexpr std::uint64_t kDeltas = 8;
   const data::Table full = make_table(kBaseRows + kDeltas * kBlockRows);
   const auto specs = all_kind_specs();
 
@@ -686,7 +697,8 @@ TEST(ServeDeltaTest, ConcurrentReadsAndRetireDuringDeltaChain) {
                                   full.slice(hi - kBlockRows, hi)),
               specs.size());
     head.store(kEpoch + k, std::memory_order_relaxed);
-    if (k == 2) server.retire_snapshot(kEpoch);  // ancestor, mid-chain
+    // Retire every other ancestor, two behind the head, mid-chain.
+    if (k % 2 == 0) server.retire_snapshot(kEpoch + k - 2);
   }
   // Let the readers actually overlap the chain before stopping.
   ASSERT_TRUE(wait_until([&] { return reads.load() > 200; }));
@@ -694,16 +706,124 @@ TEST(ServeDeltaTest, ConcurrentReadsAndRetireDuringDeltaChain) {
   for (auto& t : readers) t.join();
 
   // Every surviving epoch serves exactly its cut, bit for bit.
-  for (std::uint64_t k = 1; k <= kDeltas; ++k) {
+  for (std::uint64_t k = 0; k <= kDeltas; ++k) {
+    SCOPED_TRACE("epoch +" + std::to_string(k));
+    if (k % 2 == 0 && k + 2 <= kDeltas) {
+      EXPECT_EQ(server.handle({kEpoch + k, specs[0]}).type, MsgType::kError);
+      continue;
+    }
     const data::Table merged = full.slice(0, kBaseRows + k * kBlockRows);
-    for (const auto& spec : specs) {
-      SCOPED_TRACE("epoch +" + std::to_string(k));
+    for (const auto& spec : specs)
       EXPECT_EQ(server.handle({kEpoch + k, spec}).body,
                 cold_engine_body(merged, spec));
+  }
+}
+
+// Two deltas minted from one base fork its row storage: the first extends
+// the base's rows in place, the second finds them claimed and copies. Each
+// epoch serves its own merged table, and the base its own cut.
+TEST(ServeDeltaTest, TwoEpochsForkedFromOneBaseServeTheirOwnRows) {
+  const data::Table full = make_table(10000);
+  const auto specs = all_kind_specs();
+  Server server;
+  server.register_snapshot(kEpoch, full.slice(0, 8000));
+  for (const auto& spec : specs)
+    ASSERT_EQ(server.handle({kEpoch, spec}).type, MsgType::kResult);
+  // This delta leaves the slice's exact fit for storage with room to grow,
+  // which both forks below start from.
+  ASSERT_EQ(server.append_delta(kEpoch, kEpoch + 1, full.slice(8000, 9000)),
+            specs.size());
+
+  const std::uint64_t copied_before = copy_bytes();
+  ASSERT_EQ(
+      server.append_delta(kEpoch + 1, kEpoch + 2, full.slice(9000, 9500)),
+      specs.size());
+  const std::uint64_t copied_first = copy_bytes() - copied_before;
+  ASSERT_EQ(
+      server.append_delta(kEpoch + 1, kEpoch + 3, full.slice(9500, 10000)),
+      specs.size());
+  const std::uint64_t copied_second =
+      copy_bytes() - copied_before - copied_first;
+#ifndef RCR_OBS_DISABLED
+  EXPECT_EQ(copied_first, 0u);   // in place
+  EXPECT_GT(copied_second, 0u);  // forked
+#else
+  (void)copied_second;
+#endif
+
+  const data::Table merged_a = full.slice(0, 9500);
+  data::Table merged_b = full.slice(0, 9000);
+  merged_b.append_rows(full.slice(9500, 10000));
+  const data::Table base = full.slice(0, 9000);
+  for (const auto& spec : specs) {
+    EXPECT_EQ(server.handle({kEpoch + 2, spec}).body,
+              cold_engine_body(merged_a, spec));
+    EXPECT_EQ(server.handle({kEpoch + 3, spec}).body,
+              cold_engine_body(merged_b, spec));
+    EXPECT_EQ(server.handle({kEpoch + 1, spec}).body,
+              cold_engine_body(base, spec));
+  }
+}
+
+#ifndef RCR_OBS_DISABLED
+// Bytes of the table's row arrays.
+std::size_t column_bytes(const data::Table& t) {
+  std::size_t bytes = 0;
+  for (const auto& name : t.column_names()) {
+    switch (t.kind(name)) {
+      case data::ColumnKind::kNumeric:
+        bytes += t.numeric(name).size() * sizeof(double);
+        break;
+      case data::ColumnKind::kCategorical:
+        bytes += t.categorical(name).size() * sizeof(std::int32_t);
+        break;
+      case data::ColumnKind::kMultiSelect:
+        bytes += t.multiselect(name).size() *
+                 (sizeof(std::uint64_t) + sizeof(std::uint8_t));
+        break;
     }
   }
-  EXPECT_EQ(server.handle({kEpoch, specs[0]}).type, MsgType::kError);
+  return bytes;
 }
+
+// A delta epoch appends past its base's rows in storage they share. Only
+// the first delta on a snapshot-mapped base copies existing rows, to
+// materialize the mapping with room to grow; the next three copy none.
+TEST(ServeDeltaTest, OnlyTheFirstDeltaOnASnapshotBaseCopiesRows) {
+  constexpr std::size_t kBaseRows = 9000, kBlockRows = kBaseRows / 20;
+  const data::Table full = make_table(kBaseRows + 4 * kBlockRows);
+  const std::string path = testing::TempDir() + "rcr_serve_delta_base.rcr";
+  data::write_snapshot(full.slice(0, kBaseRows), path);
+  const data::Table base = data::read_snapshot(path);
+  ASSERT_TRUE(base.numeric("score").values().is_borrowed());
+  std::vector<data::Table> blocks;
+  for (std::size_t k = 0; k < 4; ++k)
+    blocks.push_back(full.slice(kBaseRows + k * kBlockRows,
+                                kBaseRows + (k + 1) * kBlockRows));
+
+  Server server;
+  server.register_snapshot(kEpoch, base);
+  const auto spec = spec_of(QueryKind::kCrosstabMultiselect, "field", "langs",
+                            "w");
+  ASSERT_EQ(server.handle({kEpoch, spec}).type, MsgType::kResult);
+
+  std::vector<std::uint64_t> per_delta;
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const std::uint64_t before = copy_bytes();
+    ASSERT_EQ(server.append_delta(kEpoch + k - 1, kEpoch + k, blocks[k - 1]),
+              1u);
+    per_delta.push_back(copy_bytes() - before);
+  }
+  EXPECT_GT(per_delta[0], 0u);
+  EXPECT_LE(per_delta[0], column_bytes(base));
+  EXPECT_EQ(per_delta[1], 0u);
+  EXPECT_EQ(per_delta[2], 0u);
+  EXPECT_EQ(per_delta[3], 0u);
+  EXPECT_EQ(server.handle({kEpoch + 4, spec}).body,
+            cold_engine_body(full, spec));
+  std::remove(path.c_str());
+}
+#endif  // RCR_OBS_DISABLED
 
 TEST(ResultCacheTest, PerShardLruEvictsTheColdTail) {
   ResultCache cache(16);  // 16 shards -> one entry per shard
@@ -873,16 +993,25 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
   return true;
 }
 
-// Blocking read of one response frame off the client socket.
-bool recv_response(int fd, Response& out) {
+// Blocking read of the next `count` response frames off the client
+// socket; `out` gets the last. With a timeout, false once no byte arrives
+// for that long.
+bool recv_response(int fd, Response& out, int timeout_ms = -1,
+                   std::size_t count = 1) {
   FrameDecoder decoder;
   std::uint8_t buf[512];
-  while (!decoder.has_frame()) {
+  for (std::size_t got = 0; got < count;) {
+    if (decoder.has_frame()) {
+      out = decode_response(decoder.take());
+      ++got;
+      continue;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) return false;
     decoder.feed(std::span<const std::uint8_t>(buf, static_cast<size_t>(n)));
   }
-  out = decode_response(decoder.take());
   return true;
 }
 
@@ -971,6 +1100,70 @@ TEST(ServeTransportTest, TcpServesParallelClients) {
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(failures.load(), 0);
+  tcp.stop();
+}
+
+// The acceptor hands each connection to a worker through a list and an
+// eventfd tick. A worker that took the list before draining the eventfd
+// lost the tick of a connection queued in between, and with no other
+// traffic that connection waited forever. The steps below queue one in
+// that window: the worker wakes to a request on P and the tick for B in
+// one batch, adopts B, and C connects while it serves P's burst of misses.
+// Every read has a deadline, so the old order fails here instead of
+// hanging.
+TEST(ServeTransportTest, OneWorkerAdoptsAConnectionQueuedWhileItServes) {
+  Server server;
+  server.register_snapshot(kEpoch, shared_table());
+  TcpServer tcp(server, 0, 1);
+  try {
+    tcp.start();
+  } catch (const Error& e) {
+    GTEST_SKIP() << "no loopback sockets in this environment: " << e.what();
+  }
+  constexpr int kTimeoutMs = 10000;
+  constexpr std::size_t kBurst = 200;
+  // Distinct confidences give distinct keys: each request is an engine run.
+  const auto miss = [](std::size_t i) {
+    return spec_of(QueryKind::kCategoryShares, "career", "", "",
+                   0.5 + 0.001 * static_cast<double>(i));
+  };
+  const auto request = [](int fd, const QuerySpec& spec) {
+    std::vector<std::uint8_t> frame;
+    append_frame(frame, encode_request({kEpoch, spec}));
+    return send_all(fd, frame.data(), frame.size());
+  };
+
+  Response resp;
+  const int p = tcp_connect(tcp.port());
+  const int q = tcp_connect(tcp.port());
+  ASSERT_GE(p, 0);
+  ASSERT_GE(q, 0);
+  ASSERT_TRUE(request(p, miss(0)) && recv_response(p, resp, kTimeoutMs));
+  ASSERT_TRUE(request(q, miss(0)) && recv_response(q, resp, kTimeoutMs));
+
+  // The worker blocks serving Q while P sends its burst and B connects.
+  server.hold_batches(true);
+  ASSERT_TRUE(request(q, miss(1)));
+  ASSERT_TRUE(wait_until([&] { return server.pending_queries(kEpoch) == 1; }));
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < kBurst; ++i)
+    append_frame(burst, encode_request({kEpoch, miss(2 + i)}));
+  ASSERT_TRUE(send_all(p, burst.data(), burst.size()));
+  const int b = tcp_connect(tcp.port());
+  ASSERT_GE(b, 0);
+  // Time for the acceptor to queue B; too little only weakens the check.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  server.hold_batches(false);
+
+  // Q's reply means the worker has moved on to P's burst: C connects now.
+  ASSERT_TRUE(recv_response(q, resp, kTimeoutMs));
+  const int c = tcp_connect(tcp.port());
+  ASSERT_GE(c, 0);
+  ASSERT_TRUE(request(c, miss(0)));
+  EXPECT_TRUE(recv_response(p, resp, kTimeoutMs, kBurst));
+  EXPECT_TRUE(recv_response(c, resp, kTimeoutMs)) << "C was never adopted";
+  EXPECT_EQ(resp.type, MsgType::kResult);
+  for (const int fd : {p, q, b, c}) ::close(fd);
   tcp.stop();
 }
 
