@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "core/experiments.hpp"
 #include "data/crosstab.hpp"
@@ -280,29 +282,43 @@ std::string run_f7_weighting(const Study& study) {
   report::TextTable t({"Indicator", "Unweighted", "Weighted",
                        "Wilson 95% CI", "Bootstrap 95% CI (percentile)"});
   const auto& langs = study.wave2024().multiselect(synth::col::kLanguages);
-  for (const std::string lang : {"Python", "MATLAB", "C++", "Fortran"}) {
-    const auto o = static_cast<std::size_t>(langs.find_option(lang));
+  const std::array<std::string, 4> names = {"Python", "MATLAB", "C++",
+                                            "Fortran"};
+  struct Shares {
     double unweighted_num = 0.0, unweighted_den = 0.0;
     double weighted_num = 0.0, weighted_den = 0.0;
-    std::vector<double> binary;
+  };
+  std::array<Shares, names.size()> shares;
+  std::array<std::vector<double>, names.size()> binary;
+  for (std::size_t l = 0; l < names.size(); ++l) {
+    const auto o = static_cast<std::size_t>(langs.find_option(names[l]));
+    Shares& sh = shares[l];
     for (std::size_t i = 0; i < langs.size(); ++i) {
       if (langs.is_missing(i)) continue;
       const double hit = langs.has(i, o) ? 1.0 : 0.0;
-      unweighted_num += hit;
-      unweighted_den += 1.0;
-      weighted_num += hit * raking.weights[i];
-      weighted_den += raking.weights[i];
-      binary.push_back(hit);
+      sh.unweighted_num += hit;
+      sh.unweighted_den += 1.0;
+      sh.weighted_num += hit * raking.weights[i];
+      sh.weighted_den += raking.weights[i];
+      binary[l].push_back(hit);
     }
-    const auto wilson = stats::wilson_ci(unweighted_num, unweighted_den);
-    stats::BootstrapOptions opts;
-    opts.replicates = 1000;
-    opts.seed = 17;
-    // Deterministic under any pool: replicate streams are index-derived.
-    opts.pool = study.config().pool;
-    const auto boot = stats::bootstrap_proportion(binary, opts);
-    t.add_row({lang, format_percent(unweighted_num / unweighted_den),
-               format_percent(weighted_num / weighted_den),
+  }
+  stats::BootstrapOptions opts;
+  opts.replicates = 1000;
+  opts.seed = 17;
+  // Deterministic under any pool: replicate streams are index-derived.
+  opts.pool = study.config().pool;
+  // The languages share their rows (the answered ones), so one resample
+  // stream serves all four.
+  const std::vector<std::span<const double>> columns(binary.begin(),
+                                                     binary.end());
+  const auto boots = stats::bootstrap_proportions(columns, opts);
+  for (std::size_t l = 0; l < names.size(); ++l) {
+    const Shares& sh = shares[l];
+    const auto wilson = stats::wilson_ci(sh.unweighted_num, sh.unweighted_den);
+    const auto& boot = boots[l];
+    t.add_row({names[l], format_percent(sh.unweighted_num / sh.unweighted_den),
+               format_percent(sh.weighted_num / sh.weighted_den),
                report::share_cell(wilson.estimate, wilson.lo, wilson.hi),
                report::share_cell(boot.estimate, boot.percentile_ci.lo,
                                   boot.percentile_ci.hi)});

@@ -54,16 +54,27 @@ BootstrapResult bootstrap(std::span<const double> data,
                           const BootstrapOptions& options = {});
 
 // Bootstrap of the sample mean through the allocation-free fast path: each
-// replicate draws its resample indices in one batch and accumulates the
-// mean directly from them, never materializing the resample or dispatching
-// through a std::function. Bit-identical to
+// replicate draws its resample indices in L1-sized blocks and accumulates
+// the mean directly from them, never materializing the resample or
+// dispatching through a std::function. Bit-identical to
 // bootstrap(data, mean-lambda, options) — same replicate streams, same
 // compensated summation order — just faster.
 BootstrapResult bootstrap_mean(std::span<const double> data,
                                const BootstrapOptions& options = {});
 
-// Convenience: bootstrap CI for a proportion given binary 0/1 data (runs
-// the bootstrap_mean fast path after validating the input).
+inline constexpr std::size_t kMaxProportionColumns = 8;
+
+// Bootstrap CIs for up to kMaxProportionColumns proportions over the same
+// rows: equal-length, non-empty columns of 0/1 values. All columns share
+// one resample stream per replicate and are counted in one pass over it,
+// so result[c] is bit-identical (replicates, every interval, BCa) to
+// bootstrap(columns[c], mean-lambda, options) at the cost of one column.
+std::vector<BootstrapResult> bootstrap_proportions(
+    std::span<const std::span<const double>> columns,
+    const BootstrapOptions& options = {});
+
+// Bootstrap CI for one proportion given binary 0/1 data: the one-column
+// case of bootstrap_proportions.
 BootstrapResult bootstrap_proportion(std::span<const double> binary_data,
                                      const BootstrapOptions& options = {});
 

@@ -188,23 +188,39 @@ std::vector<ShareTrend> per_group_trend(const data::Table& wave1,
   const auto& groups2 = wave2.categorical(group_column);
   RCR_CHECK_MSG(groups1.categories() == groups2.categories(),
                 "waves disagree on the categories of '" + group_column + "'");
-  // The gate counts rows that ANSWERED the option column (the header's
-  // contract, and the n the z-test actually runs on) — a group padded with
-  // missing answers must not sneak a tiny-denominator test into the family.
-  const auto answered_rows = [&option_column](const data::Table& g) {
-    const auto& col = g.multiselect(option_column);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < col.size(); ++i)
-      if (!col.is_missing(i)) ++n;
-    return n;
+  // One pass per wave tallies (selected, answered) per group code. The gate
+  // counts rows that ANSWERED the option column (the header's contract, and
+  // the n the z-test actually runs on) — a group padded with missing
+  // answers must not sneak a tiny-denominator test into the family.
+  struct Tally {
+    std::size_t selected = 0, answered = 0;
   };
+  const auto tally = [&](const data::Table& wave,
+                         const data::CategoricalColumn& groups) {
+    const auto& col = wave.multiselect(option_column);
+    const std::int32_t o = col.find_option(option);
+    RCR_CHECK_MSG(o >= 0, "unknown option '" + option + "'");
+    std::vector<Tally> tallies(groups.category_count());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      if (groups.is_missing(i) || col.is_missing(i)) continue;
+      Tally& t = tallies[static_cast<std::size_t>(groups.code_at(i))];
+      ++t.answered;
+      if (col.has(i, static_cast<std::size_t>(o))) ++t.selected;
+    }
+    return tallies;
+  };
+  const auto tallies1 = tally(wave1, groups1);
+  const auto tallies2 = tally(wave2, groups2);
   std::vector<ShareTrend> trends;
   for (const auto& label : groups1.categories()) {
-    const data::Table g1 = wave1.filter_equals(group_column, label);
-    const data::Table g2 = wave2.filter_equals(group_column, label);
-    if (answered_rows(g1) < min_group_n || answered_rows(g2) < min_group_n)
-      continue;
-    auto t = compare_option(g1, g2, option_column, option, confidence);
+    const auto code = static_cast<std::size_t>(groups1.find_code(label));
+    const Tally& t1 = tallies1[code];
+    const Tally& t2 = tallies2[code];
+    if (t1.answered < min_group_n || t2.answered < min_group_n) continue;
+    auto t = build_trend(option, static_cast<double>(t1.selected),
+                         static_cast<double>(t1.answered),
+                         static_cast<double>(t2.selected),
+                         static_cast<double>(t2.answered), confidence);
     t.indicator = label;
     trends.push_back(std::move(t));
   }

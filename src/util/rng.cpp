@@ -1,8 +1,10 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/stopwatch.hpp"
@@ -433,17 +435,40 @@ std::size_t Rng::categorical(std::span<const double> weights) {
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   RCR_CHECK_MSG(k <= n, "cannot sample more items than the population");
-  // Partial Fisher–Yates over an index vector; O(n) space, O(n + k) time.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  // Partial Fisher–Yates over a virtual identity permutation of [0, n): the
+  // same next_below(n - i) draws and the same swaps as the dense version
+  // over an index vector, but only displaced slots are stored, in an
+  // open-addressing map slot -> value (a slot absent from the map still
+  // holds itself). No step after i reads slot i, so step i records only
+  // what moves into slot j: at most one new entry per step, O(k) time and
+  // space for any n.
+  std::vector<std::size_t> out(k);
+  if (k == 0) return out;
+  constexpr std::size_t kEmpty = ~std::size_t{0};  // no slot reaches n
+  const int bits = std::bit_width(2 * k - 1);      // load factor <= 1/2
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<std::pair<std::size_t, std::size_t>> displaced(
+      mask + 1, {kEmpty, 0});
+  const auto entry = [&](std::size_t slot) -> auto& {
+    std::size_t h = (slot * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+    while (displaced[h].first != kEmpty && displaced[h].first != slot)
+      h = (h + 1) & mask;
+    return displaced[h];
+  };
+  const auto value = [](const std::pair<std::size_t, std::size_t>& e,
+                        std::size_t slot) {
+    return e.first == kEmpty ? slot : e.second;
+  };
   // No BufferedDraws here: the caller keeps using this Rng afterwards, and
   // prefetching would advance the state past what was actually consumed.
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(next_below(n - i));
-    std::swap(idx[i], idx[j]);
+    const std::size_t at_i = value(entry(i), i);
+    auto& at_j = entry(j);
+    out[i] = value(at_j, j);
+    at_j = {j, at_i};
   }
-  idx.resize(k);
-  return idx;
+  return out;
 }
 
 Rng Rng::split() {

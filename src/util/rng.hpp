@@ -160,7 +160,9 @@ class Rng {
     }
   }
 
-  // Samples k distinct indices from [0, n) (k <= n), in random order.
+  // Samples k distinct indices from [0, n) (k <= n), in random order: a
+  // partial Fisher–Yates that stores only the slots it displaces, so a call
+  // costs O(k) time and space however large n is.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "kernels/matmul.hpp"
 #include "kernels/montecarlo.hpp"
@@ -9,6 +11,7 @@
 #include "kernels/stencil.hpp"
 #include "kernels/suite.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace rcr::kernels {
 namespace {
@@ -194,6 +197,26 @@ TEST(SpmvTest, CsrStructureIsValid) {
       }
     }
   }
+}
+
+TEST(SpmvTest, RandomCsrContentsArePinned) {
+  // XXH64 over row_ptr (as u64), col_idx and the value bits, pinned to the
+  // matrix the dense-index-vector sampler generated: sampling columns
+  // through the sparse Fisher–Yates must not change a single entry.
+  const Csr a = random_csr(2000, 3000, 12, 5);
+  std::vector<unsigned char> bytes;
+  const auto append = [&bytes](const void* p, std::size_t len) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    bytes.insert(bytes.end(), b, b + len);
+  };
+  for (std::size_t r : a.row_ptr) {
+    const std::uint64_t w = r;
+    append(&w, sizeof w);
+  }
+  append(a.col_idx.data(), a.col_idx.size() * sizeof(std::uint32_t));
+  append(a.values.data(), a.values.size() * sizeof(double));
+  EXPECT_EQ(a.nnz(), 24166u);
+  EXPECT_EQ(rcr::xxhash64(bytes.data(), bytes.size()), 0x7d9ac8ce0e99f941ULL);
 }
 
 TEST(SpmvTest, KnownProduct) {

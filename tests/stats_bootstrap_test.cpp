@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -119,6 +120,22 @@ TEST(BootstrapTest, RejectsBadInput) {
                rcr::Error);
   EXPECT_THROW(bootstrap_proportion(std::vector<double>{0.0, 0.5}),
                rcr::Error);
+}
+
+TEST(BootstrapTest, ProportionsRejectBadColumns) {
+  const std::vector<double> a = {0.0, 1.0, 1.0};
+  const std::vector<double> b = {1.0, 0.0, 0.0};
+  const std::vector<double> shorter = {1.0, 0.0};
+  const std::vector<double> empty;
+  const std::vector<double> fractional = {1.0, 0.5, 0.0};
+  using Columns = std::vector<std::span<const double>>;
+  EXPECT_NO_THROW(bootstrap_proportions(Columns{a, b}));
+  EXPECT_THROW(bootstrap_proportions(Columns{}), rcr::Error);
+  EXPECT_THROW(bootstrap_proportions(Columns(9, a)), rcr::Error);
+  EXPECT_THROW(bootstrap_proportions(Columns{a, shorter}), rcr::Error);
+  EXPECT_THROW(bootstrap_proportions(Columns{empty, empty}), rcr::Error);
+  EXPECT_THROW(bootstrap_proportions(Columns{a, fractional}), rcr::Error);
+  EXPECT_THROW(bootstrap_proportion(empty), rcr::Error);
 }
 
 // Property: percentile CI endpoints are monotone in confidence level.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "trend/trend.hpp"
 #include "util/error.hpp"
@@ -156,6 +158,7 @@ TEST(DistributionShiftTest, NoShiftHighP) {
 // Two waves with a grouping column: group "A" answers the multi-select
 // fully; group "B" is padded with rows whose answer is MISSING, so its
 // row count clears any small threshold while its answered count does not.
+// Rows with no group label, all answering "x", belong to no group.
 data::Table make_grouped_wave(std::size_t b_answered, std::size_t b_missing,
                               std::size_t b_hits) {
   data::Table t;
@@ -164,6 +167,10 @@ data::Table make_grouped_wave(std::size_t b_answered, std::size_t b_missing,
   for (std::size_t i = 0; i < 12; ++i) {  // group A: 12 answered rows
     g.push("A");
     m.push_mask(i < 6 ? 0b01 : 0b10);
+  }
+  for (std::size_t i = 0; i < 7; ++i) {  // unlabelled rows
+    g.push_missing();
+    m.push_mask(0b01);
   }
   for (std::size_t i = 0; i < b_answered; ++i) {
     g.push("B");
@@ -174,6 +181,32 @@ data::Table make_grouped_wave(std::size_t b_answered, std::size_t b_missing,
     m.push_missing();
   }
   return t;
+}
+
+// per_group_trend's definition, spelled out: copy each group's rows out of
+// both waves, gate on answered rows, compare the option, adjust.
+std::vector<ShareTrend> per_group_reference(const data::Table& w1,
+                                            const data::Table& w2,
+                                            const std::string& option,
+                                            std::size_t min_group_n) {
+  const auto answered = [](const data::Table& g) {
+    const auto& col = g.multiselect("m");
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < col.size(); ++i)
+      if (!col.is_missing(i)) ++n;
+    return n;
+  };
+  std::vector<ShareTrend> trends;
+  for (const auto& label : w1.categorical("g").categories()) {
+    const data::Table g1 = w1.filter_equals("g", label);
+    const data::Table g2 = w2.filter_equals("g", label);
+    if (answered(g1) < min_group_n || answered(g2) < min_group_n) continue;
+    auto t = compare_option(g1, g2, "m", option);
+    t.indicator = label;
+    trends.push_back(std::move(t));
+  }
+  adjust_and_classify(trends);
+  return trends;
 }
 
 TEST(PerGroupTrendTest, GateCountsAnsweredRowsNotGroupSize) {
@@ -195,6 +228,54 @@ TEST(PerGroupTrendTest, GateCountsAnsweredRowsNotGroupSize) {
   ASSERT_EQ(both.size(), 2u);
   EXPECT_EQ(both[0].indicator, "A");
   EXPECT_EQ(both[1].indicator, "B");
+}
+
+TEST(PerGroupTrendTest, SinglePassMatchesFilteredReference) {
+  struct Case {
+    data::Table w1, w2;
+    std::size_t min_group_n;
+  };
+  const std::vector<Case> cases = {
+      // B answers 3 rows per wave, or 3 rows in either one: the gate skips
+      // it.
+      {make_grouped_wave(3, 5, 1), make_grouped_wave(3, 5, 2), 5},
+      {make_grouped_wave(8, 0, 2), make_grouped_wave(3, 5, 1), 5},
+      {make_grouped_wave(3, 5, 1), make_grouped_wave(8, 0, 2), 5},
+      {make_grouped_wave(8, 0, 2), make_grouped_wave(8, 0, 6), 5},
+      // B falls sharply, then rises sharply; A stays flat.
+      {make_grouped_wave(40, 3, 30), make_grouped_wave(60, 2, 10), 5},
+      {make_grouped_wave(40, 0, 5), make_grouped_wave(60, 9, 50), 1},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (const std::string option : {"x", "y"}) {
+      SCOPED_TRACE("case " + std::to_string(c) + " option " + option);
+      const Case& k = cases[c];
+      const auto got =
+          per_group_trend(k.w1, k.w2, "g", "m", option, k.min_group_n);
+      const auto want = per_group_reference(k.w1, k.w2, option, k.min_group_n);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].indicator, want[i].indicator);
+        EXPECT_EQ(got[i].count1, want[i].count1);
+        EXPECT_EQ(got[i].n1, want[i].n1);
+        EXPECT_EQ(got[i].count2, want[i].count2);
+        EXPECT_EQ(got[i].n2, want[i].n2);
+        EXPECT_EQ(got[i].test.p_value, want[i].test.p_value);
+        EXPECT_EQ(got[i].p_adjusted, want[i].p_adjusted);
+        EXPECT_EQ(got[i].direction, want[i].direction);
+      }
+    }
+  }
+  // The cases cover a skipped group and both significant directions.
+  for (std::size_t c = 0; c < 3; ++c)
+    EXPECT_EQ(per_group_trend(cases[c].w1, cases[c].w2, "g", "m", "x").size(),
+              1u);
+  const auto fell = per_group_trend(cases[4].w1, cases[4].w2, "g", "m", "x");
+  ASSERT_EQ(fell.size(), 2u);
+  EXPECT_EQ(fell[1].direction, Direction::kDecrease);
+  const auto rose = per_group_trend(cases[5].w1, cases[5].w2, "g", "m", "x");
+  ASSERT_EQ(rose.size(), 2u);
+  EXPECT_EQ(rose[1].direction, Direction::kIncrease);
 }
 
 // --- share-vector pairing validation ----------------------------------------

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -226,6 +229,48 @@ TEST(RngTest, SampleWithoutReplacementFull) {
 TEST(RngTest, SampleWithoutReplacementRejectsOversample) {
   Rng rng(1);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), Error);
+}
+
+// The dense partial Fisher–Yates over a materialized index vector: the
+// reference the sparse sampler must reproduce draw for draw.
+std::vector<std::size_t> dense_sample(Rng& rng, std::size_t n,
+                                      std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.next_below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+// Same vector, and the same Rng state afterwards (the next draw agrees).
+void expect_matches_dense(std::uint64_t seed, std::size_t n, std::size_t k) {
+  Rng sparse(seed), dense(seed);
+  EXPECT_EQ(sparse.sample_without_replacement(n, k), dense_sample(dense, n, k))
+      << "n=" << n << " k=" << k;
+  EXPECT_EQ(sparse.next_u64(), dense.next_u64()) << "n=" << n << " k=" << k;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesDenseFisherYates) {
+  expect_matches_dense(1, 0, 0);
+  expect_matches_dense(2, 10, 0);         // k = 0
+  expect_matches_dense(3, 1, 1);          // n = 1
+  expect_matches_dense(4, 257, 257);      // k = n
+  expect_matches_dense(5, 100000, 12);    // k << n
+  expect_matches_dense(6, 60000, 6000);
+  // Random shapes: mostly small n with any k (the displaced-slot map runs
+  // full), every third trial a large n with a short sample.
+  Rng shape(71);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n =
+        1 + static_cast<std::size_t>(
+                shape.next_below(trial % 3 == 0 ? 100000 : 300));
+    const std::size_t k = static_cast<std::size_t>(
+        shape.next_below(std::min<std::size_t>(n, 300) + 1));
+    expect_matches_dense(shape.next_u64(), n, k);
+  }
 }
 
 TEST(RngTest, SplitStreamsAreDecorrelated) {
