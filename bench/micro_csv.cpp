@@ -1,23 +1,20 @@
-// Microbenchmark of the RFC-4180 CSV ingest rewrite. Three readers on the
+// Microbenchmark of the RFC-4180 CSV ingest rewrite. Two readers on the
 // same survey-shaped input:
 //   * legacy.line_reader — a faithful reimplementation of the pre-rewrite
 //     parser (std::getline records, per-line field vector, every cell
 //     trimmed, each cell's column resolved by name), kept here as the
 //     baseline the same way query/reference.cpp keeps the pre-engine
 //     builders;
-//   * serial.read_csv — the incremental state machine;
-//   * parallel.read_csv_parallel — the sharded reader (pooled, plus the
-//     pool-free walk of the same shard partition).
+//   * serial.read_csv — the incremental state machine.
 // Emits a JSON report (stdout, or --out FILE); BENCH_csv.json keeps the
 // checked-in baseline.
 //
 // Verification is part of the run, not a separate test: write -> read ->
-// write must be the byte identity for every reader on the legacy-safe
-// input, parallel output must match serial byte-for-byte, and on input
-// with quoted embedded newlines the state machine must round-trip where
-// the line reader structurally cannot (that failure is the bug this
-// rewrite fixes, recorded as "legacy_handles_quoted_newlines"). Exit
-// status 2 when any check fails.
+// write must be the byte identity for both readers on the legacy-safe
+// input, and on input with quoted embedded newlines the state machine must
+// round-trip where the line reader structurally cannot (that failure is
+// the bug this rewrite fixes, recorded as
+// "legacy_handles_quoted_newlines"). Exit status 2 when any check fails.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -29,7 +26,6 @@
 #include "data/csv.hpp"
 #include "simd/dispatch.hpp"
 #include "data/table.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -243,14 +239,11 @@ bool state_machine_round_trips_gnarly(bool& legacy_survives) {
 
 int main(int argc, char** argv) {
   std::size_t rows = 400000;
-  std::size_t threads = 8;
   std::uint64_t seed = 23;
   const char* out_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc)
       rows = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = std::strtoull(argv[++i], nullptr, 10);
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
@@ -258,78 +251,38 @@ int main(int argc, char** argv) {
   }
   const std::string simd = rcr::simd::describe();
   std::fprintf(stderr,
-               "bench_micro_csv: seed=%llu threads=%zu rows=%zu simd=%s\n",
-               static_cast<unsigned long long>(seed), threads, rows,
-               simd.c_str());
+               "bench_micro_csv: seed=%llu threads=1 rows=%zu simd=%s\n",
+               static_cast<unsigned long long>(seed), rows, simd.c_str());
 
   const rcr::data::Table t = make_table(rows, seed);
   const std::string text = to_csv(t);
   const double mib = static_cast<double>(text.size()) / (1024.0 * 1024.0);
 
-  rcr::parallel::ThreadPool pool(threads == 0 ? 1 : threads);
-  rcr::parallel::ThreadPool* pool_ptr = threads == 0 ? nullptr : &pool;
-
-  rcr::data::Table legacy_t, serial_t, parallel_t, walk_t;
+  rcr::data::Table legacy_t, serial_t;
   const double legacy_s =
       best_of(3, [&] { legacy_t = legacy_read_csv(text, t); });
   const double serial_s = best_of(3, [&] {
     std::istringstream in(text);
     serial_t = rcr::data::read_csv(in, t);
   });
-  const double parallel_s = best_of(3, [&] {
-    std::istringstream in(text);
-    parallel_t = rcr::data::read_csv_parallel(in, t, pool_ptr);
-  });
-  const double walk_s = best_of(3, [&] {
-    std::istringstream in(text);
-    walk_t = rcr::data::read_csv_parallel(in, t, nullptr);
-  });
-
-  // Small-input serial fallback: a sub-crossover slice through the parallel
-  // entry point (which now parses it serially) vs the same bytes with
-  // sharding pinned on — the regression the fallback removes.
-  const std::size_t small_rows =
-      std::max<std::size_t>(1, rows / 16);
-  const rcr::data::Table small_t = make_table(small_rows, seed + 1);
-  const std::string small_text = to_csv(small_t);
-  const double small_mib =
-      static_cast<double>(small_text.size()) / (1024.0 * 1024.0);
-  rcr::data::Table small_fallback_t, small_forced_t;
-  const double small_fallback_s = best_of(3, [&] {
-    std::istringstream in(small_text);
-    small_fallback_t = rcr::data::read_csv_parallel(in, small_t, pool_ptr);
-  });
-  rcr::data::CsvOptions forced;
-  forced.parallel_shard_bytes = 64 * 1024;  // pin sharding on
-  const double small_forced_s = best_of(3, [&] {
-    std::istringstream in(small_text);
-    small_forced_t =
-        rcr::data::read_csv_parallel(in, small_t, pool_ptr, forced);
-  });
-  const bool fallback_identical =
-      to_csv(small_fallback_t) == small_text &&
-      to_csv(small_forced_t) == small_text;
 
   const std::string serial_bytes = to_csv(serial_t);
   const bool round_trip_verified = serial_bytes == text;
-  const bool parallel_identical =
-      to_csv(parallel_t) == serial_bytes && to_csv(walk_t) == serial_bytes;
   const bool legacy_agrees = to_csv(legacy_t) == serial_bytes;
   bool legacy_survives_gnarly = true;
   const bool gnarly_round_trip =
       state_machine_round_trips_gnarly(legacy_survives_gnarly);
 
-  const bool verified = round_trip_verified && parallel_identical &&
-                        legacy_agrees && gnarly_round_trip &&
-                        !legacy_survives_gnarly && fallback_identical;
+  const bool verified = round_trip_verified && legacy_agrees &&
+                        gnarly_round_trip && !legacy_survives_gnarly;
 
   char buf[512];
   std::string json = "{\n  \"benchmark\": \"micro_csv\",\n";
   std::snprintf(buf, sizeof buf,
                 "  \"simd\": \"%s\",\n"
-                "  \"rows\": %zu,\n  \"bytes\": %zu,\n  \"threads\": %zu,\n"
+                "  \"rows\": %zu,\n  \"bytes\": %zu,\n"
                 "  \"results\": [\n",
-                simd.c_str(), rows, text.size(), threads);
+                simd.c_str(), rows, text.size());
   json += buf;
   const struct {
     const char* name;
@@ -337,8 +290,6 @@ int main(int argc, char** argv) {
   } lines[] = {
       {"legacy.line_reader", legacy_s},
       {"serial.read_csv", serial_s},
-      {"parallel.read_csv_parallel", parallel_s},
-      {"parallel.serial_walk", walk_s},
   };
   for (std::size_t i = 0; i < std::size(lines); ++i) {
     std::snprintf(buf, sizeof buf,
@@ -351,38 +302,14 @@ int main(int argc, char** argv) {
   }
   std::snprintf(buf, sizeof buf,
                 "  ],\n  \"speedups\": {\n"
-                "    \"statemachine_vs_legacy\": %.2f,\n"
-                "    \"parallel_vs_legacy\": %.2f,\n"
-                "    \"parallel_vs_serial\": %.2f\n  },\n",
-                legacy_s / serial_s, legacy_s / parallel_s,
-                serial_s / parallel_s);
-  json += buf;
-  std::snprintf(buf, sizeof buf,
-                "  \"serial_fallback\": {\n"
-                "    \"threshold_bytes\": %zu,\n"
-                "    \"small_rows\": %zu,\n    \"small_bytes\": %zu,\n"
-                "    \"fallback_ms\": %.2f,\n    \"forced_parallel_ms\": "
-                "%.2f,\n",
-                rcr::data::kParallelSerialFallbackBytes, small_rows,
-                small_text.size(), small_fallback_s * 1e3,
-                small_forced_s * 1e3);
-  json += buf;
-  std::snprintf(buf, sizeof buf,
-                "    \"fallback_mib_per_sec\": %.1f,\n"
-                "    \"forced_parallel_mib_per_sec\": %.1f,\n"
-                "    \"fallback_vs_forced_parallel\": %.2f,\n"
-                "    \"fallback_identical\": %s\n  },\n",
-                small_mib / small_fallback_s, small_mib / small_forced_s,
-                small_forced_s / small_fallback_s,
-                fallback_identical ? "true" : "false");
+                "    \"statemachine_vs_legacy\": %.2f\n  },\n",
+                legacy_s / serial_s);
   json += buf;
   std::snprintf(buf, sizeof buf,
                 "  \"round_trip_verified\": %s,\n"
-                "  \"parallel_identical\": %s,\n"
                 "  \"gnarly_round_trip\": %s,\n"
                 "  \"legacy_handles_quoted_newlines\": %s\n}\n",
                 round_trip_verified ? "true" : "false",
-                parallel_identical ? "true" : "false",
                 gnarly_round_trip ? "true" : "false",
                 legacy_survives_gnarly ? "true" : "false");
   json += buf;

@@ -1,7 +1,6 @@
 // Snapshot ingest microbenchmark. The same survey-shaped table travels two
 // roads into memory:
-//   * serial.read_csv / parallel.read_csv_parallel — the text interchange
-//     path (parse every byte);
+//   * serial.read_csv — the text interchange path (parse every byte);
 //   * snapshot.write -> snapshot.read — the binary columnar path (mmap,
 //     validate checksums, alias or memcpy the pages). read_verified is the
 //     default configuration (every page hashed, codes/masks/flags
@@ -28,7 +27,6 @@
 #include "data/snapshot.hpp"
 #include "simd/dispatch.hpp"
 #include "data/table.hpp"
-#include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -133,14 +131,11 @@ std::uint64_t query_fingerprint(const rcr::data::Table& t) {
 
 int main(int argc, char** argv) {
   std::size_t rows = 400000;
-  std::size_t threads = 8;
   std::uint64_t seed = 29;
   const char* out_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc)
       rows = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = std::strtoull(argv[++i], nullptr, 10);
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
@@ -148,9 +143,8 @@ int main(int argc, char** argv) {
   }
   const std::string simd = rcr::simd::describe();
   std::fprintf(stderr,
-               "bench_micro_snapshot: seed=%llu threads=%zu rows=%zu simd=%s\n",
-               static_cast<unsigned long long>(seed), threads, rows,
-               simd.c_str());
+               "bench_micro_snapshot: seed=%llu threads=1 rows=%zu simd=%s\n",
+               static_cast<unsigned long long>(seed), rows, simd.c_str());
 
   const rcr::data::Table t = make_table(rows, seed);
   const std::string text = to_csv(t);
@@ -161,17 +155,10 @@ int main(int argc, char** argv) {
        ("rcr_micro_snapshot_" + std::to_string(seed) + ".snap"))
           .string();
 
-  rcr::parallel::ThreadPool pool(threads == 0 ? 1 : threads);
-  rcr::parallel::ThreadPool* pool_ptr = threads == 0 ? nullptr : &pool;
-
-  rcr::data::Table serial_t, parallel_t, snap_verified_t, snap_fast_t;
+  rcr::data::Table serial_t, snap_verified_t, snap_fast_t;
   const double serial_s = best_of(3, [&] {
     std::istringstream in(text);
     serial_t = rcr::data::read_csv(in, t);
-  });
-  const double parallel_s = best_of(3, [&] {
-    std::istringstream in(text);
-    parallel_t = rcr::data::read_csv_parallel(in, t, pool_ptr);
   });
 
   const double write_s =
@@ -193,8 +180,7 @@ int main(int argc, char** argv) {
   // query fingerprint of the parsed table.
   const bool round_trip_bitwise = to_csv(snap_verified_t) == text &&
                                   to_csv(snap_fast_t) == text &&
-                                  to_csv(serial_t) == text &&
-                                  to_csv(parallel_t) == text;
+                                  to_csv(serial_t) == text;
   const std::uint64_t reference_fp = query_fingerprint(serial_t);
   const bool fingerprints_match =
       query_fingerprint(snap_verified_t) == reference_fp &&
@@ -210,10 +196,10 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof buf,
                 "  \"simd\": \"%s\",\n"
                 "  \"rows\": %zu,\n  \"csv_bytes\": %zu,\n"
-                "  \"snapshot_bytes\": %zu,\n  \"threads\": %zu,\n"
+                "  \"snapshot_bytes\": %zu,\n"
                 "  \"results\": [\n",
                 simd.c_str(), rows, text.size(),
-                static_cast<std::size_t>(snap_bytes_d), threads);
+                static_cast<std::size_t>(snap_bytes_d));
   json += buf;
   const struct {
     const char* name;
@@ -221,7 +207,6 @@ int main(int argc, char** argv) {
     double mib;
   } lines[] = {
       {"serial.read_csv", serial_s, csv_mib},
-      {"parallel.read_csv_parallel", parallel_s, csv_mib},
       {"snapshot.write", write_s, snap_mib},
       {"snapshot.read_verified", read_verified_s, snap_mib},
       {"snapshot.read_unverified", read_fast_s, snap_mib},

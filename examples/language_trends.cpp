@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   // Battery of share trends across all languages, Holm-adjusted.
   const auto battery =
-      rcr::trend::option_battery(study.wave2011(), study.wave2024(),
+      rcr::trend::option_battery(study.wave(0), study.wave(1),
                                  rcr::synth::col::kLanguages);
   rcr::report::TextTable table(
       {"Language", "2011", "2024", "Δ (pp)", "p (Holm)", "Trend"});
@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
 
   // Did the full primary-language distribution shift?
   const auto shift = rcr::trend::distribution_shift_test(
-      study.wave2011(), study.wave2024(),
-      rcr::synth::col::kPrimaryLanguage);
+      study.wave(0), study.wave(1), rcr::synth::col::kPrimaryLanguage);
   std::cout << "primary-language mix shift: chi2="
             << rcr::format_double(shift.statistic, 1)
             << ", p=" << rcr::report::p_cell(shift.p_value)
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
 
   // Logistic adoption curve for Python.
   const auto curve = rcr::trend::fit_adoption_curve(
-      study.wave2011(), 2011, study.wave2024(), 2024,
+      study.wave(0), 2011, study.wave(1), 2024,
       rcr::synth::col::kLanguages, "Python");
   std::cout << "Python adoption curve: P(year) = sigmoid("
             << rcr::format_double(curve.intercept, 2) << " + "

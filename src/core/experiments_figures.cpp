@@ -31,7 +31,7 @@ using rcr::format_percent;
 std::string run_f1_language_trend(const Study& study) {
   // Per-option counts from the cached fused scans; one battery, no rescans.
   const auto battery = trend::option_battery_from_shares(
-      study.aggregates2011().languages, study.aggregates2024().languages);
+      study.aggregates(0).languages, study.aggregates(1).languages);
   std::string out = "Language usage share by wave (respondents may use "
                     "several languages)\n\n";
   std::vector<report::Bar> bars2011, bars2024;
@@ -75,7 +75,7 @@ std::string run_f2_parallelism_ladder(const Study& study) {
   std::vector<trend::ShareTrend> trends;
   for (ParallelRung rung : rungs) {
     trends.push_back(trend::compare_predicate(
-        study.wave2011(), study.wave2024(), rung_label(rung),
+        study.wave(0), study.wave(1), rung_label(rung),
         [rung](const data::Table& table, std::size_t i)
             -> std::optional<bool> {
           const auto& res =
@@ -113,8 +113,8 @@ std::string run_f3_cores_cdf(const Study& study) {
         wave.numeric(synth::col::kCoresTypical).present_values();
     return stats::empirical_cdf(values);
   };
-  const auto c2011 = cdf_points(study.wave2011());
-  const auto c2024 = cdf_points(study.wave2024());
+  const auto c2011 = cdf_points(study.wave(0));
+  const auto c2024 = cdf_points(study.wave(1));
   // Evaluate both CDFs on the union grid of powers of two.
   const auto eval = [](const std::vector<stats::CdfPoint>& cdf, double x) {
     double y = 0.0;
@@ -142,13 +142,13 @@ std::string run_f4_time_programming(const Study& study) {
                     "(Likert 1 = <10% ... 5 = >75%)\n\n";
   report::TextTable t({"Wave", "n", "Mean", "Median", "1", "2", "3", "4", "5",
                        "Top-box (4-5)"});
-  for (const auto* wave : {&study.wave2011(), &study.wave2024()}) {
+  for (std::size_t w = 0; w < 2; ++w) {
     const auto s = survey::summarize_likert(
-        *wave, synth::col::kTimeProgramming, 5);
-    std::vector<std::string> row = {
-        wave == &study.wave2011() ? "2011" : "2024",
-        std::to_string(s.answered), format_double(s.mean, 2),
-        format_double(s.median, 1)};
+        study.wave(w), synth::col::kTimeProgramming, 5);
+    std::vector<std::string> row = {w == 0 ? "2011" : "2024",
+                                    std::to_string(s.answered),
+                                    format_double(s.mean, 2),
+                                    format_double(s.median, 1)};
     for (double d : s.distribution) row.push_back(format_percent(d, 0));
     row.push_back(report::share_cell(s.top_box.estimate, s.top_box.lo,
                                      s.top_box.hi));
@@ -156,9 +156,8 @@ std::string run_f4_time_programming(const Study& study) {
   }
   out += t.render();
   const auto mw = stats::mann_whitney_u(
-      study.wave2011().numeric(synth::col::kTimeProgramming).present_values(),
-      study.wave2024().numeric(synth::col::kTimeProgramming)
-          .present_values());
+      study.wave(0).numeric(synth::col::kTimeProgramming).present_values(),
+      study.wave(1).numeric(synth::col::kTimeProgramming).present_values());
   out += "\nMann-Whitney 2011 vs 2024: U=" + format_double(mw.u, 0) +
          ", z=" + format_double(mw.z, 2) + ", p=" + report::p_cell(mw.p_value) +
          ", P(2011 < 2024)=" + format_percent(1.0 - mw.effect_size) + "\n";
@@ -272,7 +271,7 @@ std::string run_f7_weighting(const Study& study) {
   std::string out =
       "Methodology: raking-weight effect and CI-method agreement "
       "(2024 wave)\n\n";
-  const auto& raking = study.weights2024();
+  const auto& raking = study.weights(1);
   out += "raking: " + std::to_string(raking.iterations) + " iterations, " +
          (raking.converged ? "converged" : "NOT converged") +
          ", max residual " + format_double(raking.max_residual, 6) +
@@ -281,7 +280,7 @@ std::string run_f7_weighting(const Study& study) {
 
   report::TextTable t({"Indicator", "Unweighted", "Weighted",
                        "Wilson 95% CI", "Bootstrap 95% CI (percentile)"});
-  const auto& langs = study.wave2024().multiselect(synth::col::kLanguages);
+  const auto& langs = study.wave(1).multiselect(synth::col::kLanguages);
   const std::array<std::string, 4> names = {"Python", "MATLAB", "C++",
                                             "Fortran"};
   struct Shares {
@@ -332,13 +331,12 @@ std::string run_f7_weighting(const Study& study) {
 
 std::string run_f8_dataset_size(const Study& study) {
   std::string out = "Typical dataset size distribution (log2 GB bins)\n\n";
-  for (const auto* wave : {&study.wave2011(), &study.wave2024()}) {
-    const bool is_2011 = wave == &study.wave2011();
+  for (std::size_t w = 0; w < 2; ++w) {
     const auto values =
-        wave->numeric(synth::col::kDatasetGb).present_values();
+        study.wave(w).numeric(synth::col::kDatasetGb).present_values();
     stats::Log2Histogram h(-6, 14);  // ~15 MB .. 16 TB
     for (double v : values) h.add(v);
-    out += std::string("Wave ") + (is_2011 ? "2011" : "2024") + " (n=" +
+    out += std::string("Wave ") + (w == 0 ? "2011" : "2024") + " (n=" +
            std::to_string(values.size()) + ", median " +
            format_double(stats::median(values), 2) + " GB, p90 " +
            format_double(stats::quantile(values, 0.9), 1) + " GB)\n";
@@ -348,8 +346,8 @@ std::string run_f8_dataset_size(const Study& study) {
     out += report::render_bars(bars) + "\n";
   }
   const auto mw = stats::mann_whitney_u(
-      study.wave2011().numeric(synth::col::kDatasetGb).present_values(),
-      study.wave2024().numeric(synth::col::kDatasetGb).present_values());
+      study.wave(0).numeric(synth::col::kDatasetGb).present_values(),
+      study.wave(1).numeric(synth::col::kDatasetGb).present_values());
   out += "Mann-Whitney 2011 vs 2024: z=" + format_double(mw.z, 2) +
          ", p=" + report::p_cell(mw.p_value) + " — the median dataset grew "
          "by roughly two orders of magnitude.\n";

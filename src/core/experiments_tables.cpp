@@ -19,9 +19,8 @@ using rcr::format_double;
 using rcr::format_percent;
 
 std::string wave_header(const Study& study) {
-  return "2011 wave n=" + std::to_string(study.wave2011().row_count()) +
-         ", 2024 wave n=" + std::to_string(study.wave2024().row_count()) +
-         "\n";
+  return "2011 wave n=" + std::to_string(study.wave(0).row_count()) +
+         ", 2024 wave n=" + std::to_string(study.wave(1).row_count()) + "\n";
 }
 
 // Renders an option-battery (shares per wave + adjusted significance).
@@ -46,11 +45,10 @@ std::string render_battery(const std::vector<trend::ShareTrend>& trends) {
 
 std::string run_t1_demographics(const Study& study) {
   std::string out = wave_header(study);
-  for (const auto* wave : {&study.wave2011(), &study.wave2024()}) {
-    const bool is_2011 = wave == &study.wave2011();
-    out += std::string("\nWave ") + (is_2011 ? "2011" : "2024") +
+  for (std::size_t w = 0; w < 2; ++w) {
+    out += std::string("\nWave ") + (w == 0 ? "2011" : "2024") +
            " — respondents by field and career stage\n";
-    const auto& ct = study.aggregates_for(*wave).field_by_career;
+    const auto& ct = study.aggregates(w).field_by_career;
     std::vector<std::string> headers = {"Field"};
     for (const auto& c : ct.col_labels) headers.push_back(c);
     headers.push_back("Total");
@@ -76,7 +74,7 @@ std::string run_t2_languages_by_field(const Study& study) {
          "(2024 wave; 2011 overall row for contrast)\n";
   // Crosstab and its per-field answered-row denominators come from the same
   // fused scan.
-  const auto& agg2024 = study.aggregates2024();
+  const auto& agg2024 = study.aggregates(1);
   const auto& ct = agg2024.field_by_languages;
 
   std::vector<std::string> headers = {"Field"};
@@ -92,10 +90,9 @@ std::string run_t2_languages_by_field(const Study& study) {
     t.add_row(std::move(row));
   }
   // Overall rows for both waves.
-  for (const auto* wave : {&study.wave2011(), &study.wave2024()}) {
-    const auto& shares = study.aggregates_for(*wave).languages;
-    std::vector<std::string> row = {
-        wave == &study.wave2011() ? "(all, 2011)" : "(all, 2024)"};
+  for (std::size_t w = 0; w < 2; ++w) {
+    const auto& shares = study.aggregates(w).languages;
+    std::vector<std::string> row = {w == 0 ? "(all, 2011)" : "(all, 2024)"};
     for (const auto& s : shares)
       row.push_back(format_percent(s.share.estimate, 0));
     t.add_row(std::move(row));
@@ -110,15 +107,15 @@ std::string run_t3_parallel_models(const Study& study) {
   const auto only_parallel = [](const data::Table& t) {
     return t.filter([&t](std::size_t i) { return is_parallel_user(t, i); });
   };
-  const data::Table p2011 = only_parallel(study.wave2011());
-  const data::Table p2024 = only_parallel(study.wave2024());
+  const data::Table p2011 = only_parallel(study.wave(0));
+  const data::Table p2024 = only_parallel(study.wave(1));
   out += "parallel users: 2011 n=" + std::to_string(p2011.row_count()) +
          " (" +
          format_percent(static_cast<double>(p2011.row_count()) /
-                        study.wave2011().row_count()) +
+                        study.wave(0).row_count()) +
          "), 2024 n=" + std::to_string(p2024.row_count()) + " (" +
          format_percent(static_cast<double>(p2024.row_count()) /
-                        study.wave2024().row_count()) +
+                        study.wave(1).row_count()) +
          ")\n";
   // One fused scan per filtered wave, then the battery from the counts.
   query::QueryEngine e2011(p2011), e2024(p2024);
@@ -136,13 +133,13 @@ std::string run_t4_se_practices(const Study& study) {
   std::string out = wave_header(study);
   out += "\nSoftware-engineering practice adoption, 2011 vs 2024\n";
   const auto battery = trend::option_battery_from_shares(
-      study.aggregates2011().se_practices, study.aggregates2024().se_practices);
+      study.aggregates(0).se_practices, study.aggregates(1).se_practices);
   out += render_battery(battery);
 
   out += "\nVersion-control adoption by field (2024)\n";
-  const auto& agg2024 = study.aggregates2024();
+  const auto& agg2024 = study.aggregates(1);
   const auto& ct = agg2024.field_by_se;
-  const auto& se = study.wave2024().multiselect(synth::col::kSePractices);
+  const auto& se = study.wave(1).multiselect(synth::col::kSePractices);
   const std::size_t vcs =
       static_cast<std::size_t>(se.find_option("Version control"));
   report::TextTable t({"Field", "n", "VCS share [95% CI]"});
@@ -159,12 +156,11 @@ std::string run_t4_se_practices(const Study& study) {
 
 std::string run_t5_tool_gap(const Study& study) {
   std::string out = wave_header(study);
-  for (const auto* wave : {&study.wave2011(), &study.wave2024()}) {
-    const bool is_2011 = wave == &study.wave2011();
-    out += std::string("\nWave ") + (is_2011 ? "2011" : "2024") +
+  for (std::size_t w = 0; w < 2; ++w) {
+    out += std::string("\nWave ") + (w == 0 ? "2011" : "2024") +
            " — tool awareness vs use\n";
-    const auto& aware = study.aggregates_for(*wave).tools_aware;
-    const auto& used = study.aggregates_for(*wave).tools_used;
+    const auto& aware = study.aggregates(w).tools_aware;
+    const auto& used = study.aggregates(w).tools_used;
     report::TextTable t(
         {"Tool", "Aware", "Use", "Gap (pp)", "Use|Aware"});
     for (std::size_t i = 0; i < aware.size(); ++i) {
@@ -195,8 +191,8 @@ std::string run_t6_significance(const Study& study) {
                            const std::vector<data::OptionShare>& s2024) {
     trend::append_share_trends(all, s2011, s2024);
   };
-  const auto& a2011 = study.aggregates2011();
-  const auto& a2024 = study.aggregates2024();
+  const auto& a2011 = study.aggregates(0);
+  const auto& a2024 = study.aggregates(1);
   collect(a2011.languages, a2024.languages);
   collect(a2011.parallel_resources, a2024.parallel_resources);
   collect(a2011.se_practices, a2024.se_practices);
@@ -219,7 +215,7 @@ std::string run_t6_significance(const Study& study) {
   out += render_battery(all);
 
   const auto shift = trend::distribution_shift_test(
-      study.wave2011(), study.wave2024(), synth::col::kPrimaryLanguage);
+      study.wave(0), study.wave(1), synth::col::kPrimaryLanguage);
   out += "\nPrimary-language distribution shift (2 x k chi-square): chi2=" +
          format_double(shift.statistic, 1) +
          ", dof=" + format_double(shift.dof, 0) +
@@ -236,9 +232,9 @@ std::string run_t7_gpu_adoption(const Study& study) {
   const auto& fields = synth::fields();
   for (const auto& field : fields) {
     const data::Table f2011 =
-        study.wave2011().filter_equals(synth::col::kField, field);
+        study.wave(0).filter_equals(synth::col::kField, field);
     const data::Table f2024 =
-        study.wave2024().filter_equals(synth::col::kField, field);
+        study.wave(1).filter_equals(synth::col::kField, field);
     if (f2011.row_count() < 5 || f2024.row_count() < 5) continue;
     const auto tr = trend::compare_option(
         f2011, f2024, synth::col::kParallelResources, "GPU");
@@ -255,7 +251,7 @@ std::string run_t7_gpu_adoption(const Study& study) {
   out += t.render();
   // Pooled curve.
   const auto curve = trend::fit_adoption_curve(
-      study.wave2011(), 2011.0, study.wave2024(), 2024.0,
+      study.wave(0), 2011.0, study.wave(1), 2024.0,
       synth::col::kParallelResources, "GPU");
   out += "\nPooled logistic fit: P(GPU) = sigmoid(" +
          format_double(curve.intercept, 2) + " + " +
@@ -280,9 +276,8 @@ std::string run_t8_field_drilldown(const Study& study) {
   for (const auto& target : targets) {
     out += std::string("\n") + target.option + " by field\n";
     const auto trends =
-        trend::per_group_trend(study.wave2011(), study.wave2024(),
-                               synth::col::kField, target.column,
-                               target.option);
+        trend::per_group_trend(study.wave(0), study.wave(1), synth::col::kField,
+                               target.column, target.option);
     report::TextTable t({"Field", "2011", "2024", "Δ (pp)", "p (Holm)",
                          "Trend"});
     for (const auto& tr : trends) {

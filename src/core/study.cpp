@@ -146,12 +146,6 @@ const WaveAggregates& Study::aggregates(std::size_t w) const {
   return *aggregates_[w];
 }
 
-const WaveAggregates& Study::aggregates_for(const data::Table& wave) const {
-  for (std::size_t w = 0; w < waves_.size(); ++w)
-    if (&wave == &waves_[w]) return aggregates(w);
-  throw Error("aggregates_for: not one of the study's waves");
-}
-
 const char* rung_label(ParallelRung r) {
   switch (r) {
     case ParallelRung::kSerialOnly: return "Serial only";

@@ -4,11 +4,9 @@
 //
 // A study holds N >= 2 time-ordered waves described by WaveSpec entries
 // (calendar year, size or snapshot path, per-wave raking). The historical
-// two-wave 2011→2024 shape is the default configuration, and the legacy
-// wave2011()/wave2024()/aggregates2011()/... accessors survive as thin
-// shims over wave indices 0 and 1 — their outputs are byte-identical to
-// the pre-N-wave code (same generator streams, same seeds, same fused
-// aggregate scans).
+// two-wave 2011→2024 shape is the default configuration: its waves are
+// indices 0 and 1, and their outputs are byte-identical to the pre-N-wave
+// code (same generator streams, same seeds, same fused aggregate scans).
 #pragma once
 
 #include <cstdint>
@@ -104,15 +102,6 @@ class Study {
   // Raking weights for wave `w` against the calibrated population
   // field/career mix of its calendar year (computed on first use).
   const survey::RakingResult& weights(std::size_t w) const;
-
-  // --- Legacy two-wave shims (wave indices 0 and 1) -------------------------
-  const data::Table& wave2011() const { return wave(0); }
-  const data::Table& wave2024() const { return wave(1); }
-  const survey::RakingResult& weights2024() const { return weights(1); }
-  const WaveAggregates& aggregates2011() const { return aggregates(0); }
-  const WaveAggregates& aggregates2024() const { return aggregates(1); }
-  // The cache for whichever of the study's waves `wave` is (by identity).
-  const WaveAggregates& aggregates_for(const data::Table& wave) const;
 
  private:
   StudyConfig config_;

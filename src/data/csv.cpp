@@ -4,17 +4,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <exception>
 #include <fstream>
-#include <sstream>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "parallel/algorithms.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/strings.hpp"
 
 namespace rcr::data {
@@ -24,9 +18,6 @@ namespace {
 struct IngestMetrics {
   obs::Counter& rows = obs::registry().counter("ingest.rows");
   obs::Counter& bytes = obs::registry().counter("ingest.bytes");
-  obs::Counter& shards = obs::registry().counter("ingest.shards");
-  obs::Counter& serial_fallbacks =
-      obs::registry().counter("ingest.serial_fallbacks");
   obs::Histogram& parse_ms = obs::registry().histogram("ingest.parse.ms");
 };
 
@@ -54,8 +45,7 @@ IngestMetrics& metrics() {
 // field outgrows every field seen before it.
 class RecordScanner {
  public:
-  explicit RecordScanner(char delimiter, std::size_t start_line = 1)
-      : delimiter_(delimiter), line_(start_line), record_line_(start_line) {}
+  explicit RecordScanner(char delimiter) : delimiter_(delimiter) {}
 
   // Fields of the record being delivered; valid only inside a sink call.
   std::size_t field_count() const { return field_count_; }
@@ -63,18 +53,14 @@ class RecordScanner {
   bool quoted(std::size_t i) const { return quoted_[i] != 0; }
   // 1-based physical line the current record starts on (error reporting).
   std::size_t record_line() const { return record_line_; }
-  // Physical line of the next byte to be consumed.
-  std::size_t line() const { return line_; }
 
   // Consumes [data, data+n), invoking sink(*this) per completed record.
-  // Stops early — returning the bytes consumed — when the sink returns
-  // false; otherwise returns n.
   //
   // Ordinary content bytes (no delimiter/quote/newline/CR) dominate real
   // files, so mid-field states take a bulk path: scan to the next byte the
   // state machine actually cares about and append the run in one go.
   template <typename Sink>
-  std::size_t feed(const char* data, std::size_t n, Sink&& sink) {
+  void feed(const char* data, std::size_t n, Sink&& sink) {
     std::size_t i = 0;
     while (i < n) {
       if (in_record_ && !pending_cr_) {
@@ -90,10 +76,9 @@ class RecordScanner {
           continue;
         }
       }
-      if (!consume(data[i], sink)) return i + 1;
+      consume(data[i], sink);
       ++i;
     }
-    return n;
   }
 
   // Flushes the final record when the input does not end in a newline.
@@ -136,18 +121,17 @@ class RecordScanner {
   }
 
   template <typename Sink>
-  bool end_record(Sink& sink) {
+  void end_record(Sink& sink) {
     ++field_count_;  // close the open field
     in_record_ = false;
     state_ = State::kFieldStart;
-    const bool keep_going = sink(static_cast<const RecordScanner&>(*this));
+    sink(static_cast<const RecordScanner&>(*this));
     field_count_ = 0;
     record_line_ = line_;
-    return keep_going;
   }
 
   template <typename Sink>
-  bool consume(char c, Sink& sink) {
+  void consume(char c, Sink& sink) {
     if (!in_record_) {
       in_record_ = true;
       record_line_ = line_;
@@ -157,7 +141,8 @@ class RecordScanner {
       pending_cr_ = false;
       if (c == '\n') {  // CRLF record terminator
         ++line_;
-        return end_record(sink);
+        end_record(sink);
+        return;
       }
       // The CR was field content after all (the old reader kept it too).
       fields_[field_count_] += '\r';
@@ -172,7 +157,7 @@ class RecordScanner {
           next_field();
         } else if (c == '\n') {
           ++line_;
-          return end_record(sink);
+          end_record(sink);
         } else if (c == '\r') {
           pending_cr_ = true;
         } else {
@@ -187,7 +172,7 @@ class RecordScanner {
           next_field();
         } else if (c == '\n') {
           ++line_;
-          return end_record(sink);
+          end_record(sink);
         } else if (c == '\r') {
           pending_cr_ = true;
         } else {
@@ -210,7 +195,7 @@ class RecordScanner {
           next_field();
         } else if (c == '\n') {
           ++line_;
-          return end_record(sink);
+          end_record(sink);
         } else if (c == '\r') {
           pending_cr_ = true;
           state_ = State::kUnquoted;
@@ -222,7 +207,6 @@ class RecordScanner {
         }
         break;
     }
-    return true;
   }
 
   char delimiter_;
@@ -263,10 +247,10 @@ bool blank_record(const RecordScanner& rec) {
          trim(rec.field(0)).empty();
 }
 
-// A header column resolved to its typed destination once per parse (or per
-// shard). The old reader looked every cell's column up by name twice per
-// cell; at ingest scale those linear scans were a measurable share of the
-// parse, so the hot path works through these handles instead.
+// A header column resolved to its typed destination once per parse. The
+// old reader looked every cell's column up by name twice per cell; at
+// ingest scale those linear scans were a measurable share of the parse, so
+// the hot path works through these handles instead.
 struct BoundColumn {
   ColumnKind kind = ColumnKind::kNumeric;
   NumericColumn* num = nullptr;
@@ -292,8 +276,8 @@ std::vector<BoundColumn> bind_columns(Table& out,
   return bound;
 }
 
-// Parses one cell into its typed column — the single point the serial,
-// streaming, and parallel readers all push values through.
+// Parses one cell into its typed column — the single point the
+// materializing and streaming readers all push values through.
 void append_cell(const BoundColumn& col, std::string_view cell,
                  const CsvOptions& options, std::size_t line_no) {
   switch (col.kind) {
@@ -398,12 +382,12 @@ std::uint64_t scan_istream(std::istream& in, char delimiter, Sink&& sink) {
   return bytes;
 }
 
-// Shared serial driver: header record first, then every data record pushed
+// Shared parse loop: header record first, then every data record pushed
 // into `out` with `on_row` fired per completed row (streaming callers clear
 // `out` there). Returns rows parsed.
-std::uint64_t parse_serial(std::istream& in, const Table& schema,
-                           const CsvOptions& options, Table& out,
-                           const std::function<void()>& on_row) {
+std::uint64_t parse_records(std::istream& in, const Table& schema,
+                            const CsvOptions& options, Table& out,
+                            const std::function<void()>& on_row) {
   obs::ScopedTimer timer(metrics().parse_ms);
   bool have_header = false;
   std::vector<std::string> header;
@@ -414,275 +398,20 @@ std::uint64_t parse_serial(std::istream& in, const Table& schema,
       header = header_from(rec, schema);
       bound = bind_columns(out, header);
       have_header = true;
-      return true;
+      return;
     }
     if (blank_record(rec) && header.size() > 1 && options.skip_blank_lines)
-      return true;
+      return;
     append_record(rec, bound, options);
     ++rows;
     if (on_row) on_row();
-    return true;
   };
   const std::uint64_t bytes = scan_istream(in, options.delimiter, on_record);
   if (!have_header)
     throw rcr::InvalidInputError("CSV input is empty (no header row)");
   metrics().rows.add(rows);
   metrics().bytes.add(bytes);
-  metrics().shards.add(1);
   return rows;
-}
-
-// --- Parallel buffer reader --------------------------------------------------
-
-struct ShardSpan {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-inline constexpr std::size_t kMinShardBytes = 64 * 1024;
-inline constexpr std::size_t kShardTarget = 64;  // cf. kReduceChunkTarget
-
-
-// One quote-parity pass over the data region [data_begin, buf.size()) that
-// snaps chunk_layout's even byte splits forward to the next record start
-// (the byte after an unquoted newline). The layout's grain is a pure
-// function of the byte count — never of the pool — and the snapped
-// boundaries are a pure function of the bytes, so the shard partition is
-// identical for every thread count.
-//
-// The pass jumps with memchr instead of walking bytes: only quote
-// characters are visited individually (parity must track every one of
-// them, '""' toggling twice nets out), and newlines are searched only
-// inside the window where the next desired split could land.
-std::vector<ShardSpan> split_shards(const std::string& buf,
-                                    std::size_t data_begin,
-                                    std::size_t grain) {
-  std::vector<ShardSpan> shards;
-  if (data_begin >= buf.size()) return shards;
-  const auto layout = parallel::chunk_layout(data_begin, buf.size(), grain);
-  const char* base = buf.data();
-  const std::size_t size = buf.size();
-  ShardSpan cur{data_begin, size};
-  std::size_t k = 1;  // next desired split: layout.bounds(k).first
-  std::size_t i = data_begin;
-  bool in_quotes = false;
-  while (i < size && k < layout.chunks) {
-    if (in_quotes) {
-      const void* q = std::memchr(base + i, '"', size - i);
-      if (q == nullptr) break;  // unterminated; the shard parse reports it
-      i = static_cast<std::size_t>(static_cast<const char*>(q) - base) + 1;
-      in_quotes = false;
-      continue;
-    }
-    const void* q = std::memchr(base + i, '"', size - i);
-    const std::size_t quote =
-        q ? static_cast<std::size_t>(static_cast<const char*>(q) - base)
-          : size;
-    // Unquoted run [i, quote): a boundary is the byte after a newline, and
-    // the next split wants the first boundary >= its target, so newlines
-    // before target-1 are irrelevant.
-    std::size_t from = std::max(i, layout.bounds(k).first - 1);
-    while (from < quote && k < layout.chunks) {
-      const void* nl = std::memchr(base + from, '\n', quote - from);
-      if (nl == nullptr) break;
-      const std::size_t next =
-          static_cast<std::size_t>(static_cast<const char*>(nl) - base) + 1;
-      if (next >= size) {
-        from = size;
-        break;
-      }
-      cur.end = next;
-      shards.push_back(cur);
-      cur = ShardSpan{next, size};
-      // Skip desired splits this boundary already passed (short chunks
-      // collapse into their successor instead of going out empty).
-      while (k < layout.chunks && layout.bounds(k).first <= next) ++k;
-      if (k < layout.chunks)
-        from = std::max(next, layout.bounds(k).first - 1);
-    }
-    if (k >= layout.chunks || quote >= size) break;
-    i = quote + 1;
-    in_quotes = true;
-  }
-  shards.push_back(cur);
-  return shards;
-}
-
-// Physical (1-based) line on which the record at byte `offset` starts:
-// one plus every newline before it, quoted or not, matching the serial
-// scanner's line accounting. Cold path — only consulted when a shard
-// fails and its error must carry the same line number serial would print.
-std::size_t line_at(const std::string& buf, std::size_t offset) {
-  std::size_t line = 1;
-  const char* base = buf.data();
-  std::size_t i = 0;
-  while (i < offset) {
-    const void* nl = std::memchr(base + i, '\n', offset - i);
-    if (nl == nullptr) break;
-    ++line;
-    i = static_cast<std::size_t>(static_cast<const char*>(nl) - base) + 1;
-  }
-  return line;
-}
-
-bool has_open_dictionaries(const Table& schema) {
-  for (const auto& name : schema.column_names())
-    if (schema.kind(name) == ColumnKind::kCategorical &&
-        !schema.categorical(name).frozen())
-      return true;
-  return false;
-}
-
-// One serial scan over an in-memory buffer — the small-input fast path of
-// the parallel entry points. Byte-identical to read_csv on the same bytes
-// (same scanner, same record handling), so the fallback is invisible to
-// callers except in wall time.
-Table parse_buffer_serial(const std::string& buf, const Table& schema,
-                          const CsvOptions& options) {
-  obs::ScopedTimer timer(metrics().parse_ms);
-  Table out = schema.clone_empty();
-  bool have_header = false;
-  std::vector<std::string> header;
-  std::vector<BoundColumn> bound;
-  std::uint64_t rows = 0;
-  const auto on_record = [&](const RecordScanner& rec) {
-    if (!have_header) {
-      header = header_from(rec, schema);
-      bound = bind_columns(out, header);
-      have_header = true;
-      return true;
-    }
-    if (blank_record(rec) && header.size() > 1 && options.skip_blank_lines)
-      return true;
-    append_record(rec, bound, options);
-    ++rows;
-    return true;
-  };
-  RecordScanner scanner(options.delimiter);
-  scanner.feed(buf.data(), buf.size(), on_record);
-  scanner.finish(on_record);
-  if (!have_header)
-    throw rcr::InvalidInputError("CSV input is empty (no header row)");
-  out.validate_rectangular();
-  metrics().rows.add(rows);
-  metrics().bytes.add(buf.size());
-  metrics().shards.add(1);
-  metrics().serial_fallbacks.add(1);
-  return out;
-}
-
-Table parse_buffer_parallel(const std::string& buf, const Table& schema,
-                            parallel::ThreadPool* pool,
-                            const CsvOptions& options) {
-  // Below the crossover (and with the grain left to us — an explicit
-  // parallel_shard_bytes pins sharding on, which the determinism tests
-  // rely on), skip the boundary pass and shard merge entirely.
-  if (options.parallel_shard_bytes == 0 &&
-      buf.size() < kParallelSerialFallbackBytes)
-    return parse_buffer_serial(buf, schema, options);
-  obs::ScopedTimer timer(metrics().parse_ms);
-
-  // Header first. Its quoted fields may span newlines too, so the header's
-  // end is found with the scanner, not a line search.
-  RecordScanner header_scan(options.delimiter);
-  std::vector<std::string> header;
-  bool have_header = false;
-  std::size_t data_begin =
-      header_scan.feed(buf.data(), buf.size(), [&](const RecordScanner& rec) {
-        header = header_from(rec, schema);
-        have_header = true;
-        return false;
-      });
-  if (!have_header) {
-    header_scan.finish([&](const RecordScanner& rec) {
-      header = header_from(rec, schema);
-      have_header = true;
-      return false;
-    });
-    data_begin = buf.size();
-  }
-  if (!have_header)
-    throw rcr::InvalidInputError("CSV input is empty (no header row)");
-
-  const std::size_t data_bytes = buf.size() - data_begin;
-  const std::size_t grain =
-      options.parallel_shard_bytes > 0
-          ? options.parallel_shard_bytes
-          : std::max(kMinShardBytes,
-                     (data_bytes + kShardTarget - 1) / kShardTarget);
-  const auto shards = split_shards(buf, data_begin, grain);
-
-  std::vector<Table> partials(shards.size());
-  std::vector<std::exception_ptr> errors(shards.size());
-  const auto parse_shard_at = [&](std::size_t k, std::size_t start_line,
-                                  Table& part) {
-    const auto bound = bind_columns(part, header);
-    RecordScanner scan(options.delimiter, start_line);
-    const auto on_record = [&](const RecordScanner& rec) {
-      if (blank_record(rec) && header.size() > 1 && options.skip_blank_lines)
-        return true;
-      append_record(rec, bound, options);
-      return true;
-    };
-    scan.feed(buf.data() + shards[k].begin, shards[k].end - shards[k].begin,
-              on_record);
-    scan.finish(on_record);
-  };
-  const auto parse_shard = [&](std::size_t k) {
-    try {
-      Table part = schema.clone_empty();
-      parse_shard_at(k, 1, part);  // line fixed up on the cold error path
-      partials[k] = std::move(part);
-    } catch (...) {
-      errors[k] = std::current_exception();
-    }
-  };
-
-  if (pool != nullptr && shards.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards.size());
-    for (std::size_t k = 0; k < shards.size(); ++k)
-      tasks.emplace_back([&parse_shard, k] { parse_shard(k); });
-    pool->run_batch(std::move(tasks));
-  } else {
-    for (std::size_t k = 0; k < shards.size(); ++k) parse_shard(k);
-  }
-
-  // Errors surface in shard-index order. The first malformed record in
-  // file order lives in the earliest erroring shard (shards before it parse
-  // the same valid records the serial scan saw), so serial and parallel
-  // reads raise the same error. Shards parse with shard-relative line
-  // numbers; here — off the hot path — the failing shard re-runs with its
-  // true start line so the message matches serial's exactly.
-  for (std::size_t k = 0; k < shards.size(); ++k) {
-    if (!errors[k]) continue;
-    Table scratch = schema.clone_empty();
-    parse_shard_at(k, line_at(buf, shards[k].begin), scratch);
-    std::rethrow_exception(errors[k]);  // unreachable unless the rerun passes
-  }
-
-  Table out = schema.clone_empty();
-  const bool open_dicts = has_open_dictionaries(schema);
-  for (std::size_t k = 0; k < shards.size(); ++k) {
-    if (open_dicts)
-      // Label-wise re-intern reproduces the serial dictionary build order;
-      // shards whose category sets already converged take its bulk path.
-      out.append_rows_labelwise(partials[k]);
-    else
-      out.append_rows(partials[k]);
-  }
-  out.validate_rectangular();
-
-  metrics().rows.add(out.row_count());
-  metrics().bytes.add(buf.size());
-  metrics().shards.add(shards.empty() ? 1 : shards.size());
-  return out;
-}
-
-std::string slurp(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return std::move(buffer).str();
 }
 
 // --- Writing -----------------------------------------------------------------
@@ -714,7 +443,7 @@ std::string escape_field(const std::string& field, char delimiter) {
 Table read_csv(std::istream& in, const Table& schema,
                const CsvOptions& options) {
   Table out = schema.clone_empty();
-  parse_serial(in, schema, options, out, nullptr);
+  parse_records(in, schema, options, out, nullptr);
   out.validate_rectangular();
   return out;
 }
@@ -726,27 +455,13 @@ Table read_csv_file(const std::string& path, const Table& schema,
   return read_csv(in, schema, options);
 }
 
-Table read_csv_parallel(std::istream& in, const Table& schema,
-                        parallel::ThreadPool* pool,
-                        const CsvOptions& options) {
-  return parse_buffer_parallel(slurp(in), schema, pool, options);
-}
-
-Table read_csv_parallel_file(const std::string& path, const Table& schema,
-                             parallel::ThreadPool* pool,
-                             const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw rcr::InvalidInputError("cannot open CSV file: " + path);
-  return parse_buffer_parallel(slurp(in), schema, pool, options);
-}
-
 std::size_t for_each_csv_row(
     std::istream& in, const Table& schema,
     const std::function<void(const Table& row, std::size_t index)>& visit,
     const CsvOptions& options) {
   Table row = schema.clone_empty();
   std::size_t index = 0;
-  parse_serial(in, schema, options, row, [&] {
+  parse_records(in, schema, options, row, [&] {
     visit(row, index);
     ++index;
     row.clear_rows();
@@ -773,7 +488,7 @@ std::size_t for_each_csv_block(
   Table block = schema.clone_empty();
   std::size_t delivered = 0;
   std::size_t in_block = 0;
-  parse_serial(in, schema, options, block, [&] {
+  parse_records(in, schema, options, block, [&] {
     if (++in_block == block_rows) {
       visit(block, delivered);
       delivered += in_block;

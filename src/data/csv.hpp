@@ -31,19 +31,7 @@
 
 #include "data/table.hpp"
 
-namespace rcr::parallel {
-class ThreadPool;
-}
-
 namespace rcr::data {
-
-// Inputs below this byte count parse serially through the parallel entry
-// points when parallel_shard_bytes is 0 (derived grain): under the measured
-// crossover (BENCH_csv.json) the boundary pass, per-shard tables, and merge
-// cost more than sharding saves. A pure function of the byte count, so the
-// serial/parallel decision — like the shard partition itself — never
-// depends on the pool.
-inline constexpr std::size_t kParallelSerialFallbackBytes = 4 * 1024 * 1024;
 
 struct CsvOptions {
   char delimiter = ',';
@@ -52,13 +40,6 @@ struct CsvOptions {
   // schemas, where a blank line is a legitimate missing-cell row). With the
   // skip disabled a blank line raises the usual field-count error.
   bool skip_blank_lines = true;
-  // Shard granularity for read_csv_parallel, in bytes; 0 derives it from
-  // the input size alone — and lets inputs below the measured crossover
-  // (see BENCH_csv.json) parse serially, where sharding costs more than it
-  // saves. Any explicit value pins the parallel machinery on regardless of
-  // input size. The parsed table is byte-identical for every value — this
-  // knob only trades scheduling overhead against balance.
-  std::size_t parallel_shard_bytes = 0;
 };
 
 // Parses CSV text into `schema`, a table that already has its columns (and,
@@ -70,24 +51,6 @@ Table read_csv(std::istream& in, const Table& schema,
                const CsvOptions& options = {});
 Table read_csv_file(const std::string& path, const Table& schema,
                     const CsvOptions& options = {});
-
-// Parallel materializing reader. A single quote-parity pass locates
-// record-aligned shard boundaries, each shard parses independently into a
-// partial table with the same state machine read_csv uses, and partials
-// append in shard-index order — so for any input the result is
-// byte-identical to read_csv for every thread count (pool == nullptr, 1, N),
-// including the dictionary build order of unfrozen categorical columns and
-// which error is raised on malformed input. pool == nullptr walks the same
-// shard partition serially. Inputs smaller than a fixed byte threshold skip
-// the sharding entirely and parse serially (a pure function of the byte
-// count, so still deterministic) unless parallel_shard_bytes pins sharding
-// on; either way the bytes parsed and table produced are identical.
-Table read_csv_parallel(std::istream& in, const Table& schema,
-                        parallel::ThreadPool* pool,
-                        const CsvOptions& options = {});
-Table read_csv_parallel_file(const std::string& path, const Table& schema,
-                             parallel::ThreadPool* pool,
-                             const CsvOptions& options = {});
 
 // Streaming row visitor over CSV input. Parses with exactly the same
 // header/record/cell machinery as read_csv — identical acceptance,

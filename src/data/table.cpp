@@ -136,9 +136,8 @@ void Table::append_rows(const Table& other) {
                   "append_rows: column '" + name + "' kind differs");
     switch (kind(name)) {
       case ColumnKind::kNumeric: {
-        // Bulk copies: per-element push re-validated invariants the source
-        // column already established, which dominated shard-merge time in
-        // the parallel CSV reader.
+        // Bulk copies: per-element push would re-validate invariants the
+        // source column already established.
         numeric(name).append_column(other.numeric(name));
         break;
       }

@@ -69,7 +69,7 @@ class Table {
   // Appends all rows of `other` by label for categorical columns: codes are
   // re-interned against this table's dictionaries, reproducing the build
   // order a serial ingest would produce even when `other` interned labels
-  // independently (a parallel CSV shard, a snapshot writer block). Columns
+  // independently (a snapshot writer block). Columns
   // whose category sets already match take the bulk append_rows path.
   // Numeric and multi-select columns (whose option sets must match) always
   // append in bulk.

@@ -1,7 +1,6 @@
 #include "kernels/montecarlo.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "parallel/algorithms.hpp"
 #include "util/error.hpp"
@@ -22,30 +21,16 @@ std::uint64_t block_seed(std::uint64_t master, std::size_t block) {
   return z ^ (z >> 31);
 }
 
-// Cache-resident staging buffer for batched draws: 2048 doubles = 16 KiB,
-// well inside L1d. fill_double emits exactly the next_double sequence, so
-// consuming the buffer in order is bitwise-identical to per-sample draws.
-constexpr std::size_t kChunkDoubles = 2048;
-
 std::size_t pi_hits_in_block(std::uint64_t master, std::size_t block,
                              std::size_t samples_total) {
   Rng rng(block_seed(master, block));
   const std::size_t lo = block * kBlock;
   const std::size_t hi = std::min(samples_total, lo + kBlock);
-  double draws[kChunkDoubles];
   std::size_t hits = 0;
-  std::size_t remaining = hi - lo;
-  while (remaining > 0) {
-    // Two draws per sample: (x, y) pairs laid out consecutively, same
-    // order the scalar loop consumed them.
-    const std::size_t batch = std::min(remaining, kChunkDoubles / 2);
-    rng.fill_double(std::span<double>(draws, 2 * batch));
-    for (std::size_t j = 0; j < batch; ++j) {
-      const double x = draws[2 * j];
-      const double y = draws[2 * j + 1];
-      if (x * x + y * y <= 1.0) ++hits;
-    }
-    remaining -= batch;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const double x = rng.next_double();
+    const double y = rng.next_double();
+    if (x * x + y * y <= 1.0) ++hits;
   }
   return hits;
 }
@@ -56,17 +41,8 @@ double integral_block(const std::function<double(double)>& f, double a,
   Rng rng(block_seed(master, block));
   const std::size_t lo = block * kBlock;
   const std::size_t hi = std::min(samples_total, lo + kBlock);
-  double draws[kChunkDoubles];
   double sum = 0.0;
-  std::size_t remaining = hi - lo;
-  while (remaining > 0) {
-    const std::size_t batch = std::min(remaining, kChunkDoubles);
-    rng.fill_double(std::span<double>(draws, batch));
-    // uniform(a, b) is lo + (hi - lo) * next_double(); replay it exactly.
-    for (std::size_t j = 0; j < batch; ++j)
-      sum += f(a + (b - a) * draws[j]);
-    remaining -= batch;
-  }
+  for (std::size_t i = lo; i < hi; ++i) sum += f(rng.uniform(a, b));
   return sum;
 }
 

@@ -24,17 +24,12 @@ std::uint64_t permutation_seed(std::uint64_t master, std::size_t index) {
 
 // k-of-n split via partial Fisher–Yates: only the first nx slots need to be
 // a uniform sample of the pool, the remainder is the complement, so the
-// shuffle stops after nx swaps instead of walking the whole array. The
-// swap randomness is prefetched in one batch (BufferedDraws consumes the
-// same underlying stream as per-swap next_below calls, so the permutation
-// — and every statistic computed from it — is unchanged bitwise).
+// shuffle stops after nx swaps instead of walking the whole array.
 void partial_split_shuffle(std::vector<double>& values, std::size_t nx,
                            Rng& rng) {
-  BufferedDraws draws(rng, nx);
   const std::size_t n = values.size();
   for (std::size_t i = 0; i < nx; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(draws.take_below(n - i));
+    const std::size_t j = i + static_cast<std::size_t>(rng.next_below(n - i));
     std::swap(values[i], values[j]);
   }
 }

@@ -10,16 +10,10 @@
 // recommend. Distributions are implemented here from first principles so
 // results are identical across compilers.
 //
-// Two draw pipelines share that generator:
-//
-//   * Scalar — next_u64() and friends, one value per call. The hot scalar
-//     primitives are inline so consumers pay no call overhead per draw.
-//   * Batched — fill_u64 / fill_double / fill_below write a whole span per
-//     call. On Rng the batch calls are defined to produce *exactly* the
-//     sequence the equivalent scalar loop would (so call sites can convert
-//     freely without changing any study output), and BatchRng interleaves
-//     kStreams independent xoshiro256** streams in a structure-of-arrays
-//     layout so the state-update loop vectorizes (see rng.cpp).
+// Rng is one scalar stream: next_u64() and friends return one value per
+// call, and the hot primitives are inline so consumers pay no call overhead
+// per draw. Wide batched draws come from the counter-based simd::Philox
+// (simd/philox.hpp), whose fills vectorize across counter blocks.
 #pragma once
 
 #include <array>
@@ -104,21 +98,10 @@ class Rng {
     return next_double() < p;
   }
 
-  // --- Batched draws ---------------------------------------------------------
-  // Each fill_* call produces exactly the values the equivalent loop of
-  // scalar calls would produce, consuming the underlying stream identically
-  // (including Lemire rejection redraws). Converting a call site from a
-  // scalar loop to one fill is therefore always output-preserving.
-
-  void fill_u64(std::span<std::uint64_t> out);
-  void fill_double(std::span<double> out);
-  void fill_below(std::uint64_t bound, std::span<std::uint64_t> out);
-
-  // Batched bernoulli: bit i of the result is bernoulli(p[i]), drawn in
-  // index order with the same skip-degenerate-p contract as bernoulli().
+  // Coin mask: bit i of the result is bernoulli(p[i]), drawn in index
+  // order with the same skip-degenerate-p contract as bernoulli().
   // Requires p.size() <= 64. One call answers a whole multi-select
-  // question; kept inline and single-pass because the per-question coin
-  // counts are small (an out-of-line fill would cost more than it saves).
+  // question.
   std::uint64_t bernoulli_mask(std::span<const double> p) {
     RCR_DCHECK(p.size() <= 64);
     std::uint64_t mask = 0;
@@ -180,124 +163,6 @@ class Rng {
   bool has_spare_ = false;
 };
 
-// Buffered u64 draws over an Rng: prefetches raw words in blocks via
-// fill_u64 so variable-bound loops (Fisher–Yates, rejection sampling) can
-// batch their randomness. take() and take_below() consume the *same*
-// underlying stream, in the same order, as the equivalent scalar calls on
-// the wrapped Rng — only the fetch granularity changes. Leftover prefetched
-// words are simply discarded when the buffer is dropped, which is harmless
-// for the per-replicate / per-respondent throwaway streams this is made for
-// (do not interleave buffered and direct draws on the same Rng).
-class BufferedDraws {
- public:
-  // `expected` sizes the prefetch so a loop that knows its draw count up
-  // front fetches (almost) exactly that many words in one fill.
-  explicit BufferedDraws(Rng& rng, std::size_t expected = kBlock)
-      : rng_(&rng), expected_(expected) {}
-
-  std::uint64_t take() {
-    if (pos_ == end_) refill();
-    return buf_[pos_++];
-  }
-
-  // Equivalent to rng.next_below(bound), drawing through the buffer.
-  std::uint64_t take_below(std::uint64_t bound) {
-    RCR_DCHECK(bound > 0);
-    std::uint64_t x = take();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    std::uint64_t l = static_cast<std::uint64_t>(m);
-    if (l < bound) {
-      std::uint64_t t = -bound % bound;
-      while (l < t) {
-        x = take();
-        m = static_cast<__uint128_t>(x) * bound;
-        l = static_cast<std::uint64_t>(m);
-      }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-  }
-
- private:
-  static constexpr std::size_t kBlock = 256;
-
-  void refill() {
-    std::size_t want = kBlock;
-    if (expected_ > taken_) {
-      want = expected_ - taken_;
-      if (want < 8) want = 8;
-      if (want > kBlock) want = kBlock;
-    } else {
-      want = 8;  // rejection redraws / hint exhausted: fetch small
-    }
-    rng_->fill_u64(std::span<std::uint64_t>(buf_.data(), want));
-    taken_ += want;
-    pos_ = 0;
-    end_ = want;
-  }
-
-  Rng* rng_;
-  std::size_t expected_;
-  std::size_t taken_ = 0;
-  std::array<std::uint64_t, kBlock> buf_;
-  std::size_t pos_ = 0;
-  std::size_t end_ = 0;
-};
-
-// BatchRng — wide deterministic draw pipeline.
-//
-// Advances kStreams independent xoshiro256** generators kept in a
-// structure-of-arrays layout, so one "row" update (one draw from every
-// stream) is a branch-free loop the compiler vectorizes. Stream k is
-// exactly Rng(stream_seed(seed, k)); both pieces are part of the public
-// determinism contract:
-//
-//   * output position i (counted across ALL fill/next calls since
-//     construction) is served by stream i % kStreams;
-//   * each output consumes one or more successive draws of its stream
-//     (more than one only when fill_below hits a Lemire rejection, which
-//     redraws from the same stream until acceptance — handled in a scalar
-//     fixup tail off the vector path);
-//   * batch-call boundaries are invisible: any way of slicing the same
-//     total request sequence into fill_* calls yields the same values.
-//
-// The whole output is therefore a pure function of the seed, reproducible
-// on any platform, and testable against kStreams plain Rng references.
-class BatchRng {
- public:
-  static constexpr std::size_t kStreams = 16;
-
-  explicit BatchRng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) {
-    reseed(seed);
-  }
-
-  void reseed(std::uint64_t seed);
-
-  // The per-stream seed derivation (SplitMix64-style hash of seed and k);
-  // exposed so tests and documentation can reconstruct reference streams.
-  static std::uint64_t stream_seed(std::uint64_t seed, std::size_t k);
-
-  void fill_u64(std::span<std::uint64_t> out);
-  void fill_double(std::span<double> out);
-  void fill_below(std::uint64_t bound, std::span<std::uint64_t> out);
-
-  // Single draw through the same round-robin pipeline.
-  std::uint64_t next_u64();
-
- private:
-  // One scalar xoshiro256** step of stream k (rejection fixups, row refill).
-  std::uint64_t step_stream(std::size_t k);
-  void refill_row();
-
-  alignas(64) std::array<std::uint64_t, kStreams> s0_{};
-  std::array<std::uint64_t, kStreams> s1_{};
-  std::array<std::uint64_t, kStreams> s2_{};
-  std::array<std::uint64_t, kStreams> s3_{};
-  // One pre-drawn value per stream for requests that stop mid-row; buf_[k]
-  // is stream k's next undelivered draw. buf_pos_ == kStreams means empty.
-  std::array<std::uint64_t, kStreams> buf_{};
-  std::size_t buf_pos_ = kStreams;
-};
-
 // Walker alias table: O(1) sampling from a fixed discrete distribution.
 // Construction is O(n). Weights must be non-negative with a positive sum.
 class AliasTable {
@@ -305,11 +170,6 @@ class AliasTable {
   explicit AliasTable(std::span<const double> weights);
 
   std::size_t sample(Rng& rng) const;
-
-  // Batched sampling: identical to repeated sample() calls on the same
-  // stream (same draws in the same order), with the per-call overhead and
-  // the Lemire threshold hoisted out of the loop.
-  void sample_batch(Rng& rng, std::span<std::size_t> out) const;
 
   std::size_t size() const { return prob_.size(); }
 

@@ -21,17 +21,17 @@ const Study& small_study() {
 
 TEST(StudyTest, WavesHaveConfiguredSizes) {
   const auto& s = small_study();
-  EXPECT_EQ(s.wave2011().row_count(), 80u);
-  EXPECT_EQ(s.wave2024().row_count(), 200u);
-  EXPECT_NO_THROW(s.wave2011().validate_rectangular());
+  EXPECT_EQ(s.wave(0).row_count(), 80u);
+  EXPECT_EQ(s.wave(1).row_count(), 200u);
+  EXPECT_NO_THROW(s.wave(0).validate_rectangular());
 }
 
 TEST(StudyTest, WeightsConvergeAndAreCached) {
   const auto& s = small_study();
-  const auto& w1 = s.weights2024();
+  const auto& w1 = s.weights(1);
   EXPECT_TRUE(w1.converged);
-  EXPECT_EQ(w1.weights.size(), s.wave2024().row_count());
-  const auto& w2 = s.weights2024();
+  EXPECT_EQ(w1.weights.size(), s.wave(1).row_count());
+  const auto& w2 = s.weights(1);
   EXPECT_EQ(&w1, &w2);  // cached
 }
 
@@ -41,12 +41,12 @@ TEST(StudyTest, DeterministicAcrossInstances) {
   c.n_2024 = 40;
   c.seed = 5;
   const Study a(c), b(c);
-  EXPECT_EQ(a.wave2024().multiselect(synth::col::kLanguages).mask_at(7),
-            b.wave2024().multiselect(synth::col::kLanguages).mask_at(7));
+  EXPECT_EQ(a.wave(1).multiselect(synth::col::kLanguages).mask_at(7),
+            b.wave(1).multiselect(synth::col::kLanguages).mask_at(7));
 }
 
 TEST(ParallelRungTest, LadderOrdering) {
-  const auto& t = small_study().wave2024();
+  const auto& t = small_study().wave(1);
   const auto& res = t.multiselect(synth::col::kParallelResources);
   for (std::size_t i = 0; i < t.row_count(); ++i) {
     if (res.is_missing(i)) continue;
@@ -109,15 +109,15 @@ TEST(ExperimentTest, HeadlineTrendsPointTheRightWay) {
   // The substance check: the reconstructed study reproduces the known
   // directional findings even at this small n.
   const auto& s = small_study();
-  const auto py = trend::compare_option(s.wave2011(), s.wave2024(),
+  const auto py = trend::compare_option(s.wave(0), s.wave(1),
                                         synth::col::kLanguages, "Python");
   EXPECT_GT(py.share2.estimate, py.share1.estimate);
   const auto vcs =
-      trend::compare_option(s.wave2011(), s.wave2024(),
+      trend::compare_option(s.wave(0), s.wave(1),
                             synth::col::kSePractices, "Version control");
   EXPECT_GT(vcs.share2.estimate, vcs.share1.estimate);
   const auto gpu =
-      trend::compare_option(s.wave2011(), s.wave2024(),
+      trend::compare_option(s.wave(0), s.wave(1),
                             synth::col::kParallelResources, "GPU");
   EXPECT_GT(gpu.share2.estimate, gpu.share1.estimate);
 }

@@ -1,18 +1,16 @@
 // Write→read round-trip property tests for the RFC-4180 CSV engine, plus
-// the parallel-reader determinism contract: read_csv_parallel must produce
-// a table byte-identical to serial read_csv for every thread count, for
-// every input — including which error is raised on malformed input.
+// the reader's edge cases: header-only input, open-dictionary interning
+// order, and the line number a malformed record deep in the file reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "data/csv.hpp"
 #include "data/table.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace rcr::data {
@@ -182,95 +180,57 @@ TEST(CsvRoundTrip, BlockReaderReassemblesExactly) {
   EXPECT_EQ(to_csv(rebuilt), text);
 }
 
-// --- Parallel reader ---------------------------------------------------------
+// --- Reader edge cases ------------------------------------------------------
+// Input with no header at all is rejected by data_test's CsvErrorTest
+// "empty" case.
 
-TEST(CsvParallel, ByteIdenticalAcrossThreadCounts) {
-  const Table t = make_gnarly_table();
-  // Repeat the gnarly block until shards are forced even with a small grain.
-  Table big = t.clone_empty();
-  for (int rep = 0; rep < 40; ++rep) big.append_rows(t);
-  const std::string text = to_csv(big);
-  const std::string serial = to_csv(from_csv(text, t));
-  CsvOptions options;
-  options.parallel_shard_bytes = 512;  // force many shards
-  for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
-    std::unique_ptr<parallel::ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<parallel::ThreadPool>(threads);
-    std::istringstream in(text);
-    const Table parsed =
-        read_csv_parallel(in, t, pool.get(), options);
-    EXPECT_EQ(to_csv(parsed), serial) << "threads=" << threads;
-  }
+TEST(CsvRoundTrip, HeaderOnlyYieldsEmptyTable) {
+  Table schema;
+  schema.add_numeric("x");
+  for (const char* text : {"x\n", "x"})
+    EXPECT_EQ(from_csv(text, schema).row_count(), 0u) << '"' << text << '"';
 }
 
-TEST(CsvParallel, OpenDictionaryMergesInFileOrder) {
-  // Unfrozen categorical column: shards intern different label subsets, so
-  // the merge must rebuild the serial first-appearance interning order.
+TEST(CsvRoundTrip, OpenDictionaryInternsInFirstAppearanceOrder) {
+  // Labels first appear as label_0, label_7, label_14, label_21, label_5,
+  // ...: neither sorted nor numeric order, so only first appearance fits.
   Table schema;
   schema.add_categorical("c");  // open dictionary
   std::string text = "c\n";
-  for (int i = 0; i < 400; ++i)
-    text += "label_" + std::to_string(i % 23) + "\n";
-  CsvOptions options;
-  options.parallel_shard_bytes = 64;
-  const Table serial = from_csv(text, schema, options);
-  parallel::ThreadPool pool(4);
-  std::istringstream in(text);
-  const Table parsed = read_csv_parallel(in, schema, &pool, options);
-  ASSERT_EQ(parsed.row_count(), serial.row_count());
-  EXPECT_EQ(parsed.categorical("c").categories(),
-            serial.categorical("c").categories());
-  EXPECT_EQ(parsed.categorical("c").codes(), serial.categorical("c").codes());
+  std::vector<std::string> rows, first_seen;
+  for (int i = 0; i < 400; ++i) {
+    const std::string label = "label_" + std::to_string(i * 7 % 23);
+    text += label + "\n";
+    rows.push_back(label);
+    if (std::find(first_seen.begin(), first_seen.end(), label) ==
+        first_seen.end())
+      first_seen.push_back(label);
+  }
+  const Table parsed = from_csv(text, schema);
+  ASSERT_EQ(parsed.row_count(), rows.size());
+  EXPECT_EQ(parsed.categorical("c").categories(), first_seen);
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    ASSERT_EQ(parsed.categorical("c").label_at(r), rows[r]) << r;
 }
 
-TEST(CsvParallel, MalformedInputRaisesSameErrorAsSerial) {
+TEST(CsvRoundTrip, DeepMalformedRecordReportsItsLine) {
+  // 5000 two-line records (a quoted newline in each) fill more than one
+  // read chunk; the first bad record starts on physical line 2 + 2 * 5000.
   Table schema;
   schema.add_numeric("x");
-  std::string text = "x\n";
-  for (int i = 0; i < 200; ++i) text += std::to_string(i) + "\n";
-  text += "bogus\n";  // first error, deep in the file
-  for (int i = 0; i < 200; ++i) text += "also_bad\n";
-  CsvOptions options;
-  options.parallel_shard_bytes = 64;
-  std::string serial_what;
+  schema.add_categorical("note");
+  std::string text = "x,note\n";
+  for (int i = 0; i < 5000; ++i)
+    text += std::to_string(i) + ",\"two\nlines\"\n";
+  text += "bogus,z\n";
+  for (int i = 0; i < 20; ++i) text += "also_bad,z\n";
   try {
-    from_csv(text, schema, options);
-    FAIL() << "serial read accepted malformed input";
+    from_csv(text, schema);
+    FAIL() << "malformed input accepted";
   } catch (const rcr::InvalidInputError& e) {
-    serial_what = e.what();
+    EXPECT_EQ(std::string(e.what()),
+              "CSV line 10002: column 'x': not a number: 'bogus'");
   }
-  EXPECT_NE(serial_what.find("bogus"), std::string::npos);
-  parallel::ThreadPool pool(4);
-  std::istringstream in(text);
-  try {
-    read_csv_parallel(in, schema, &pool, options);
-    FAIL() << "parallel read accepted malformed input";
-  } catch (const rcr::InvalidInputError& e) {
-    EXPECT_EQ(std::string(e.what()), serial_what);
-  }
-}
-
-TEST(CsvParallel, HeaderOnlyYieldsEmptyTable) {
-  Table schema;
-  schema.add_numeric("x");
-  for (const char* text : {"x\n", "x"}) {
-    std::istringstream in(text);
-    const Table parsed = read_csv_parallel(in, schema, nullptr);
-    EXPECT_EQ(parsed.row_count(), 0u) << '"' << text << '"';
-  }
-  std::istringstream empty("");
-  EXPECT_THROW(read_csv_parallel(empty, schema, nullptr),
-               rcr::InvalidInputError);
-}
-
-TEST(CsvParallel, DefaultGrainMatchesSerialOnSmallInputs) {
-  // Small inputs collapse to one shard; the result must still be exact.
-  const Table t = make_gnarly_table();
-  const std::string text = to_csv(t);
-  parallel::ThreadPool pool(8);
-  std::istringstream in(text);
-  const Table parsed = read_csv_parallel(in, t, &pool);
-  EXPECT_EQ(to_csv(parsed), to_csv(from_csv(text, t)));
 }
 
 }  // namespace

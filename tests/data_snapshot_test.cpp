@@ -4,7 +4,7 @@
 // The contracts under test:
 //   * CSV -> Table -> snapshot -> mmap -> Table is bitwise: column bytes,
 //     dictionary label order, frozen state, and query-engine fingerprints
-//     all survive, for tables parsed at thread counts 0/1/2/8;
+//     (at thread counts 0/1/2/8) all survive;
 //   * a flipped byte in any region (header, page, dictionary, page index,
 //     footer) raises InvalidInputError naming the region — never UB, never
 //     a silently wrong table (CI runs this suite under ASan/UBSan/TSan);
@@ -210,31 +210,26 @@ TEST(Snapshot, GnarlyTableRoundTripsBitwise) {
 }
 
 TEST(Snapshot, CsvParsedTableRoundTripsAcrossThreadCounts) {
-  // CSV -> parallel read (threads 0/1/2/8) -> snapshot -> mmap -> Table:
-  // every path lands on the same bytes as the serial CSV read.
+  // CSV -> read_csv -> snapshot -> mmap -> Table lands on the bytes the CSV
+  // read produced, and the reloaded table's query fingerprint matches the
+  // parsed table's at pools of 0/1/2/8 threads.
   const Table t = make_gnarly_table();
   Table big = t.clone_empty();
   for (int rep = 0; rep < 40; ++rep) big.append_rows(t);
-  const std::string text = to_csv(big);
-  CsvOptions options;
-  options.parallel_shard_bytes = 512;  // force many shards
-  std::istringstream serial_in(text);
-  const Table serial = read_csv(serial_in, t);
+  std::istringstream in(to_csv(big));
+  const Table parsed = read_csv(in, t);
+  const std::string path = temp_path("csv_parsed.rcr");
+  write_snapshot(parsed, path);
+  const Table back = read_snapshot(path);
+  expect_tables_bitwise_equal(parsed, back);
+  const std::string want = query_fingerprint(parsed, nullptr);
   for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
     std::unique_ptr<parallel::ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<parallel::ThreadPool>(threads);
-    std::istringstream in(text);
-    const Table parsed = read_csv_parallel(in, t, pool.get(), options);
-    const std::string path =
-        temp_path("threads" + std::to_string(threads) + ".rcr");
-    write_snapshot(parsed, path);
-    const Table back = read_snapshot(path);
-    expect_tables_bitwise_equal(serial, back);
-    EXPECT_EQ(query_fingerprint(serial, nullptr),
-              query_fingerprint(back, pool.get()))
+    EXPECT_EQ(query_fingerprint(back, pool.get()), want)
         << "threads=" << threads;
-    std::remove(path.c_str());
   }
+  std::remove(path.c_str());
 }
 
 TEST(Snapshot, MultiPageAndCopyModesMatchZeroCopy) {
@@ -518,40 +513,17 @@ TEST(SnapshotCore, SnapshotBackedStudyReproducesSynthesizedWavesBitwise) {
 
   const std::string p2011 = temp_path("wave2011.rcr");
   const std::string p2024 = temp_path("wave2024.rcr");
-  write_snapshot(generated.wave2011(), p2011);
-  write_snapshot(generated.wave2024(), p2024);
+  write_snapshot(generated.wave(0), p2011);
+  write_snapshot(generated.wave(1), p2024);
 
   core::StudyConfig from_disk = small;
   from_disk.snapshot_2011 = p2011;
   from_disk.snapshot_2024 = p2024;
   const core::Study loaded(from_disk);
-  expect_tables_bitwise_equal(generated.wave2011(), loaded.wave2011());
-  expect_tables_bitwise_equal(generated.wave2024(), loaded.wave2024());
+  expect_tables_bitwise_equal(generated.wave(0), loaded.wave(0));
+  expect_tables_bitwise_equal(generated.wave(1), loaded.wave(1));
   std::remove(p2011.c_str());
   std::remove(p2024.c_str());
-}
-
-// --- CSV serial fallback -----------------------------------------------------
-
-TEST(CsvSerialFallback, SmallInputsFallBackAndStayByteIdentical) {
-  // Below the crossover the parallel entry points parse serially; the
-  // result must still be byte-identical to both the serial reader and the
-  // pinned-parallel read of the same bytes.
-  const Table t = make_gnarly_table();
-  const std::string text = to_csv(t);  // well under the fallback threshold
-  std::istringstream serial_in(text);
-  const std::string serial = to_csv(read_csv(serial_in, t));
-
-  parallel::ThreadPool pool(4);
-  std::istringstream fallback_in(text);
-  const Table fallback = read_csv_parallel(fallback_in, t, &pool);
-  EXPECT_EQ(to_csv(fallback), serial);
-
-  CsvOptions pinned;
-  pinned.parallel_shard_bytes = 256;  // explicit grain pins sharding on
-  std::istringstream pinned_in(text);
-  const Table sharded = read_csv_parallel(pinned_in, t, &pool, pinned);
-  EXPECT_EQ(to_csv(sharded), serial);
 }
 
 }  // namespace

@@ -312,7 +312,7 @@ TEST(IncrStudyTest, FinalCutMatchesColdStudyAggregates) {
   EXPECT_EQ(incremental.blocks(), cuts);
 
   const core::WaveAggregates& live = incremental.aggregates();
-  const core::WaveAggregates& cold = study.aggregates2024();
+  const core::WaveAggregates& cold = study.aggregates(1);
   expect_crosstab_bits(live.field_by_career, cold.field_by_career);
   expect_crosstab_bits(live.field_by_languages, cold.field_by_languages);
   expect_crosstab_bits(live.field_by_se, cold.field_by_se);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -172,6 +173,24 @@ TEST(MonteCarloTest, IntegrationKnownValue) {
   EXPECT_NEAR(v, 1.0 / 3.0, 0.005);
   const double vp = mc_integrate_parallel(pool(), f, 0.0, 1.0, 500000, 3);
   EXPECT_NEAR(vp, v, 1e-9);  // same streams, only summation order differs
+}
+
+TEST(MonteCarloTest, EstimatesArePinnedBitwise) {
+  // Each sample draws x then y (or one uniform(a, b)) from its block's own
+  // xoshiro stream; any change to that draw order moves these bits.
+  // 400000 samples end in a partial block; 4097 leaves a one-sample last
+  // block.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(mc_pi_serial(400000, 11)), 0x400920aa64c2f838ULL);
+  EXPECT_EQ(bits(mc_pi_parallel(pool(), 400000, 11)), 0x400920aa64c2f838ULL);
+  EXPECT_EQ(bits(mc_pi_serial(4097, 3)), 0x4009446bb9446bb9ULL);
+  // Five blocks, the last partial, over an interval that is not [0, 1), so
+  // the uniform(a, b) scaling is pinned too.
+  const auto f = [](double x) { return std::sin(x) * x; };
+  EXPECT_EQ(bits(mc_integrate_serial(f, 0.5, 2.75, 18000, 5)),
+            0x4007190879fc9fc9ULL);
+  EXPECT_EQ(bits(mc_integrate_parallel(pool(), f, 0.5, 2.75, 18000, 5)),
+            0x4007190879fc9fc9ULL);
 }
 
 TEST(MonteCarloTest, RejectsBadArguments) {

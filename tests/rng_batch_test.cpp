@@ -1,18 +1,13 @@
-// The batched draw pipeline's determinism contract, pinned bitwise:
+// The batched resampling paths' determinism contract, pinned bitwise:
 //
-//   * Rng::fill_* emit exactly the sequence of the matching scalar calls.
-//   * BatchRng output position i (counted since construction, across all
-//     fill calls of any kind and size) comes from stream i % kStreams, and
-//     stream k is exactly Rng(BatchRng::stream_seed(seed, k)).
 //   * Bootstrap replicate b resamples exactly the indices of one n-sized
 //     fill of Philox substream b, Lemire-reduced.
 //   * The resampling fast paths (bootstrap_mean, bootstrap_proportions,
-//     permutation mean-diff, AliasTable::sample_batch, bernoulli_mask)
-//     reproduce their generic counterparts byte for byte.
+//     permutation mean-diff, bernoulli_mask) reproduce their generic
+//     counterparts byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -37,45 +32,6 @@ std::uint64_t bits_of(double v) {
   return b;
 }
 
-TEST(RngBatchTest, FillU64MatchesScalarLoop) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000}}) {
-    Rng scalar(123), batched(123);
-    std::vector<std::uint64_t> out(n);
-    batched.fill_u64(out);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(out[i], scalar.next_u64()) << "n=" << n << " i=" << i;
-    // Streams stay in lockstep after the fill.
-    EXPECT_EQ(batched.next_u64(), scalar.next_u64());
-  }
-}
-
-TEST(RngBatchTest, FillDoubleMatchesScalarLoop) {
-  Rng scalar(9), batched(9);
-  std::vector<double> out(513);
-  batched.fill_double(out);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    ASSERT_EQ(bits_of(out[i]), bits_of(scalar.next_double())) << i;
-}
-
-TEST(RngBatchTest, FillBelowMatchesScalarLoop) {
-  // Small, typical, and rejection-heavy bounds; the last rejects ~half of
-  // all raw draws, exercising the redraw path.
-  for (const std::uint64_t bound :
-       {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1000},
-        (std::uint64_t{1} << 63) + 1}) {
-    Rng scalar(77), batched(77);
-    std::vector<std::uint64_t> out(777);
-    batched.fill_below(bound, out);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ASSERT_LT(out[i], bound);
-      ASSERT_EQ(out[i], scalar.next_below(bound))
-          << "bound=" << bound << " i=" << i;
-    }
-    EXPECT_EQ(batched.next_u64(), scalar.next_u64()) << "bound=" << bound;
-  }
-}
-
 TEST(RngBatchTest, BernoulliMaskMatchesSequentialCoins) {
   Rng scalar(5), batched(5);
   // Interior, degenerate-zero, degenerate-one, clamped-out-of-range.
@@ -89,119 +45,6 @@ TEST(RngBatchTest, BernoulliMaskMatchesSequentialCoins) {
   }
   // Both consumed the same number of draws.
   EXPECT_EQ(batched.next_u64(), scalar.next_u64());
-}
-
-TEST(RngBatchTest, BufferedDrawsMatchDirectDraws) {
-  Rng direct(31);
-  Rng buffered_src(31);
-  BufferedDraws draws(buffered_src, 300);
-  for (std::size_t i = 0; i < 300; ++i) {
-    if (i % 3 == 0) {
-      ASSERT_EQ(draws.take(), direct.next_u64()) << i;
-    } else {
-      const std::uint64_t bound = 10 + i;
-      ASSERT_EQ(draws.take_below(bound), direct.next_below(bound)) << i;
-    }
-  }
-}
-
-// Reference model for BatchRng: kStreams independent Rngs served
-// round-robin by global output position, regardless of how the positions
-// are split across calls or which fill kind each call uses.
-class BatchReference {
- public:
-  explicit BatchReference(std::uint64_t seed) {
-    streams_.reserve(BatchRng::kStreams);
-    for (std::size_t k = 0; k < BatchRng::kStreams; ++k)
-      streams_.emplace_back(BatchRng::stream_seed(seed, k));
-  }
-
-  std::uint64_t next_u64() { return next_stream().next_u64(); }
-  double next_double() { return next_stream().next_double(); }
-  std::uint64_t next_below(std::uint64_t bound) {
-    return next_stream().next_below(bound);
-  }
-
- private:
-  Rng& next_stream() { return streams_[pos_++ % BatchRng::kStreams]; }
-
-  std::vector<Rng> streams_;
-  std::size_t pos_ = 0;
-};
-
-TEST(RngBatchTest, BatchRngU64MatchesReferenceStreams) {
-  BatchRng batch(2024);
-  BatchReference ref(2024);
-  std::vector<std::uint64_t> out(1000);
-  batch.fill_u64(out);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    ASSERT_EQ(out[i], ref.next_u64()) << i;
-}
-
-TEST(RngBatchTest, BatchRngOutputIndependentOfCallBoundaries) {
-  // Odd chunk sizes, straddling every kind of buffer state the
-  // implementation has (partial drain, bulk rows, tail refill).
-  const std::array<std::size_t, 7> chunks = {1, 3, 17, 64, 5, 100, 2};
-  std::size_t total = 0;
-  for (std::size_t c : chunks) total += c;
-
-  BatchRng whole(42);
-  std::vector<std::uint64_t> expected(total);
-  whole.fill_u64(expected);
-
-  BatchRng pieces(42);
-  std::vector<std::uint64_t> got;
-  for (std::size_t c : chunks) {
-    std::vector<std::uint64_t> part(c);
-    pieces.fill_u64(part);
-    got.insert(got.end(), part.begin(), part.end());
-  }
-  ASSERT_EQ(got, expected);
-}
-
-TEST(RngBatchTest, BatchRngMixedFillKindsFollowPositionContract) {
-  BatchRng batch(7);
-  BatchReference ref(7);
-
-  std::vector<std::uint64_t> raw(23);
-  batch.fill_u64(raw);
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    ASSERT_EQ(raw[i], ref.next_u64()) << i;
-
-  std::vector<double> unit(41);
-  batch.fill_double(unit);
-  for (std::size_t i = 0; i < unit.size(); ++i)
-    ASSERT_EQ(bits_of(unit[i]), bits_of(ref.next_double())) << i;
-
-  std::vector<std::uint64_t> bounded(59);
-  batch.fill_below(1000, bounded);
-  for (std::size_t i = 0; i < bounded.size(); ++i)
-    ASSERT_EQ(bounded[i], ref.next_below(1000)) << i;
-}
-
-TEST(RngBatchTest, BatchRngFillBelowSurvivesHeavyRejection) {
-  // bound just above 2^63: every other raw draw is rejected on average, so
-  // the per-stream redraw ordering is thoroughly exercised.
-  const std::uint64_t bound = (std::uint64_t{1} << 63) + 1;
-  BatchRng batch(99);
-  BatchReference ref(99);
-  std::vector<std::uint64_t> out(500);
-  batch.fill_below(bound, out);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_LT(out[i], bound);
-    ASSERT_EQ(out[i], ref.next_below(bound)) << i;
-  }
-}
-
-TEST(RngBatchTest, AliasSampleBatchMatchesRepeatedSample) {
-  std::vector<double> weights = {0.5, 3.0, 1.25, 0.05, 2.0, 0.7};
-  AliasTable table(weights);
-  Rng one(13), many(13);
-  std::vector<std::size_t> out(400);
-  table.sample_batch(many, out);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    ASSERT_EQ(out[i], table.sample(one)) << i;
-  EXPECT_EQ(many.next_u64(), one.next_u64());
 }
 
 TEST(RngBatchTest, BootstrapMeanFastPathMatchesGenericBitwise) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -112,6 +116,62 @@ TEST(PermutationTest, CustomStatistic) {
       });
   EXPECT_DOUBLE_EQ(r.observed, 6.0);
   EXPECT_LE(r.p_value, 1.0);
+}
+
+struct PinnedBits {
+  std::uint64_t observed, p_value, p_greater, p_less;
+};
+
+void expect_bits(const PermutationResult& r, const PinnedBits& want,
+                 const char* where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.observed), want.observed);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.p_value), want.p_value);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.p_greater), want.p_greater);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.p_less), want.p_less);
+}
+
+TEST(PermutationTest, ResultsArePinnedBitwise) {
+  // Every replicate shuffles with next_below(n - i) draws from its own
+  // seed; any change to that stream moves these bits. Samples of equal
+  // mean put each count near half the replicates, where a changed shuffle
+  // moves them.
+  const auto x = normal_sample(45, 5.0, 21);
+  const auto y = normal_sample(55, 5.0, 22);
+  rcr::Rng coin(23);
+  std::vector<double> bx(70), by(80);
+  for (double& v : bx) v = coin.bernoulli(0.5) ? 1.0 : 0.0;
+  for (double& v : by) v = coin.bernoulli(0.5) ? 1.0 : 0.0;
+  // The a[0] - b[0] term makes the generic statistic depend on the order
+  // the shuffle leaves each group in, not only on the split.
+  const auto ordered = [](std::span<const double> a,
+                          std::span<const double> b) {
+    return *std::max_element(a.begin(), a.end()) -
+           *std::max_element(b.begin(), b.end()) + a[0] - b[0];
+  };
+  const PinnedBits mean_bits{0x3fa8e529cf15ae80ULL, 0x3fea4256c0366e91ULL,
+                             0x3fddfae5a271f77fULL, 0x3fe11dc47711dc47ULL};
+  const PinnedBits proportion_bits{
+      0xbf95f15f15f15f20ULL, 0x3febda93fc9916f7ULL, 0x3fe484ad806cdd21ULL,
+      0x3fde31543307a78cULL};
+  const PinnedBits generic_bits{0x40022bcb63090b78ULL, 0x3fc028d2ec70440aULL,
+                                0x3fbb37484ad806ceULL, 0x3fecb44e3eefd72dULL};
+
+  rcr::parallel::ThreadPool pool(3);
+  for (rcr::parallel::ThreadPool* p :
+       {static_cast<rcr::parallel::ThreadPool*>(nullptr), &pool}) {
+    PermutationOptions opts;
+    opts.permutations = 300;
+    opts.seed = 99;
+    opts.pool = p;
+    expect_bits(permutation_test_mean_diff(x, y, opts), mean_bits,
+                p ? "mean pooled" : "mean serial");
+    expect_bits(permutation_test_proportion_diff(bx, by, opts),
+                proportion_bits,
+                p ? "proportion pooled" : "proportion serial");
+    expect_bits(permutation_test(x, y, ordered, opts), generic_bits,
+                p ? "generic pooled" : "generic serial");
+  }
 }
 
 TEST(PermutationTest, RejectsBadInput) {

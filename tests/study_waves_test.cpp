@@ -54,11 +54,6 @@ TEST(StudyWavesTest, ExplicitTwoWaveSpecsMatchLegacyConfigByteForByte) {
   ASSERT_EQ(b.wave_count(), 2u);
   EXPECT_EQ(csv_of(a.wave(0)), csv_of(b.wave(0)));
   EXPECT_EQ(csv_of(a.wave(1)), csv_of(b.wave(1)));
-  // The shims are the same objects as the indexed surface.
-  EXPECT_EQ(&a.wave2011(), &a.wave(0));
-  EXPECT_EQ(&a.wave2024(), &a.wave(1));
-  EXPECT_EQ(&a.aggregates2011(), &a.aggregates(0));
-  EXPECT_EQ(&a.aggregates2024(), &a.aggregates(1));
   expect_same_shares(a.aggregates(1).languages, b.aggregates(1).languages);
   expect_same_shares(a.aggregates(0).se_practices,
                      b.aggregates(0).se_practices);
