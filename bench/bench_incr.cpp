@@ -3,14 +3,14 @@
 // split into a base (rows - delta) and a delta block (--delta rows, default
 // 1% of the table). The cold path answers the registered batch by running
 // a fresh QueryEngine over the merged table — O(rows) every time an
-// append lands. The incremental path has already ingested the base
+// append lands. The incremental path has already run over the base
 // (untimed) and is timed doing what rcr::serve's delta epochs do: one
-// append_block(delta) plus the lazy result rebuild — O(delta rows).
+// QueryEngine::append(delta) plus the lazy result rebuild — O(delta rows).
 //
 // Before any timing is reported, every registered query is encoded
-// through serve::encode_result_body on BOTH paths (the incremental
-// engine's partial-merge results and the cold engine's full-scan
-// results) and compared byte for byte, at the benchmark pool size and
+// through serve::encode_result_body on BOTH paths (the appended cut's
+// partial-merge results and the cold engine's full-scan results) and
+// compared byte for byte, at the benchmark pool size and
 // serially. Result bodies encode doubles as raw bit patterns, so this is
 // the serving contract itself: one diverging bit anywhere fails the run
 // with exit code 2 and "verified_bytes": false in the report.
@@ -22,12 +22,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "data/table.hpp"
-#include "incr/engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "serve/protocol.hpp"
@@ -108,37 +106,24 @@ std::vector<rcr::serve::QuerySpec> batch_specs() {
   };
 }
 
-// Registers the batch on an engine (cold or incremental — same surface).
-template <typename Engine>
-std::vector<rcr::query::QueryId> register_batch(Engine& engine) {
+// Registers the batch on an engine; ids follow batch_specs() order.
+std::vector<rcr::query::QueryId> register_batch(
+    rcr::query::QueryEngine& engine) {
   std::vector<rcr::query::QueryId> ids;
-  for (const auto& spec : batch_specs()) {
-    using rcr::serve::QueryKind;
-    const std::optional<std::string> weight =
-        spec.weight.empty() ? std::optional<std::string>{}
-                            : std::optional<std::string>{spec.weight};
-    switch (spec.kind) {
-      case QueryKind::kCrosstab:
-        ids.push_back(engine.add_crosstab(spec.a, spec.b, weight));
-        break;
-      case QueryKind::kCrosstabMultiselect:
-        ids.push_back(engine.add_crosstab_multiselect(spec.a, spec.b, weight));
-        break;
-      case QueryKind::kCategoryShares:
-        ids.push_back(engine.add_category_shares(spec.a, spec.confidence));
-        break;
-      case QueryKind::kOptionShares:
-        ids.push_back(engine.add_option_shares(spec.a, spec.confidence));
-        break;
-      case QueryKind::kNumericSummary:
-        ids.push_back(engine.add_numeric_summary(spec.a));
-        break;
-      case QueryKind::kGroupAnswered:
-        ids.push_back(engine.add_group_answered(spec.a, spec.b));
-        break;
-    }
-  }
+  for (const auto& spec : batch_specs())
+    ids.push_back(rcr::serve::register_spec(engine, spec));
   return ids;
+}
+
+// Every query's result body at the engine's current cut.
+std::vector<std::vector<std::uint8_t>> result_bodies(
+    const rcr::query::QueryEngine& engine,
+    const std::vector<rcr::query::QueryId>& ids) {
+  const auto specs = batch_specs();
+  std::vector<std::vector<std::uint8_t>> bodies;
+  for (std::size_t q = 0; q < ids.size(); ++q)
+    bodies.push_back(rcr::serve::encode_result_body(engine, ids[q], specs[q]));
+  return bodies;
 }
 
 // One cold pass: fresh QueryEngine over the merged table, full scan.
@@ -147,29 +132,11 @@ void cold_pass(const rcr::data::Table& merged, rcr::parallel::ThreadPool* pool,
   rcr::query::QueryEngine engine(merged);
   const auto ids = register_batch(engine);
   engine.run(pool);
-  const auto specs = batch_specs();
   if (bodies != nullptr) {
-    bodies->clear();
-    for (std::size_t q = 0; q < ids.size(); ++q)
-      bodies->push_back(rcr::serve::encode_result_body(
-          engine.raw_result(ids[q]), specs[q]));
+    *bodies = result_bodies(engine, ids);
   } else {
-    for (std::size_t q = 0; q < ids.size(); ++q)
-      fold_bytes(rcr::serve::encode_result_body(engine.raw_result(ids[q]),
-                                                specs[q]));
+    for (const auto& body : result_bodies(engine, ids)) fold_bytes(body);
   }
-}
-
-// Incremental result bodies at the engine's current cut.
-std::vector<std::vector<std::uint8_t>> incr_bodies(
-    rcr::incr::IncrementalEngine& engine,
-    const std::vector<rcr::query::QueryId>& ids) {
-  const auto specs = batch_specs();
-  std::vector<std::vector<std::uint8_t>> bodies;
-  for (std::size_t q = 0; q < ids.size(); ++q)
-    bodies.push_back(
-        rcr::serve::encode_result_body(engine.result(ids[q]), specs[q]));
-  return bodies;
 }
 
 }  // namespace
@@ -217,11 +184,11 @@ int main(int argc, char** argv) {
   cold_pass(merged, pool_ptr, &cold_bodies);
   for (rcr::parallel::ThreadPool* vp :
        {pool_ptr, static_cast<rcr::parallel::ThreadPool*>(nullptr)}) {
-    rcr::incr::IncrementalEngine engine(merged.slice(0, 0));
+    rcr::query::QueryEngine engine(base);
     const auto ids = register_batch(engine);
-    engine.append_block(base, vp);
-    engine.append_block(delta_block, vp);
-    const auto bodies = incr_bodies(engine, ids);
+    engine.run(vp);
+    engine.append(delta_block, vp);
+    const auto bodies = result_bodies(engine, ids);
     for (std::size_t q = 0; q < bodies.size(); ++q)
       if (bodies[q] != cold_bodies[q]) {
         std::fprintf(stderr,
@@ -236,20 +203,17 @@ int main(int argc, char** argv) {
   const double cold_s =
       best_of(3, [&] { cold_pass(merged, pool_ptr, nullptr); });
 
-  // --- Incremental path: the base is already live (re-ingested untimed
-  // --- each rep); timed work is one delta append + the result rebuild.
-  const auto specs = batch_specs();
+  // --- Incremental path: the base is already live (re-run untimed each
+  // --- rep, as serve's lineage holds it); timed work is one delta append
+  // --- + the result rebuild.
   double incr_s = 1e300;
   for (int rep = 0; rep < 5; ++rep) {
-    rcr::incr::IncrementalEngine engine(merged.slice(0, 0));
+    rcr::query::QueryEngine engine(base);
     const auto ids = register_batch(engine);
-    engine.append_block(base, pool_ptr);
-    (void)engine.results();  // settle the pre-delta cut, as serve would
+    engine.run(pool_ptr);
     rcr::Stopwatch sw;
-    engine.append_block(delta_block, pool_ptr);
-    for (std::size_t q = 0; q < ids.size(); ++q)
-      fold_bytes(
-          rcr::serve::encode_result_body(engine.result(ids[q]), specs[q]));
+    engine.append(delta_block, pool_ptr);
+    for (const auto& body : result_bodies(engine, ids)) fold_bytes(body);
     incr_s = std::min(incr_s, sw.elapsed_seconds());
   }
 

@@ -3,7 +3,7 @@
 //   * legacy.line_reader — a faithful reimplementation of the pre-rewrite
 //     parser (std::getline records, per-line field vector, every cell
 //     trimmed, each cell's column resolved by name), kept here as the
-//     baseline the same way query/reference.cpp keeps the pre-engine
+//     baseline the same way tests/query_reference.cpp keeps the pre-engine
 //     builders;
 //   * serial.read_csv — the incremental state machine.
 // Emits a JSON report (stdout, or --out FILE); BENCH_csv.json keeps the

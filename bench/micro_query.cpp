@@ -31,7 +31,7 @@
 #include "data/table.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
-#include "query/reference.hpp"
+#include "query_reference.hpp"
 #include "simd/dispatch.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"

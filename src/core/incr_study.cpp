@@ -10,27 +10,9 @@ namespace rcr::core {
 
 IncrStudy::IncrStudy(IncrStudyConfig config)
     : config_(std::move(config)),
-      engine_(std::make_unique<incr::IncrementalEngine>(
-          synth::instrument().make_table())) {
-  // The same eleven registrations, in the same order, as Study's fused
-  // cold scan (study.cpp fused_aggregates) — the order fixes the cell
-  // layout, and matching it keeps every per-cut double bit-comparable.
-  ct_career_ =
-      engine_->add_crosstab(synth::col::kField, synth::col::kCareerStage);
-  ct_langs_ = engine_->add_crosstab_multiselect(synth::col::kField,
-                                                synth::col::kLanguages);
-  ct_se_ = engine_->add_crosstab_multiselect(synth::col::kField,
-                                             synth::col::kSePractices);
-  sh_langs_ = engine_->add_option_shares(synth::col::kLanguages);
-  sh_se_ = engine_->add_option_shares(synth::col::kSePractices);
-  sh_res_ = engine_->add_option_shares(synth::col::kParallelResources);
-  sh_aware_ = engine_->add_option_shares(synth::col::kToolsAware);
-  sh_used_ = engine_->add_option_shares(synth::col::kToolsUsed);
-  sh_gpu_ = engine_->add_category_shares(synth::col::kGpuUsage);
-  ans_langs_ =
-      engine_->add_group_answered(synth::col::kField, synth::col::kLanguages);
-  ans_se_ =
-      engine_->add_group_answered(synth::col::kField, synth::col::kSePractices);
+      schema_(synth::instrument().make_table()),
+      engine_(schema_) {
+  register_wave_aggregates(engine_);
 }
 
 std::size_t IncrStudy::run(const CutCallback& on_cut) {
@@ -55,29 +37,17 @@ std::size_t IncrStudy::run(const CutCallback& on_cut) {
 }
 
 void IncrStudy::ingest(const data::Table& block) {
-  engine_->append_block(block, config_.pool);
+  engine_.append(block, config_.pool);
   ++blocks_;
 }
 
 const WaveAggregates& IncrStudy::aggregates() {
-  if (!built_ || built_at_rows_ != engine_->row_count()) {
-    current_.field_by_career = engine_->result(ct_career_).crosstab;
-    current_.field_by_languages = engine_->result(ct_langs_).crosstab;
-    current_.field_by_se = engine_->result(ct_se_).crosstab;
-    current_.languages = engine_->result(sh_langs_).shares;
-    current_.se_practices = engine_->result(sh_se_).shares;
-    current_.parallel_resources = engine_->result(sh_res_).shares;
-    current_.tools_aware = engine_->result(sh_aware_).shares;
-    current_.tools_used = engine_->result(sh_used_).shares;
-    current_.gpu_usage = engine_->result(sh_gpu_).shares;
-    current_.field_answered_languages = engine_->result(ans_langs_).group_counts;
-    current_.field_answered_se = engine_->result(ans_se_).group_counts;
+  if (!built_ || built_at_rows_ != engine_.row_count()) {
+    current_ = wave_aggregates(engine_);
     built_ = true;
-    built_at_rows_ = engine_->row_count();
+    built_at_rows_ = engine_.row_count();
   }
   return current_;
 }
-
-std::size_t IncrStudy::rows() const { return engine_->row_count(); }
 
 }  // namespace rcr::core

@@ -1,7 +1,7 @@
 // Continuously-ingesting study mode: the full WaveAggregates (the T1-T6
 // table inputs) kept live while respondents stream in, refreshed in
-// O(block rows) per arriving block by an incr::IncrementalEngine instead
-// of a cold per-cut rescan.
+// O(block rows) per arriving block by QueryEngine::append instead of a
+// cold per-cut rescan.
 //
 // Blocks come from synth::generate_blocks (synthetic populations at any
 // scale) or from data::for_each_snapshot_block (page-granular reads of an
@@ -9,7 +9,7 @@
 // from caller-supplied tables via ingest(). At every block boundary the
 // aggregates are a consistent cut: bitwise-equal to Study's cold fused
 // engine scan over all rows ingested so far, for any pool size including
-// none (the incremental engine's contract, pinned by
+// none (the engine's append contract, pinned by
 // tests/determinism_test.cpp).
 //
 // Peak memory is O(block_rows) table rows plus the engine's partial cells
@@ -18,11 +18,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "core/study.hpp"
-#include "incr/engine.hpp"
+#include "data/table.hpp"
+#include "query/engine.hpp"
 #include "synth/generator.hpp"
 
 namespace rcr::parallel {
@@ -70,20 +70,16 @@ class IncrStudy {
   void ingest(const data::Table& block);
 
   // The aggregates at the current cut — bitwise-equal to a cold fused
-  // QueryEngine scan (Study's fused_aggregates) over every ingested row.
+  // QueryEngine run (Study::aggregates) over every ingested row.
   const WaveAggregates& aggregates();
 
-  std::size_t rows() const;
+  std::size_t rows() const { return engine_.row_count(); }
   std::size_t blocks() const { return blocks_; }
-  incr::IncrementalEngine& engine() { return *engine_; }
 
  private:
   IncrStudyConfig config_;
-  std::unique_ptr<incr::IncrementalEngine> engine_;
-  // Registration ids, in fused_aggregates order.
-  query::QueryId ct_career_, ct_langs_, ct_se_;
-  query::QueryId sh_langs_, sh_se_, sh_res_, sh_aware_, sh_used_, sh_gpu_;
-  query::QueryId ans_langs_, ans_se_;
+  data::Table schema_;  // the instrument's columns, no rows: engine_'s table
+  query::QueryEngine engine_;
   WaveAggregates current_;
   std::size_t blocks_ = 0;
   std::size_t built_at_rows_ = 0;

@@ -14,11 +14,11 @@
 //   stats    — descriptive, tests, CIs, histograms, regression, bootstrap
 //   parallel — thread pool + parallel_for/reduce
 //   data     — columnar tables, CSV, crosstabs
-//   query    — fused aggregation engine (one sharded scan per query batch)
+//   query    — fused aggregation engine (one sharded scan per query batch;
+//              appends update every answer in O(delta rows), bitwise-equal
+//              to a cold run at every cut)
 //   stream   — mergeable one-pass sketches (moments, quantiles, heavy
 //              hitters, distinct counts, reservoir, streaming crosstabs)
-//   incr     — incremental delta-merge engine (O(delta) query updates,
-//              bitwise-equal to a cold recompute at every cut)
 //   serve    — long-lived analytics server (result cache, request
 //              coalescing/batching, SLO admission, local + TCP transports)
 //   survey   — questionnaire schema, validation, raking, Likert
@@ -33,7 +33,6 @@
 #include "core/incr_study.hpp"
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
-#include "incr/engine.hpp"
 #include "data/crosstab.hpp"
 #include "data/csv.hpp"
 #include "data/recode.hpp"

@@ -11,45 +11,12 @@ namespace rcr::core {
 
 namespace {
 
-// One fused scan computes the whole wave's standard aggregates: eleven
-// queries, one sharded pass (the direct data:: calls would have scanned the
-// wave eleven times).
-WaveAggregates fused_aggregates(const data::Table& wave,
-                                parallel::ThreadPool* pool) {
-  query::QueryEngine engine(wave);
-  const auto ct_career =
-      engine.add_crosstab(synth::col::kField, synth::col::kCareerStage);
-  const auto ct_langs = engine.add_crosstab_multiselect(
-      synth::col::kField, synth::col::kLanguages);
-  const auto ct_se = engine.add_crosstab_multiselect(synth::col::kField,
-                                                     synth::col::kSePractices);
-  const auto sh_langs = engine.add_option_shares(synth::col::kLanguages);
-  const auto sh_se = engine.add_option_shares(synth::col::kSePractices);
-  const auto sh_res =
-      engine.add_option_shares(synth::col::kParallelResources);
-  const auto sh_aware = engine.add_option_shares(synth::col::kToolsAware);
-  const auto sh_used = engine.add_option_shares(synth::col::kToolsUsed);
-  const auto sh_gpu = engine.add_category_shares(synth::col::kGpuUsage);
-  const auto ans_langs =
-      engine.add_group_answered(synth::col::kField, synth::col::kLanguages);
-  const auto ans_se =
-      engine.add_group_answered(synth::col::kField, synth::col::kSePractices);
-  engine.run(pool);
-
-  WaveAggregates a;
-  a.field_by_career = engine.crosstab(ct_career);
-  a.field_by_languages = engine.crosstab(ct_langs);
-  a.field_by_se = engine.crosstab(ct_se);
-  a.languages = engine.shares(sh_langs);
-  a.se_practices = engine.shares(sh_se);
-  a.parallel_resources = engine.shares(sh_res);
-  a.tools_aware = engine.shares(sh_aware);
-  a.tools_used = engine.shares(sh_used);
-  a.gpu_usage = engine.shares(sh_gpu);
-  a.field_answered_languages = engine.group_answered(ans_langs);
-  a.field_answered_se = engine.group_answered(ans_se);
-  return a;
-}
+// Ids of the wave aggregates, in registration order.
+enum AggregateId : query::QueryId {
+  kFieldByCareer, kFieldByLanguages, kFieldBySe, kLanguages, kSePractices,
+  kParallelResources, kToolsAware, kToolsUsed, kGpuUsage,
+  kFieldAnsweredLanguages, kFieldAnsweredSe,
+};
 
 // Default per-wave seed salt. Indices 0 and 1 reproduce the legacy
 // 2011/2024 generator streams bit-for-bit; later waves derive an
@@ -101,6 +68,48 @@ data::Table materialize_wave(const WaveSpec& spec, const StudyConfig& config) {
 
 }  // namespace
 
+void register_wave_aggregates(query::QueryEngine& engine) {
+  RCR_CHECK_MSG(engine.query_count() == 0,
+                "wave aggregates register on an engine with no queries");
+  // Each registration is pinned to the id wave_aggregates reads it by.
+  const auto expect = [](query::QueryId got, AggregateId want) {
+    RCR_CHECK_MSG(got == want, "wave aggregate registered out of order");
+  };
+  namespace col = synth::col;
+  expect(engine.add_crosstab(col::kField, col::kCareerStage), kFieldByCareer);
+  expect(engine.add_crosstab_multiselect(col::kField, col::kLanguages),
+         kFieldByLanguages);
+  expect(engine.add_crosstab_multiselect(col::kField, col::kSePractices),
+         kFieldBySe);
+  expect(engine.add_option_shares(col::kLanguages), kLanguages);
+  expect(engine.add_option_shares(col::kSePractices), kSePractices);
+  expect(engine.add_option_shares(col::kParallelResources),
+         kParallelResources);
+  expect(engine.add_option_shares(col::kToolsAware), kToolsAware);
+  expect(engine.add_option_shares(col::kToolsUsed), kToolsUsed);
+  expect(engine.add_category_shares(col::kGpuUsage), kGpuUsage);
+  expect(engine.add_group_answered(col::kField, col::kLanguages),
+         kFieldAnsweredLanguages);
+  expect(engine.add_group_answered(col::kField, col::kSePractices),
+         kFieldAnsweredSe);
+}
+
+WaveAggregates wave_aggregates(const query::QueryEngine& engine) {
+  WaveAggregates a;
+  a.field_by_career = engine.crosstab(kFieldByCareer);
+  a.field_by_languages = engine.crosstab(kFieldByLanguages);
+  a.field_by_se = engine.crosstab(kFieldBySe);
+  a.languages = engine.shares(kLanguages);
+  a.se_practices = engine.shares(kSePractices);
+  a.parallel_resources = engine.shares(kParallelResources);
+  a.tools_aware = engine.shares(kToolsAware);
+  a.tools_used = engine.shares(kToolsUsed);
+  a.gpu_usage = engine.shares(kGpuUsage);
+  a.field_answered_languages = engine.group_answered(kFieldAnsweredLanguages);
+  a.field_answered_se = engine.group_answered(kFieldAnsweredSe);
+  return a;
+}
+
 Study::Study(const StudyConfig& config)
     : config_(config), specs_(resolve_specs(config)) {
   waves_.reserve(specs_.size());
@@ -140,9 +149,14 @@ const survey::RakingResult& Study::weights(std::size_t w) const {
 
 const WaveAggregates& Study::aggregates(std::size_t w) const {
   RCR_CHECK_MSG(w < waves_.size(), "wave index out of range");
-  if (!aggregates_[w])
-    aggregates_[w] = std::make_unique<WaveAggregates>(
-        fused_aggregates(waves_[w], config_.pool));
+  if (!aggregates_[w]) {
+    // One fused scan answers all eleven queries (the direct data:: calls
+    // would have scanned the wave eleven times).
+    query::QueryEngine engine(waves_[w]);
+    register_wave_aggregates(engine);
+    engine.run(config_.pool);
+    aggregates_[w] = std::make_unique<WaveAggregates>(wave_aggregates(engine));
+  }
   return *aggregates_[w];
 }
 

@@ -20,6 +20,10 @@
 #include "survey/weighting.hpp"
 #include "synth/generator.hpp"
 
+namespace rcr::query {
+class QueryEngine;
+}
+
 namespace rcr::core {
 
 // One wave of a longitudinal study.
@@ -82,6 +86,14 @@ struct WaveAggregates {
   std::vector<double> field_answered_languages;
   std::vector<double> field_answered_se;
 };
+
+// The eleven queries behind WaveAggregates. register_wave_aggregates adds
+// them to an engine with no queries yet, in the order that fixes the cell
+// layout; wave_aggregates reads them back once the engine has folded rows.
+// Study's cold run() and IncrStudy's appends share both, so their answers
+// are bit-comparable.
+void register_wave_aggregates(query::QueryEngine& engine);
+WaveAggregates wave_aggregates(const query::QueryEngine& engine);
 
 class Study {
  public:

@@ -128,7 +128,7 @@ Table read_snapshot(const std::string& path,
 // aliased table). emit(block, first_row) receives contiguous, in-order,
 // disjoint blocks tiling [0, rows); every block carries the snapshot's
 // full dictionaries (frozen state preserved), so its schema matches the
-// read_snapshot table's exactly — the shape incr::IncrementalEngine
+// read_snapshot table's exactly — the shape QueryEngine::append
 // ingests. Peak memory is one block, so a table larger than RAM streams
 // through page-granularly; the block granularity is whatever
 // SnapshotWriteOptions::page_rows (or SnapshotWriter::append block sizes)

@@ -1,9 +1,9 @@
-// The query engine's partial-aggregation layer, exposed as a public API.
+// The query engine's partial-aggregation layer.
 //
 // A batch of registered queries compiles into a BatchPlan: one flat vector
 // of accumulator cells (every query owns a contiguous slice) plus the fused
-// per-row kernels that fold rows into those cells. The plan factors the
-// engine's single run() into four composable steps —
+// per-row kernels that fold rows into those cells. The plan factors a fold
+// into four steps —
 //
 //   BatchPlan plan(table, specs);
 //   std::vector<double> cells(plan.cell_count());
@@ -12,10 +12,9 @@
 //   plan.merge(into, part);            // cell-wise combine, caller-ordered
 //   auto results = plan.build(cells);  // typed results + CIs from raw cells
 //
-// so callers other than QueryEngine::run() can own the scan/merge schedule.
-// The incremental engine (rcr::incr) keeps a prefix of merged shard
-// partials plus an open tail and extends the tail block by block; the
-// snapshot page walker scans pages without materializing the table.
+// and QueryEngine's segment walk (query/engine.hpp) owns the schedule: it
+// keeps a prefix of merged shard partials plus an open tail, which run()
+// starts and append() extends block by block.
 //
 // Resumability contract: scan() ACCUMULATES — calling
 //   scan(a, b, cells); scan(b, c, cells);
@@ -26,11 +25,11 @@
 // add per row into the live cells, and min/max are order-preserving folds
 // from the ±inf identity.
 //
-// Shard layout: every consumer shards rows at the fixed kShardRows stride —
+// Shard layout: the engine shards rows at the fixed kShardRows stride —
 // shard k covers [k·kShardRows, min(n, (k+1)·kShardRows)). Unlike a layout
 // derived from the total row count, appending rows only ever extends the
 // ragged tail shard; all completed shard boundaries are append-invariant,
-// which is what lets incremental partials match a cold recompute bitwise.
+// which is what lets appended partials match a cold run bitwise.
 //
 // Two plans over tables with identical schemas (same column names, kinds,
 // category/option label vectors, in order) lay out identical cells, so a

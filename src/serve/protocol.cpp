@@ -328,11 +328,7 @@ query::QueryId register_spec(query::QueryEngine& engine,
 std::vector<std::uint8_t> encode_result_body(const query::QueryEngine& engine,
                                              query::QueryId id,
                                              const QuerySpec& spec) {
-  return encode_result_body(engine.raw_result(id), spec);
-}
-
-std::vector<std::uint8_t> encode_result_body(const query::QueryResult& result,
-                                             const QuerySpec& spec) {
+  const query::QueryResult& result = engine.raw_result(id);
   std::vector<std::uint8_t> out;
   Writer w(out);
   w.u8(static_cast<std::uint8_t>(spec.kind));

@@ -137,13 +137,6 @@ std::vector<std::uint8_t> encode_result_body(const query::QueryEngine& engine,
                                              query::QueryId id,
                                              const QuerySpec& spec);
 
-// Same encoding from a raw result record — the form the delta-epoch path
-// uses, where answers come from an incremental engine's partial-merge
-// instead of a cold engine pass. Byte-identical to the overload above for
-// bitwise-equal results.
-std::vector<std::uint8_t> encode_result_body(const query::QueryResult& result,
-                                             const QuerySpec& spec);
-
 // Client-side decoded result; `kind` selects which member is meaningful.
 struct ResultView {
   QueryKind kind = QueryKind::kCategoryShares;

@@ -38,31 +38,6 @@ Metrics& metrics() {
   return m;
 }
 
-// register_spec's twin for the incremental engine: every servable wire
-// kind maps (the external-weight-span kind has no wire form — see the
-// protocol header — so the lineage can always maintain served specs).
-query::QueryId register_incr_spec(incr::IncrementalEngine& engine,
-                                  const QuerySpec& spec) {
-  const std::optional<std::string> weight =
-      spec.weight.empty() ? std::nullopt
-                          : std::optional<std::string>(spec.weight);
-  switch (spec.kind) {
-    case QueryKind::kCrosstab:
-      return engine.add_crosstab(spec.a, spec.b, weight);
-    case QueryKind::kCrosstabMultiselect:
-      return engine.add_crosstab_multiselect(spec.a, spec.b, weight);
-    case QueryKind::kCategoryShares:
-      return engine.add_category_shares(spec.a, spec.confidence);
-    case QueryKind::kOptionShares:
-      return engine.add_option_shares(spec.a, spec.confidence);
-    case QueryKind::kNumericSummary:
-      return engine.add_numeric_summary(spec.a);
-    case QueryKind::kGroupAnswered:
-      return engine.add_group_answered(spec.a, spec.b);
-  }
-  throw InvalidInputError("serve: unknown query kind");
-}
-
 }  // namespace
 
 Server::Server(ServerConfig config)
@@ -140,17 +115,16 @@ std::size_t Server::append_delta(std::uint64_t base_epoch,
   // (Re)build the lineage when it doesn't exist yet or the base epoch has
   // served specs the engine never registered (late specs went through the
   // cold batch path): register everything served and catch up with ONE
-  // scan of the base table. Otherwise this delta costs O(block rows).
+  // run() over the base table, after which the engine no longer reads it.
+  // Otherwise this delta costs O(block rows). Every servable wire kind can
+  // be appended to (the external-weight-span kind has no wire form).
   if (!lin.engine || lin.specs != served) {
-    lin.engine = std::make_unique<incr::IncrementalEngine>(base->table);
+    lin.engine = std::make_unique<query::QueryEngine>(base->table);
     lin.specs = served;
-    lin.ids.clear();
-    lin.ids.reserve(served.size());
-    for (const QuerySpec& spec : served)
-      lin.ids.push_back(register_incr_spec(*lin.engine, spec));
-    lin.engine->append_block(base->table, config_.pool);
+    for (const QuerySpec& spec : served) register_spec(*lin.engine, spec);
+    lin.engine->run(config_.pool);
   }
-  lin.engine->append_block(block, config_.pool);
+  lin.engine->append(block, config_.pool);
 
   // The copy shares the base's row storage, and the append writes the
   // block in place past the base's rows: O(block rows), base unchanged.
@@ -165,7 +139,7 @@ std::size_t Server::append_delta(std::uint64_t base_epoch,
   for (std::size_t i = 0; i < lin.specs.size(); ++i) {
     const std::uint64_t key = fingerprint(new_epoch, lin.specs[i]);
     auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_result_body(lin.engine->result(lin.ids[i]), lin.specs[i]));
+        encode_result_body(*lin.engine, i, lin.specs[i]));
     cache_.insert(key, new_epoch, std::move(body));
     served_keys.push_back(key);
     ++refreshed;

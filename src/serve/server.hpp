@@ -18,7 +18,7 @@
 //                       natural concurrency.
 //   0. delta epochs   — append_delta() mints a new epoch as a delta on an
 //                       existing one: the appended block feeds a per-
-//                       lineage incr::IncrementalEngine (O(block rows)),
+//                       lineage QueryEngine::append (O(block rows)),
 //                       and every result the base epoch ever served is
 //                       re-encoded from the refreshed partials and
 //                       inserted into the cache under the new epoch's
@@ -64,8 +64,8 @@
 #include <vector>
 
 #include "data/table.hpp"
-#include "incr/engine.hpp"
 #include "obs/metrics.hpp"
+#include "query/engine.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -101,12 +101,12 @@ class Server {
   // Mints `new_epoch` as a delta on `base_epoch`: the new snapshot is the
   // base table plus `block`'s rows, but instead of recomputing, every spec
   // the base epoch ever served is refreshed in O(block rows) through the
-  // lineage's incremental engine and cached under the new epoch before it
+  // lineage engine's append() and cached under the new epoch before it
   // becomes visible (a reader can never find the new epoch cold for those
   // specs). Refreshed bodies are byte-identical to a cold engine run on
-  // the merged table — the incremental partials reproduce the cold bits
-  // exactly. The base epoch stays registered; retire it separately once
-  // its readers drain. Returns the number of cache entries refreshed.
+  // the merged table — an appended cut reproduces the cold bits exactly.
+  // The base epoch stays registered; retire it separately once its
+  // readers drain. Returns the number of cache entries refreshed.
   // Specs first requested on the new epoch miss into the normal cold
   // batch path and join the lineage at its next delta.
   std::size_t append_delta(std::uint64_t base_epoch, std::uint64_t new_epoch,
@@ -177,9 +177,8 @@ class Server {
   // holding partials for the head epoch's served specs. Keyed by head
   // epoch; append_delta moves it base -> new.
   struct Lineage {
-    std::unique_ptr<incr::IncrementalEngine> engine;
-    std::vector<QuerySpec> specs;       // engine registration order
-    std::vector<query::QueryId> ids;    // parallel to specs
+    std::unique_ptr<query::QueryEngine> engine;
+    std::vector<QuerySpec> specs;  // engine registration order: id i = specs[i]
   };
 
   std::shared_ptr<Epoch> find_epoch(std::uint64_t epoch) const;

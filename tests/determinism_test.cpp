@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "data/table.hpp"
-#include "incr/engine.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
@@ -379,7 +378,7 @@ TEST(DeterminismTest, PhiloxFillsAreSimdWidthInvariant) {
 }
 
 // --- Incremental delta-merge ------------------------------------------------
-// The incremental engine's O(delta) appends carry the full contract: at
+// QueryEngine::append's O(delta) folds carry the full contract: at
 // EVERY block cut the live results fingerprint-match a cold QueryEngine
 // recompute over all rows so far, for thread counts 0/1/2/8 and with the
 // SIMD kernels forced scalar (the partial scans ride the same kernels the
@@ -435,14 +434,15 @@ TEST(DeterminismTest, IncrementalCutsMatchColdRecomputeAcrossPoolsAndWidths) {
   };
 
   const std::size_t block = 1537;  // ragged: every append resumes mid-shard
+  const data::Table none = t.clone_empty();
   const auto incremental_cut_fps = [&](parallel::ThreadPool* pool) {
-    incr::IncrementalEngine engine(t);
+    query::QueryEngine engine(none);
     register_batch(engine);
     std::vector<std::uint64_t> fps;
     for (std::size_t lo = 0; lo < n; lo += block) {
-      engine.append_block(t.slice(lo, std::min(n, lo + block)), pool);
-      fps.push_back(fold_results(engine.result(0), engine.result(1),
-                                 engine.result(2), engine.result(3)));
+      engine.append(t.slice(lo, std::min(n, lo + block)), pool);
+      fps.push_back(fold_results(engine.raw_result(0), engine.raw_result(1),
+                                 engine.raw_result(2), engine.raw_result(3)));
     }
     return fps;
   };

@@ -1,9 +1,9 @@
-// Incremental engine contract: every registered query's answer after any
-// sequence of appended blocks is bitwise-equal to a cold QueryEngine
-// recompute over the concatenation of those blocks — for any block
-// partition (including mid-shard resumes), any thread count, with the
-// attached TableSketch advancing in lockstep, and with blocks sourced from
-// the generator or streamed page-granularly from an on-disk snapshot.
+// QueryEngine::append contract: every registered query's answer after any
+// sequence of appended blocks is bitwise-equal to a cold QueryEngine run
+// over the concatenation of those blocks — for any block partition
+// (including mid-shard resumes), any thread count, after a block that
+// throws, and with blocks sourced from the generator or streamed
+// page-granularly from an on-disk snapshot.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,15 +16,13 @@
 #include "core/study.hpp"
 #include "data/snapshot.hpp"
 #include "data/table.hpp"
-#include "incr/engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
-#include "stream/table_sketch.hpp"
 #include "synth/domain.hpp"
 #include "synth/generator.hpp"
 #include "util/error.hpp"
 
-namespace rcr::incr {
+namespace rcr::query {
 namespace {
 
 std::uint64_t bits_of(double v) {
@@ -68,11 +66,10 @@ void expect_counts_bits(const std::vector<double>& a,
 // The registration set exercised against every cold reference: all six
 // servable kinds plus a weight-column crosstab and a numeric summary.
 struct Ids {
-  query::QueryId ct, ct_weighted, ct_multi, cat, opt, num, ans;
+  QueryId ct, ct_weighted, ct_multi, cat, opt, num, ans;
 };
 
-template <typename Engine>
-Ids register_standard(Engine& engine) {
+Ids register_standard(QueryEngine& engine) {
   Ids ids;
   ids.ct = engine.add_crosstab(synth::col::kField, synth::col::kCareerStage);
   ids.ct_weighted = engine.add_crosstab(
@@ -89,29 +86,29 @@ Ids register_standard(Engine& engine) {
 
 // Compares every registered answer on `engine` against a cold QueryEngine
 // run over `reference` (the concatenation of all appended blocks so far).
-void expect_matches_cold(IncrementalEngine& engine, const Ids& ids,
+void expect_matches_cold(const QueryEngine& engine, const Ids& ids,
                          const data::Table& reference,
                          parallel::ThreadPool* pool = nullptr) {
-  query::QueryEngine cold(reference);
+  QueryEngine cold(reference);
   const Ids cold_ids = register_standard(cold);
   cold.run(pool);
-  expect_crosstab_bits(engine.result(ids.ct).crosstab,
+  expect_crosstab_bits(engine.raw_result(ids.ct).crosstab,
                        cold.raw_result(cold_ids.ct).crosstab);
-  expect_crosstab_bits(engine.result(ids.ct_weighted).crosstab,
+  expect_crosstab_bits(engine.raw_result(ids.ct_weighted).crosstab,
                        cold.raw_result(cold_ids.ct_weighted).crosstab);
-  expect_crosstab_bits(engine.result(ids.ct_multi).crosstab,
+  expect_crosstab_bits(engine.raw_result(ids.ct_multi).crosstab,
                        cold.raw_result(cold_ids.ct_multi).crosstab);
-  expect_shares_bits(engine.result(ids.cat).shares,
+  expect_shares_bits(engine.raw_result(ids.cat).shares,
                      cold.raw_result(cold_ids.cat).shares);
-  expect_shares_bits(engine.result(ids.opt).shares,
+  expect_shares_bits(engine.raw_result(ids.opt).shares,
                      cold.raw_result(cold_ids.opt).shares);
-  const auto& ni = engine.result(ids.num).numeric;
+  const auto& ni = engine.raw_result(ids.num).numeric;
   const auto& nc = cold.raw_result(cold_ids.num).numeric;
   ASSERT_EQ(bits_of(ni.count), bits_of(nc.count));
   ASSERT_EQ(bits_of(ni.sum), bits_of(nc.sum));
   ASSERT_EQ(bits_of(ni.min), bits_of(nc.min));
   ASSERT_EQ(bits_of(ni.max), bits_of(nc.max));
-  expect_counts_bits(engine.result(ids.ans).group_counts,
+  expect_counts_bits(engine.raw_result(ids.ans).group_counts,
                      cold.raw_result(cold_ids.ans).group_counts);
 }
 
@@ -119,48 +116,81 @@ data::Table test_wave(std::size_t n, std::uint64_t seed = 11) {
   return synth::generate_wave({synth::Wave::k2024, n, seed});
 }
 
+// Engines below start from an empty copy of the wave's schema, so every
+// row arrives through append().
 TEST(IncrementalEngineTest, RegistrationSealsOnFirstAppend) {
   const data::Table wave = test_wave(300);
-  IncrementalEngine engine(wave);
+  const data::Table none = wave.clone_empty();
+  QueryEngine engine(none);
   register_standard(engine);
-  engine.append_block(wave.slice(0, 100));
+  engine.append(wave.slice(0, 100));
   EXPECT_THROW(engine.add_category_shares(synth::col::kGpuUsage), Error);
   EXPECT_THROW(engine.add_option_shares(synth::col::kLanguages), Error);
 }
 
+// A weighted option share registers (its span covers the constructor
+// table), but a caller-owned span cannot grow, so append() refuses it.
 TEST(IncrementalEngineTest, ExternalWeightSpanRejected) {
   const data::Table wave = test_wave(50);
-  IncrementalEngine engine(wave);
+  QueryEngine engine(wave);
   const std::vector<double> w(50, 1.0);
-  EXPECT_THROW(
-      engine.add_weighted_option_share(synth::col::kLanguages, "Python", w),
-      Error);
+  EXPECT_NO_THROW(
+      engine.add_weighted_option_share(synth::col::kLanguages, "Python", w));
+  EXPECT_THROW(engine.append(wave.slice(0, 10)), Error);
+  EXPECT_EQ(engine.row_count(), 0u);
 }
 
 TEST(IncrementalEngineTest, SchemaMismatchRejected) {
   const data::Table wave = test_wave(100);
-  IncrementalEngine engine(wave);
+  const data::Table none = wave.clone_empty();
+  QueryEngine engine(none);
   engine.add_category_shares(synth::col::kGpuUsage);
   data::Table other;
   other.add_numeric("x");
-  EXPECT_THROW(engine.append_block(other), Error);
+  EXPECT_THROW(engine.append(other), Error);
+  // The rejected block closed nothing: registration is still open.
+  EXPECT_NO_THROW(engine.add_option_shares(synth::col::kLanguages));
+  EXPECT_EQ(engine.row_count(), 0u);
 }
 
 TEST(IncrementalEngineTest, ValidatesSpecsAgainstSchema) {
   const data::Table wave = test_wave(10);
-  IncrementalEngine engine(wave);
+  QueryEngine engine(wave);
   EXPECT_THROW(engine.add_category_shares("no_such_column"), Error);
   EXPECT_THROW(engine.add_numeric_summary(synth::col::kField), Error);
 }
 
 TEST(IncrementalEngineTest, ZeroRowBlockIsANoOp) {
   const data::Table wave = test_wave(500);
-  IncrementalEngine engine(wave);
+  const data::Table none = wave.clone_empty();
+  QueryEngine engine(none);
   const Ids ids = register_standard(engine);
-  engine.append_block(wave.slice(0, 500));
-  engine.append_block(wave.slice(0, 0));
+  engine.append(wave.slice(0, 500));
+  engine.append(wave.slice(0, 0));
   EXPECT_EQ(engine.row_count(), 500u);
   expect_matches_cold(engine, ids, wave);
+}
+
+// The engine's rows are its constructor table's followed by every appended
+// block: run() then append(), and append() alone (which folds the
+// constructor table first), reach the cold run's bits. The block resumes
+// the open shard and spans two whole shards, so its segments — the
+// resumed head included — scan on the pool.
+TEST(IncrementalEngineTest, ConstructorRowsPrecedeAppendedBlocks) {
+  const data::Table wave = test_wave(14000, 13);
+  const data::Table head = wave.slice(0, 1000);
+  const data::Table block = wave.slice(1000, 14000);
+  parallel::ThreadPool pool(4);
+  QueryEngine after_run(head), append_only(head);
+  const Ids ids = register_standard(after_run);
+  register_standard(append_only);
+  after_run.run(&pool);
+  after_run.append(block, &pool);
+  append_only.append(block, &pool);
+  EXPECT_EQ(after_run.row_count(), 14000u);
+  EXPECT_EQ(append_only.row_count(), 14000u);
+  expect_matches_cold(after_run, ids, wave);
+  expect_matches_cold(append_only, ids, wave);
 }
 
 // The core contract: every cut, over an adversarial block partition that
@@ -169,86 +199,72 @@ TEST(IncrementalEngineTest, ZeroRowBlockIsANoOp) {
 TEST(IncrementalEngineTest, EveryCutMatchesColdEngineBitwise) {
   const std::size_t n = 10000;  // spans 3 fixed-stride shards
   const data::Table wave = test_wave(n);
-  IncrementalEngine engine(wave);
+  const data::Table none = wave.clone_empty();
+  QueryEngine engine(none);
   const Ids ids = register_standard(engine);
 
   const std::size_t sizes[] = {1, 7, 497, 3591, 4096, 953, 855};
   std::size_t consumed = 0, i = 0;
   while (consumed < n) {
     const std::size_t take = std::min(sizes[i++ % 7], n - consumed);
-    engine.append_block(wave.slice(consumed, consumed + take));
+    engine.append(wave.slice(consumed, consumed + take));
     consumed += take;
     ASSERT_EQ(engine.row_count(), consumed);
     expect_matches_cold(engine, ids, wave.slice(0, consumed));
   }
 }
 
+// A block that throws mid-scan (a negative weight past a shard boundary
+// the block would complete) leaves the cut as it was: re-appending the
+// rows afterwards cannot fold the completed head shard twice.
+TEST(IncrementalEngineTest, ThrowingBlockLeavesTheCutUnchanged) {
+  const data::Table wave = test_wave(9000, 31);
+  const data::Table none = wave.clone_empty();
+  QueryEngine engine(none);
+  const Ids ids = register_standard(engine);
+  engine.append(wave.slice(0, 1000));
+
+  data::Table bad = wave.slice(1000, 6000);
+  bad.categorical(synth::col::kField).set_code(4500, 0);
+  bad.categorical(synth::col::kCareerStage).set_code(4500, 0);
+  bad.numeric(synth::col::kDatasetGb).set(4500, -1.0);  // global row 5500
+  EXPECT_THROW(engine.append(bad), Error);
+  EXPECT_EQ(engine.row_count(), 1000u);
+
+  engine.append(wave.slice(1000, 9000));
+  EXPECT_EQ(engine.row_count(), 9000u);
+  expect_matches_cold(engine, ids, wave);
+}
+
 TEST(IncrementalEngineTest, PoolSizeIsInvariantAtEveryCut) {
   const std::size_t n = 12000;
   const data::Table wave = test_wave(n, 23);
+  const data::Table none = wave.clone_empty();
   parallel::ThreadPool pool2(2), pool8(8);
 
-  IncrementalEngine serial(wave), par2(wave), par8(wave);
+  QueryEngine serial(none), par2(none), par8(none);
   const Ids ids = register_standard(serial);
   register_standard(par2);
   register_standard(par8);
 
   for (std::size_t lo = 0; lo < n; lo += 1000) {
     const data::Table block = wave.slice(lo, std::min(n, lo + 1000));
-    serial.append_block(block, nullptr);
-    par2.append_block(block, &pool2);
-    par8.append_block(block, &pool8);
-    expect_crosstab_bits(serial.result(ids.ct_weighted).crosstab,
-                         par2.result(ids.ct_weighted).crosstab);
-    expect_crosstab_bits(serial.result(ids.ct_weighted).crosstab,
-                         par8.result(ids.ct_weighted).crosstab);
-    expect_shares_bits(serial.result(ids.opt).shares,
-                       par8.result(ids.opt).shares);
+    serial.append(block, nullptr);
+    par2.append(block, &pool2);
+    par8.append(block, &pool8);
+    expect_crosstab_bits(serial.raw_result(ids.ct_weighted).crosstab,
+                         par2.raw_result(ids.ct_weighted).crosstab);
+    expect_crosstab_bits(serial.raw_result(ids.ct_weighted).crosstab,
+                         par8.raw_result(ids.ct_weighted).crosstab);
+    expect_shares_bits(serial.raw_result(ids.opt).shares,
+                       par8.raw_result(ids.opt).shares);
   }
   expect_matches_cold(par8, ids, wave, &pool8);
 }
 
-TEST(IncrementalEngineTest, AttachedSketchAdvancesInLockstep) {
-  const std::size_t n = 3000;
-  const data::Table wave = test_wave(n, 5);
-
-  stream::TableSketchOptions options;
-  options.crosstabs = {{synth::col::kField, synth::col::kLanguages}};
-  options.reservoir_column = synth::col::kDatasetGb;
-
-  IncrementalEngine engine(wave);
-  engine.add_category_shares(synth::col::kGpuUsage);
-  engine.attach_sketch(options);
-
-  stream::TableSketch reference(wave, options);
-  for (std::size_t lo = 0; lo < n; lo += 701) {
-    const data::Table block = wave.slice(lo, std::min(n, lo + 701));
-    engine.append_block(block);
-    reference.ingest(block, lo);
-  }
-
-  const stream::TableSketch& sketch = engine.sketch();
-  EXPECT_EQ(sketch.rows(), reference.rows());
-  EXPECT_EQ(sketch.blocks(), reference.blocks());
-  expect_counts_bits(sketch.category_counts(synth::col::kGpuUsage),
-                     reference.category_counts(synth::col::kGpuUsage));
-  expect_counts_bits(sketch.option_counts(synth::col::kLanguages),
-                     reference.option_counts(synth::col::kLanguages));
-  ASSERT_EQ(bits_of(sketch.answered(synth::col::kLanguages)),
-            bits_of(reference.answered(synth::col::kLanguages)));
-}
-
-TEST(IncrementalEngineTest, SketchRequiresAttachBeforeAppend) {
-  const data::Table wave = test_wave(20);
-  IncrementalEngine engine(wave);
-  EXPECT_THROW(engine.sketch(), Error);
-  engine.append_block(wave);
-  EXPECT_THROW(engine.attach_sketch(), Error);
-}
-
 // Snapshot pages stream through for_each_snapshot_block without ever
 // materializing the whole table, and the streamed blocks drive the
-// incremental engine to the same bits as the cold engine on the full wave.
+// engine's appends to the same bits as a cold run on the full wave.
 TEST(IncrementalEngineTest, SnapshotBlocksStreamToTheSameBits) {
   const std::size_t n = 5000;
   const data::Table wave = test_wave(n, 17);
@@ -259,7 +275,8 @@ TEST(IncrementalEngineTest, SnapshotBlocksStreamToTheSameBits) {
   write_options.page_rows = 777;  // ragged page grid -> ragged blocks
   data::write_snapshot(wave, path, write_options);
 
-  IncrementalEngine engine(wave);
+  const data::Table none = wave.clone_empty();
+  QueryEngine engine(none);
   const Ids ids = register_standard(engine);
   std::size_t blocks = 0, rows_seen = 0;
   const std::size_t total = data::for_each_snapshot_block(
@@ -267,7 +284,7 @@ TEST(IncrementalEngineTest, SnapshotBlocksStreamToTheSameBits) {
         ASSERT_EQ(first_row, rows_seen);  // in order, gap-free
         ASSERT_GT(block.row_count(), 0u);
         ASSERT_LE(block.row_count(), 777u);
-        engine.append_block(block);
+        engine.append(block);
         rows_seen += block.row_count();
         ++blocks;
       });
@@ -328,4 +345,4 @@ TEST(IncrStudyTest, FinalCutMatchesColdStudyAggregates) {
 }
 
 }  // namespace
-}  // namespace rcr::incr
+}  // namespace rcr::query

@@ -19,7 +19,7 @@
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
-#include "query/reference.hpp"
+#include "query_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -137,7 +137,7 @@ void expect_shares_bitwise(const std::vector<data::OptionShare>& got,
 // the 3-shard table must reproduce the one-scan-per-query reference bitwise.
 TEST(QueryEngineTest, UnweightedMultiShardMatchesReferenceBitwise) {
   const data::Table t = make_big_table({});
-  ASSERT_GT(t.row_count(), query::kMinShardRows);  // really multi-shard
+  ASSERT_GT(t.row_count(), query::kShardRows);  // really multi-shard
 
   query::QueryEngine engine(t);
   const auto ct = engine.add_crosstab("field", "career");
@@ -161,7 +161,7 @@ TEST(QueryEngineTest, UnweightedMultiShardMatchesReferenceBitwise) {
   EXPECT_EQ(engine.shares(os).back().count, 0.0);
 }
 
-// At or below kMinShardRows the engine runs one shard, which is the
+// At or below kShardRows the engine runs one shard, which is the
 // reference builders' left-to-right association exactly — arbitrary
 // fractional weights included.
 TEST(QueryEngineTest, WeightedSingleShardMatchesReferenceBitwise) {
@@ -197,7 +197,7 @@ TEST(QueryEngineTest, WeightedSingleShardMatchesReferenceBitwise) {
 // multi-shard table.
 TEST(QueryEngineTest, DyadicWeightsStayBitwiseAcrossShards) {
   const data::Table t = make_big_table({});  // 10000 rows, dyadic "w"
-  ASSERT_GT(t.row_count(), query::kMinShardRows);
+  ASSERT_GT(t.row_count(), query::kShardRows);
 
   query::QueryEngine engine(t);
   const auto ct =
@@ -414,11 +414,10 @@ TEST(QueryEngineTest, ResultsRequireRunAndMatchingKind) {
   EXPECT_NO_THROW(engine.crosstab(ct));
   EXPECT_NO_THROW(engine.shares(os));
 
-  // Registering another query invalidates prior results until rerun.
-  engine.add_numeric_summary("score");
-  EXPECT_FALSE(engine.ran());
-  EXPECT_THROW(engine.crosstab(ct), Error);
-  engine.run();
+  // Registration closes at the first fold, and run() folds only once.
+  EXPECT_THROW(engine.add_numeric_summary("score"), Error);
+  EXPECT_THROW(engine.run(), Error);
+  EXPECT_EQ(engine.query_count(), 2u);
   EXPECT_NO_THROW(engine.crosstab(ct));
 }
 
