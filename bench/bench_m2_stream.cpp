@@ -1,9 +1,10 @@
 // M2 scale demo: stream a synthetic population that never fits in memory
-// through the rcr::stream sketch engine.
+// through the streaming study (exact tables by QueryEngine::append, the
+// rest by rcr::stream sketches).
 //
 //   bench_m2_stream --rows 10000000 --threads 8
 //
-// processes the population in block_rows-sized shards (peak resident state:
+// processes the population in block_rows-sized blocks (peak resident state:
 // threads blocks of rows plus the sketch, reported and bounded well under
 // 64 MB), prints the T2/T4-style streaming report, and — when an exact
 // reference is affordable (--rows <= 1M, or --exact to force it) —
@@ -11,8 +12,9 @@
 // table. --json FILE emits the error metrics for CI to diff against the
 // committed tolerances in bench/stream_tolerances.json.
 //
-// The final line prints a fingerprint hash over all sketch state; it is
-// identical for any --threads value (index-ordered shard merges).
+// The final line prints a fingerprint hash over the exact tables and all
+// sketch state; it is identical for any --threads value (blocks fold in
+// block order).
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
@@ -22,15 +24,18 @@
 #include <iostream>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/rcr.hpp"
 #include "core/stream_study.hpp"
+#include "query_reference.hpp"
 #include "simd/dispatch.hpp"
 #include "stream/table_sketch.hpp"
 
 namespace {
 
+using rcr::core::StreamStudyResult;
 using rcr::stream::TableSketch;
 
 // Order-sensitive 64-bit fold over the sketch's observable state.
@@ -41,38 +46,40 @@ struct Fingerprint {
   void mix(const std::string& s) { mix(rcr::stream::hash_bytes(s, 0)); }
 };
 
-std::uint64_t sketch_fingerprint(const TableSketch& sketch) {
+std::uint64_t fingerprint(const StreamStudyResult& result) {
+  const TableSketch& sketch = result.sketch;
+  const rcr::core::WaveAggregates& tables = result.tables;
   Fingerprint fp;
   fp.mix(sketch.rows());
   const auto& schema = sketch.schema();
   for (const auto& name : schema.column_names()) {
-    switch (schema.kind(name)) {
-      case rcr::data::ColumnKind::kNumeric: {
-        const auto& m = sketch.moments(name);
-        fp.mix(m.count());
-        fp.mix(m.mean());
-        fp.mix(m.variance());
-        fp.mix(m.min());
-        fp.mix(m.max());
-        const auto& q = sketch.quantile_sketch(name);
-        for (double p : {0.01, 0.25, 0.5, 0.75, 0.9, 0.99})
-          fp.mix(q.quantile(p));
-        break;
-      }
-      case rcr::data::ColumnKind::kCategorical:
-        for (double c : sketch.category_counts(name)) fp.mix(c);
-        break;
-      case rcr::data::ColumnKind::kMultiSelect:
-        for (double c : sketch.option_counts(name)) fp.mix(c);
-        break;
+    if (schema.kind(name) != rcr::data::ColumnKind::kNumeric) continue;
+    const auto& m = sketch.moments(name);
+    fp.mix(m.count());
+    fp.mix(m.mean());
+    fp.mix(m.variance());
+    fp.mix(m.min());
+    fp.mix(m.max());
+    const auto& q = sketch.quantile_sketch(name);
+    for (double p : {0.01, 0.25, 0.5, 0.75, 0.9, 0.99}) fp.mix(q.quantile(p));
+  }
+  for (const auto* ct : {&tables.field_by_career, &tables.field_by_languages,
+                         &tables.field_by_se}) {
+    for (std::size_t r = 0; r < ct->counts.rows(); ++r)
+      for (std::size_t c = 0; c < ct->counts.cols(); ++c)
+        fp.mix(ct->counts.at(r, c));
+  }
+  for (const auto* shares :
+       {&tables.languages, &tables.se_practices, &tables.parallel_resources,
+        &tables.tools_aware, &tables.tools_used, &tables.gpu_usage}) {
+    for (const auto& s : *shares) {
+      fp.mix(s.count);
+      fp.mix(s.total);
     }
   }
-  for (const auto& [r, c] : sketch.options().crosstabs) {
-    const auto& xt = sketch.crosstab(r, c);
-    for (std::size_t i = 0; i < xt.row_labels().size(); ++i)
-      for (std::size_t j = 0; j < xt.col_labels().size(); ++j)
-        fp.mix(xt.at(i, j));
-  }
+  for (const auto* counts :
+       {&tables.field_answered_languages, &tables.field_answered_se})
+    for (const double c : *counts) fp.mix(c);
   fp.mix(sketch.distinct().estimate());
   for (const auto& e : sketch.heavy_hitters().top(16)) {
     fp.mix(e.key);
@@ -94,13 +101,14 @@ struct ErrorRow {
 };
 
 // Sketch-vs-exact validation: materializes the identical population once
-// (generate_wave emits the same row sequence the shards concatenated to)
-// and measures every sketch's deviation from the exact answer.
-std::vector<ErrorRow> validate(const TableSketch& sketch,
+// (generate_wave emits the same row sequence the blocks concatenated to)
+// and measures every sketch's deviation from the exact answer, and the
+// exact tables' deviation from the serial reference builders.
+std::vector<ErrorRow> validate(const StreamStudyResult& result,
                                const rcr::synth::GeneratorConfig& gen) {
+  const TableSketch& sketch = result.sketch;
   std::vector<ErrorRow> rows;
   const rcr::data::Table full = rcr::synth::generate_wave(gen);
-  const double n = static_cast<double>(full.row_count());
 
   // Moments and quantiles per numeric column.
   double mean_err = 0.0, quantile_err = 0.0;
@@ -149,8 +157,7 @@ std::vector<ErrorRow> validate(const TableSketch& sketch,
        2.0 * sketch.options().quantile_eps});
 
   // CountMin overestimate across every (column, label) cell, as a fraction
-  // of the sketch's total weight, against the exact counts the sketch also
-  // tracks.
+  // of the sketch's total weight, against the materialized table's counts.
   double cms_over = 0.0;
   const auto& cms = sketch.label_cms();
   const auto check_cell = [&](const std::string& column,
@@ -163,12 +170,12 @@ std::vector<ErrorRow> validate(const TableSketch& sketch,
   for (const auto& name : full.column_names()) {
     if (full.kind(name) == rcr::data::ColumnKind::kCategorical) {
       const auto& col = full.categorical(name);
-      const auto& counts = sketch.category_counts(name);
+      const auto counts = col.counts();
       for (std::size_t c = 0; c < col.category_count(); ++c)
         check_cell(name, col.category(c), counts[c]);
     } else if (full.kind(name) == rcr::data::ColumnKind::kMultiSelect) {
       const auto& col = full.multiselect(name);
-      const auto& counts = sketch.option_counts(name);
+      const auto counts = col.option_counts();
       for (std::size_t o = 0; o < col.option_count(); ++o)
         check_cell(name, col.option(o), counts[o]);
     }
@@ -191,17 +198,28 @@ std::vector<ErrorRow> validate(const TableSketch& sketch,
           std::size_t{1} << sketch.options().hll_precision));
   rows.push_back({"hll.rel_err", hll_err, hll_bound});
 
-  // StreamingCrosstab must equal the materialized builders exactly.
+  // The appended crosstabs must equal the serial reference builders
+  // exactly.
+  namespace col = rcr::synth::col;
+  namespace ref = rcr::query::reference;
+  const std::pair<const rcr::data::LabeledCrosstab*, rcr::data::LabeledCrosstab>
+      crosstabs[] = {
+          {&result.tables.field_by_career,
+           ref::crosstab(full, col::kField, col::kCareerStage)},
+          {&result.tables.field_by_languages,
+           ref::crosstab_multiselect(full, col::kField, col::kLanguages)},
+          {&result.tables.field_by_se,
+           ref::crosstab_multiselect(full, col::kField, col::kSePractices)}};
   double xtab_diff = 0.0;
-  for (const auto& [rcol, ccol] : sketch.options().crosstabs) {
-    const auto streamed = sketch.crosstab(rcol, ccol).to_labeled();
-    const auto exact =
-        full.kind(ccol) == rcr::data::ColumnKind::kMultiSelect
-            ? rcr::data::crosstab_multiselect(full, rcol, ccol)
-            : rcr::data::crosstab(full, rcol, ccol);
+  for (const auto& [streamed, exact] : crosstabs) {
+    if (streamed->row_labels != exact.row_labels ||
+        streamed->col_labels != exact.col_labels) {
+      xtab_diff = 1e9;  // a label mismatch is a broken table
+      continue;
+    }
     for (std::size_t r = 0; r < exact.row_labels.size(); ++r)
       for (std::size_t c = 0; c < exact.col_labels.size(); ++c)
-        xtab_diff = std::max(xtab_diff, std::abs(streamed.counts.at(r, c) -
+        xtab_diff = std::max(xtab_diff, std::abs(streamed->counts.at(r, c) -
                                                  exact.counts.at(r, c)));
   }
   rows.push_back({"crosstab.max_abs_diff", xtab_diff, 0.0});
@@ -248,10 +266,11 @@ int main(int argc, char** argv) try {
             << " simd=" << rcr::simd::describe() << "\n";
 
   rcr::Stopwatch watch;
-  const auto sketch = rcr::core::run_stream_study(config);
+  const auto result = rcr::core::run_stream_study(config);
   const double elapsed = watch.elapsed_seconds();
+  const TableSketch& sketch = result.sketch;
 
-  if (!skip_report) std::cout << rcr::core::render_stream_report(sketch);
+  if (!skip_report) std::cout << rcr::core::render_stream_report(result);
   std::printf(
       "\nthroughput: %.0f rows in %.2f s = %.2e rows/s, sketch %.2f MiB\n",
       static_cast<double>(sketch.rows()), elapsed,
@@ -265,7 +284,7 @@ int main(int argc, char** argv) try {
     gen.wave = config.wave;
     gen.respondents = config.respondents;
     gen.seed = config.seed;
-    errors = validate(sketch, gen);
+    errors = validate(result, gen);
     rcr::report::TextTable t({"Metric", "Observed", "Bound", "Status"});
     bool ok = true;
     for (const auto& e : errors) {
@@ -285,7 +304,7 @@ int main(int argc, char** argv) try {
                  "force it)\n";
   }
 
-  const std::uint64_t fp = sketch_fingerprint(sketch);
+  const std::uint64_t fp = fingerprint(result);
   std::printf("fingerprint: %016" PRIx64 "\n", fp);
 
   if (json_path) {

@@ -1,4 +1,5 @@
-// Quickstart: generate a synthetic survey wave and run one crosstab.
+// Quickstart: generate a synthetic survey wave, crosstab it and read one
+// share, both from one fused query-engine scan.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -25,9 +26,15 @@ int main(int argc, char** argv) {
       rcr::survey::validate_responses(rcr::synth::instrument(), wave);
   std::cout << "validation issues: " << issues.size() << "\n\n";
 
-  // 3. Crosstab: language usage by research field.
-  const auto ct = rcr::data::crosstab_multiselect(
-      wave, rcr::synth::col::kField, rcr::synth::col::kLanguages);
+  // 3. One fused scan answers both questions below: language usage by
+  //    research field, and the overall share of each language.
+  rcr::query::QueryEngine engine(wave);
+  const auto by_field = engine.add_crosstab_multiselect(
+      rcr::synth::col::kField, rcr::synth::col::kLanguages);
+  const auto overall = engine.add_option_shares(rcr::synth::col::kLanguages);
+  engine.run();
+
+  const auto& ct = engine.crosstab(by_field);
   rcr::report::TextTable table({"Field", "Python", "C++", "MATLAB", "R"});
   const auto col_of = [&](const char* label) {
     for (std::size_t c = 0; c < ct.col_labels.size(); ++c)
@@ -47,9 +54,7 @@ int main(int argc, char** argv) {
             << table.render();
 
   // 4. One overall share with a proper confidence interval.
-  const auto shares =
-      rcr::data::option_shares(wave, rcr::synth::col::kLanguages);
-  for (const auto& s : shares) {
+  for (const auto& s : engine.shares(overall)) {
     if (s.label != "Python") continue;
     std::cout << "\nPython usage: "
               << rcr::report::share_cell(s.share.estimate, s.share.lo,

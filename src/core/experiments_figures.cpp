@@ -492,9 +492,6 @@ std::string run_f10_panel_transitions(const Study& study) {
          "competes — the attrition channel behind its falling share.\n";
 
   // Career progression sanity panel.
-  const auto ct = data::crosstab(panel.wave2011, synth::col::kCareerStage,
-                                 synth::col::kCareerStage);
-  (void)ct;
   double still_grad = 0.0;
   const auto& c11 = panel.wave2011.categorical(synth::col::kCareerStage);
   const auto& c24 = panel.wave2024.categorical(synth::col::kCareerStage);

@@ -13,12 +13,12 @@
 //              scoped timers, JSON/table snapshots
 //   stats    — descriptive, tests, CIs, histograms, regression, bootstrap
 //   parallel — thread pool + parallel_for/reduce
-//   data     — columnar tables, CSV, crosstabs
+//   data     — columnar tables, CSV, snapshots
 //   query    — fused aggregation engine (one sharded scan per query batch;
 //              appends update every answer in O(delta rows), bitwise-equal
 //              to a cold run at every cut)
 //   stream   — mergeable one-pass sketches (moments, quantiles, heavy
-//              hitters, distinct counts, reservoir, streaming crosstabs)
+//              hitters, distinct counts, reservoir)
 //   serve    — long-lived analytics server (result cache, request
 //              coalescing/batching, SLO admission, local + TCP transports)
 //   survey   — questionnaire schema, validation, raking, Likert
@@ -30,7 +30,6 @@
 #pragma once
 
 #include "core/experiments.hpp"
-#include "core/incr_study.hpp"
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
 #include "data/crosstab.hpp"
@@ -62,7 +61,6 @@
 #include "stats/permutation.hpp"
 #include "stats/power.hpp"
 #include "stats/regression.hpp"
-#include "stream/crosstab_stream.hpp"
 #include "stream/sketch.hpp"
 #include "stream/table_sketch.hpp"
 #include "survey/allocate.hpp"

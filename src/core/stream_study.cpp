@@ -1,121 +1,149 @@
 #include "core/stream_study.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <memory>
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "data/csv.hpp"
 #include "data/snapshot.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
+#include "query/engine.hpp"
 #include "report/table.hpp"
-#include "stats/ci.hpp"
 #include "synth/domain.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace rcr::core {
 
+namespace {
+
+// What every source feeds: the engine holding the exact tables and the
+// merged sketch, advanced one block at a time in block order.
+//
+// A block's shard is created before its rows are built, and the rows are
+// released before the shard merges: of the allocation orders tried, that
+// one gives the lowest peak heap (EXPERIMENTS.md, M2).
+struct BlockFold {
+  explicit BlockFold(const stream::TableSketchOptions& sketch_options)
+      : schema(synth::instrument().make_table()),
+        options(sketch_options),
+        engine(schema),
+        sketch(schema, options) {
+    register_wave_aggregates(engine);
+  }
+
+  stream::TableSketch empty_shard() const {
+    return stream::TableSketch(schema, options);
+  }
+
+  // Folds the block after the last one folded.
+  void fold(data::Table rows, const stream::TableSketch& shard) {
+    engine.append(rows);
+    rows = data::Table();
+    sketch.merge(shard);
+  }
+
+  data::Table schema;  // the instrument's columns, no rows: engine's table
+  stream::TableSketchOptions options;
+  query::QueryEngine engine;
+  stream::TableSketch sketch;
+};
+
+// Folds every block of a random-access source, where read(lo, hi) returns
+// rows [lo, hi). On a pool each block is its own task: a finished block
+// waits in `ready` until its predecessor has folded, and whichever thread
+// completes the next index folds it, so no task waits for another.
+void fold_random_access(
+    BlockFold& walk, std::size_t rows, std::size_t block_rows,
+    parallel::ThreadPool* pool,
+    const std::function<data::Table(std::size_t, std::size_t)>& read) {
+  std::mutex mutex;
+  std::map<std::size_t, std::pair<data::Table, stream::TableSketch>> ready;
+  std::size_t next = 0;
+  std::atomic<bool> failed{false};  // stops the walk at the first throw
+  const auto build = [&](std::size_t k) {
+    if (failed.load()) return;
+    try {
+      const std::size_t lo = k * block_rows;
+      stream::TableSketch shard = walk.empty_shard();
+      data::Table part = read(lo, std::min(lo + block_rows, rows));
+      shard.ingest(part, lo);
+      std::lock_guard<std::mutex> lock(mutex);
+      ready.emplace(k, std::make_pair(std::move(part), std::move(shard)));
+      while (!ready.empty() && ready.begin()->first == next) {
+        auto block = ready.extract(ready.begin());
+        walk.fold(std::move(block.mapped().first), block.mapped().second);
+        ++next;
+      }
+    } catch (...) {
+      failed.store(true);
+      throw;
+    }
+  };
+  const std::size_t blocks = (rows + block_rows - 1) / block_rows;
+  if (pool == nullptr) {
+    for (std::size_t k = 0; k < blocks; ++k) build(k);
+    return;
+  }
+  parallel::ForOptions options;
+  options.grain = 1;
+  parallel::parallel_for(*pool, 0, blocks, build, options);
+}
+
+}  // namespace
+
 stream::TableSketchOptions StreamStudyConfig::default_stream_options() {
   stream::TableSketchOptions opts;
-  opts.crosstabs = {{synth::col::kField, synth::col::kLanguages},
-                    {synth::col::kField, synth::col::kSePractices}};
   opts.reservoir_column = synth::col::kDatasetGb;
   return opts;
 }
 
-stream::TableSketch run_stream_study(const StreamStudyConfig& config) {
+StreamStudyResult run_stream_study(const StreamStudyConfig& config) {
+  BlockFold walk(config.sketch);
+  const std::size_t block_rows = std::max<std::size_t>(1, config.block_rows);
+  // Sequential sources deliver their blocks in order, on the caller.
+  const auto fold_next = [&walk](const data::Table& rows,
+                                 std::size_t first_row) {
+    stream::TableSketch shard = walk.empty_shard();
+    shard.ingest(rows, first_row);
+    walk.fold(rows, shard);
+  };
   synth::GeneratorConfig gen;
   gen.wave = config.wave;
   gen.respondents = config.respondents;
   gen.seed = config.seed;
   gen.nonresponse_strength = config.nonresponse_strength;
-  gen.pool = nullptr;  // parallelism lives at the shard level, not inside it
-
-  const data::Table schema = synth::instrument().make_table();
 
   if (!config.snapshot_path.empty()) {
-    // Snapshot-backed wave: the table is memory-mapped (zero-copy columns)
-    // and sliced into the same block structure the CSV reader would
-    // deliver, so the sketch — and therefore the report — is identical to
-    // a CSV-backed run over the same rows.
-    stream::TableSketch sketch(schema, config.sketch);
     const data::Table table = data::read_snapshot(config.snapshot_path);
-    const std::size_t block = std::max<std::size_t>(1, config.block_rows);
-    const std::size_t n = table.row_count();
-    for (std::size_t lo = 0; lo < n; lo += block)
-      sketch.ingest(table.slice(lo, std::min(lo + block, n)), lo);
-    sketch.publish_metrics();
-    return sketch;
-  }
-
-  if (!config.csv_path.empty()) {
-    // File-backed wave: the streaming block reader delivers rows in file
-    // order with O(block_rows) memory, so a wave export larger than RAM
-    // flows through the same sketch pipeline as the generated population.
-    stream::TableSketch sketch(schema, config.sketch);
-    const std::size_t block = std::max<std::size_t>(1, config.block_rows);
-    data::for_each_csv_block_file(
-        config.csv_path, schema, block,
-        [&](const data::Table& blk, std::size_t first_row) {
-          sketch.ingest(blk, first_row);
-        });
-    sketch.publish_metrics();
-    return sketch;
-  }
-
-  if (config.nonresponse_strength > 0.0) {
-    // Rejection-sampled sequence: inherently serial, one sketch, in-order
-    // blocks. Deterministic for a fixed config regardless of pool.
-    stream::TableSketch sketch(schema, config.sketch);
-    synth::generate_blocks(
-        gen, config.block_rows,
-        [&](data::Table block, std::size_t first_row) {
-          sketch.ingest(block, first_row);
-        });
-    sketch.publish_metrics();
-    return sketch;
-  }
-
-  // Unbiased sequence: shard on the pure-function chunk layout and merge
-  // shard sketches in index order. The pooled and serial paths build the
-  // exact same shards and merge them in the exact same order, so the result
-  // is bitwise identical for any thread count.
-  const std::size_t block =
-      std::max<std::size_t>(1, std::min(config.block_rows, config.respondents));
-  auto build_shard = [&](std::size_t lo, std::size_t hi) {
-    auto shard = std::make_unique<stream::TableSketch>(schema, config.sketch);
-    shard->ingest(synth::generate_range(gen, lo, hi - lo), lo);
-    return shard;
-  };
-  auto combine = [](std::unique_ptr<stream::TableSketch> acc,
-                    std::unique_ptr<stream::TableSketch> next) {
-    if (!acc) return next;
-    acc->merge(*next);
-    return acc;
-  };
-
-  std::unique_ptr<stream::TableSketch> result;
-  if (config.pool != nullptr) {
-    parallel::ForOptions opts;
-    opts.grain = block;
-    result = parallel::parallel_reduce<std::unique_ptr<stream::TableSketch>>(
-        *config.pool, 0, config.respondents, nullptr, build_shard, combine,
-        opts);
+    fold_random_access(walk, table.row_count(), block_rows, config.pool,
+                       [&table](std::size_t lo, std::size_t hi) {
+                         return table.slice(lo, hi);
+                       });
+  } else if (!config.csv_path.empty()) {
+    data::for_each_csv_block_file(config.csv_path, walk.schema, block_rows,
+                                  fold_next);
+  } else if (config.nonresponse_strength > 0.0) {
+    synth::generate_blocks(gen, block_rows, fold_next);
   } else {
-    const auto layout =
-        parallel::chunk_layout(0, config.respondents, block);
-    for (std::size_t k = 0; k < layout.chunks; ++k) {
-      const auto [lo, hi] = layout.bounds(k);
-      result = combine(std::move(result), build_shard(lo, hi));
-    }
+    fold_random_access(walk, config.respondents, block_rows, config.pool,
+                       [&gen](std::size_t lo, std::size_t hi) {
+                         return synth::generate_range(gen, lo, hi - lo);
+                       });
   }
-  RCR_CHECK_MSG(result != nullptr, "stream study produced no shards");
-  result->publish_metrics();
-  return std::move(*result);
+  if (walk.engine.row_count() == 0)
+    throw InvalidInputError("stream study: the source holds no rows");
+  walk.sketch.publish_metrics();
+  return {wave_aggregates(walk.engine), std::move(walk.sketch)};
 }
 
-std::string render_stream_report(const stream::TableSketch& sketch) {
+std::string render_stream_report(const StreamStudyResult& result) {
+  const stream::TableSketch& sketch = result.sketch;
+  const WaveAggregates& tables = result.tables;
   std::string out;
   out += "Streaming study: " + std::to_string(sketch.rows()) + " respondents in " +
          std::to_string(sketch.blocks()) + " blocks, sketch state ~" +
@@ -124,21 +152,20 @@ std::string render_stream_report(const stream::TableSketch& sketch) {
   out += "distinct respondents (HLL): " +
          format_double(sketch.distinct().estimate(), 0) + "\n";
 
-  // T2-style: language adoption by field, row-conditional shares.
+  // T2-style: language adoption by field, shares of the field's rows
+  // answering the question.
   {
-    const auto& xtab =
-        sketch.crosstab(synth::col::kField, synth::col::kLanguages);
-    const auto labeled = xtab.to_labeled();
+    const data::LabeledCrosstab& xtab = tables.field_by_languages;
     out += "\nLanguage use by field (share of field, streaming T2)\n";
     std::vector<std::string> headers = {"Field"};
-    for (const auto& l : labeled.col_labels) headers.push_back(l);
+    for (const auto& l : xtab.col_labels) headers.push_back(l);
     report::TextTable t(std::move(headers));
-    for (std::size_t f = 0; f < labeled.row_labels.size(); ++f) {
-      const double denom = sketch.category_counts(synth::col::kField)[f];
-      std::vector<std::string> row = {labeled.row_labels[f]};
-      for (std::size_t c = 0; c < labeled.col_labels.size(); ++c) {
+    for (std::size_t f = 0; f < xtab.row_labels.size(); ++f) {
+      const double denom = tables.field_answered_languages[f];
+      std::vector<std::string> row = {xtab.row_labels[f]};
+      for (std::size_t c = 0; c < xtab.col_labels.size(); ++c) {
         row.push_back(denom > 0.0
-                          ? format_percent(labeled.counts.at(f, c) / denom, 0)
+                          ? format_percent(xtab.counts.at(f, c) / denom, 0)
                           : "-");
       }
       t.add_row(std::move(row));
@@ -148,16 +175,12 @@ std::string render_stream_report(const stream::TableSketch& sketch) {
 
   // T4-style: SE-practice adoption shares with Wilson intervals.
   {
-    const auto& counts = sketch.option_counts(synth::col::kSePractices);
-    const double total = sketch.answered(synth::col::kSePractices);
-    const auto& options =
-        sketch.schema().multiselect(synth::col::kSePractices).options();
     out += "\nSoftware-engineering practice adoption (streaming T4)\n";
     report::TextTable t({"Practice", "Share [95% CI]", "n"});
-    for (std::size_t o = 0; o < options.size(); ++o) {
-      const auto ci = stats::wilson_ci(counts[o], total);
-      t.add_row({options[o], report::share_cell(ci.estimate, ci.lo, ci.hi),
-                 format_double(counts[o], 0)});
+    for (const data::OptionShare& s : tables.se_practices) {
+      t.add_row({s.label,
+                 report::share_cell(s.share.estimate, s.share.lo, s.share.hi),
+                 format_double(s.count, 0)});
     }
     out += t.render();
   }

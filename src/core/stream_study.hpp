@@ -1,18 +1,24 @@
-// Streaming study mode: the T2/T4-style analyses computed sketch-side over
-// a synthetic population that is never resident in memory.
+// Streaming study mode (M2): Study's exact tables and the approximate
+// sketches, computed over a population that is never resident in memory.
 //
-// The population [0, n) is split by parallel::chunk_layout(0, n, block_rows)
-// — a pure function of (n, block_rows), independent of pool size — and each
-// chunk is generated with synth::generate_range, ingested into its own
-// stream::TableSketch shard, and merged in chunk-index order. The serial
-// (pool == nullptr) path walks the *same* layout and merge order, so the
-// final sketch is bitwise identical for any thread count, including none.
-// Peak memory is O(block_rows * threads) table rows plus the sketch state.
+// Block k is rows [k·block_rows, (k+1)·block_rows) of the configured
+// source: the unbiased generator, the biased generator, a CSV file or a
+// snapshot. Every block is appended to one query::QueryEngine registered
+// with register_wave_aggregates (the exact tables) and sketched into its
+// own stream::TableSketch shard, and blocks fold — append, then shard
+// merge — in index order. Random-access sources (the unbiased generator, a
+// snapshot) build and sketch their blocks on the pool, one task per block;
+// sequential sources (CSV, the biased generator) fold on the caller. The
+// partition and the fold order depend only on the rows and block_rows, so
+// the result is the same bits for any pool, including none, and for any
+// source holding the same rows. Peak memory is O(block_rows * threads)
+// table rows plus the sketch state.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "core/study.hpp"
 #include "stream/table_sketch.hpp"
 #include "synth/generator.hpp"
 
@@ -31,34 +37,37 @@ struct StreamStudyConfig {
   // of being synthesized; wave/respondents/seed/nonresponse are ignored.
   std::string csv_path;
   // When non-empty, rows come from an rcr::data snapshot (data/snapshot.hpp)
-  // memory-mapped and sliced into `block_rows` blocks, mirroring the CSV
-  // block structure exactly — the sketch sees the same rows at the same
-  // first_row offsets, so the report is identical to the CSV-backed run of
-  // the same table. Takes precedence over csv_path.
+  // memory-mapped and sliced into `block_rows` blocks. Takes precedence
+  // over csv_path.
   std::string snapshot_path;
-  // Rows generated and ingested per shard; also the chunk grain, so it —
-  // not the pool — fixes the shard partition.
+  // Rows per block: it alone — not the pool — fixes the shard partition.
   std::size_t block_rows = 8192;
   rcr::parallel::ThreadPool* pool = nullptr;
   // Nonresponse bias > 0 forces the generator's sequential rejection walk:
-  // still deterministic, but single-shard (no parallel speedup).
+  // still deterministic, but folded on the caller (no parallel speedup).
   double nonresponse_strength = 0.0;
   stream::TableSketchOptions sketch = default_stream_options();
 
-  // The analyses run sketch-side by default: the T2 crosstab
-  // (field x languages), the T4 crosstab (field x se_practices), a
-  // distinct-respondent HLL over all columns, and a reservoir sample of
-  // dataset sizes.
+  // Every column's sketches, plus a reservoir sample of dataset sizes.
   static stream::TableSketchOptions default_stream_options();
 };
 
-// Streams the configured population through a TableSketch and returns it.
-stream::TableSketch run_stream_study(const StreamStudyConfig& config);
+struct StreamStudyResult {
+  // Study's eleven aggregates over every streamed row: bitwise equal to
+  // Study::aggregates on the materialized wave.
+  WaveAggregates tables;
+  // Moments, GK quantiles, heavy hitters, distinct count and reservoir.
+  stream::TableSketch sketch;
+};
 
-// Renders the T2/T4-style report purely from sketch state: language and
-// VCS adoption by field, SE-practice shares with Wilson intervals, numeric
-// summaries (mean/sd + GK quantiles), distinct count, heavy hitters, and
-// the reservoir sample.
-std::string render_stream_report(const stream::TableSketch& sketch);
+// Streams the configured source through the engine and the sketches.
+// Throws rcr::InvalidInputError when the source holds no rows.
+StreamStudyResult run_stream_study(const StreamStudyConfig& config);
+
+// Renders the T2/T4-style report: language use by field and SE-practice
+// shares with Wilson intervals from the exact tables; numeric summaries
+// (mean/sd + GK quantiles), distinct count, heavy hitters and the
+// reservoir sample from the sketches.
+std::string render_stream_report(const StreamStudyResult& result);
 
 }  // namespace rcr::core

@@ -150,8 +150,8 @@ const survey::RakingResult& Study::weights(std::size_t w) const {
 const WaveAggregates& Study::aggregates(std::size_t w) const {
   RCR_CHECK_MSG(w < waves_.size(), "wave index out of range");
   if (!aggregates_[w]) {
-    // One fused scan answers all eleven queries (the direct data:: calls
-    // would have scanned the wave eleven times).
+    // One fused scan answers all eleven queries (one-query builders would
+    // have scanned the wave eleven times).
     query::QueryEngine engine(waves_[w]);
     register_wave_aggregates(engine);
     engine.run(config_.pool);

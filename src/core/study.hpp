@@ -70,7 +70,8 @@ struct StudyConfig {
 // consume, produced by a single fused query::QueryEngine scan of that wave
 // (DESIGN.md "query"): the experiments read from here instead of issuing
 // one full-table scan per crosstab/share. Numbers are bitwise identical to
-// the direct data:: calls they replace.
+// the serial reference builders (tests/query_reference.hpp). The streaming
+// study (core/stream_study.hpp) builds the same struct block by block.
 struct WaveAggregates {
   data::LabeledCrosstab field_by_career;           // T1
   data::LabeledCrosstab field_by_languages;        // T2
@@ -90,8 +91,8 @@ struct WaveAggregates {
 // The eleven queries behind WaveAggregates. register_wave_aggregates adds
 // them to an engine with no queries yet, in the order that fixes the cell
 // layout; wave_aggregates reads them back once the engine has folded rows.
-// Study's cold run() and IncrStudy's appends share both, so their answers
-// are bit-comparable.
+// Study's cold run and the streaming study's appends (core/stream_study.hpp)
+// share both, so their answers are bit-comparable.
 void register_wave_aggregates(query::QueryEngine& engine);
 WaveAggregates wave_aggregates(const query::QueryEngine& engine);
 

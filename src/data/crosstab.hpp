@@ -1,13 +1,11 @@
-// Crosstab construction: turns table columns into contingency tables and
-// labeled share summaries — the bridge from the data engine to the tests.
+// The labeled result types of crosstab and share queries. The fused
+// engine (query/engine.hpp) computes them; study tables, the streaming
+// study and the serving protocol read them.
 #pragma once
 
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "data/table.hpp"
 #include "stats/ci.hpp"
 #include "stats/contingency.hpp"
 
@@ -20,23 +18,11 @@ struct LabeledCrosstab {
   stats::Contingency counts{1, 1};
 
   // Share of column c within row r (row-conditional proportion).
-  double row_share(std::size_t r, std::size_t c) const;
+  double row_share(std::size_t r, std::size_t c) const {
+    const double total = counts.row_total(r);
+    return total > 0.0 ? counts.at(r, c) / total : 0.0;
+  }
 };
-
-// rows = categories of `row_column`, cols = categories of `col_column`.
-// Rows missing either value are dropped. If `weight_column` is given, its
-// (non-missing, non-negative) values weight each observation.
-LabeledCrosstab crosstab(const Table& table, const std::string& row_column,
-                         const std::string& col_column,
-                         const std::optional<std::string>& weight_column = {});
-
-// rows = categories of `row_column`, cols = options of the multi-select
-// `option_column` plus the respondent not selecting it is simply absent —
-// cell (r, o) counts respondents in row-category r selecting option o.
-LabeledCrosstab crosstab_multiselect(
-    const Table& table, const std::string& row_column,
-    const std::string& option_column,
-    const std::optional<std::string>& weight_column = {});
 
 // One option's adoption share with a Wilson interval.
 struct OptionShare {
@@ -45,23 +31,5 @@ struct OptionShare {
   double total = 0.0;      // respondents answering the question
   stats::Interval share;   // Wilson CI on count/total
 };
-
-// Adoption share for every option of a multi-select column.
-std::vector<OptionShare> option_shares(const Table& table,
-                                       const std::string& option_column,
-                                       double confidence = 0.95);
-
-// Weighted share of one multi-select option. The interval uses the Kish
-// effective sample size of the weights over answering rows.
-OptionShare weighted_option_share(const Table& table,
-                                  const std::string& option_column,
-                                  const std::string& option_label,
-                                  std::span<const double> weights,
-                                  double confidence = 0.95);
-
-// Share of each category of a single-choice column.
-std::vector<OptionShare> category_shares(const Table& table,
-                                         const std::string& column,
-                                         double confidence = 0.95);
 
 }  // namespace rcr::data

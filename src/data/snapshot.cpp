@@ -541,24 +541,6 @@ void verify_page(const SnapshotView& v, const PageEntryView& e) {
                               "): checksum mismatch");
 }
 
-// Copies rows [lo, hi) of one typed array out of its (sorted, tiling)
-// pages. Only the overlapping page slices are touched.
-template <typename T>
-PageVec<T> copy_rows(const SnapshotView& v,
-                     const std::vector<PageEntryView>& pages,
-                     std::uint64_t lo, std::uint64_t hi) {
-  PageVec<T> out;
-  out.reserve(hi - lo);
-  for (const PageEntryView& e : pages) {
-    const std::uint64_t plo = std::max<std::uint64_t>(e.first_row, lo);
-    const std::uint64_t phi = std::min<std::uint64_t>(e.first_row + e.rows, hi);
-    if (plo >= phi) continue;
-    out.append_raw(v.map->data() + e.offset + (plo - e.first_row) * sizeof(T),
-                   phi - plo);
-  }
-  return out;
-}
-
 // Materializes one typed array: a single aligned page aliases the mapping
 // (zero-copy), anything else assembles by page-wise memcpy.
 template <typename T>
@@ -577,7 +559,11 @@ PageVec<T> load_array(const SnapshotView& v, std::size_t column,
         v.map);
   }
   if (borrowed) *borrowed = false;
-  return copy_rows<T>(v, pages, 0, v.row_count);
+  PageVec<T> out;
+  out.reserve(v.row_count);
+  for (const PageEntryView& e : pages)  // sorted and tiling the rows
+    out.append_raw(v.map->data() + e.offset, e.rows);
+  return out;
 }
 
 }  // namespace
@@ -650,112 +636,6 @@ Table read_snapshot(const std::string& path,
   metrics().read_bytes.add(v.map->size());
   metrics().read_pages.add(v.pages.size());
   return out;
-}
-
-std::size_t for_each_snapshot_block(
-    const std::string& path,
-    const std::function<void(const Table& block, std::size_t first_row)>& emit,
-    const SnapshotReadOptions& options) {
-  const SnapshotView v = parse_and_validate(path);
-  if (options.verify)
-    for (const PageEntryView& e : v.pages) verify_page(v, e);
-
-  // Per-column page lists (validates that each array's pages tile the
-  // rows), plus the union of page boundaries — the block cut points.
-  struct ColumnPages {
-    std::vector<PageEntryView> primary;  // f64 / codes / masks
-    std::vector<PageEntryView> missing;  // multi-select flags only
-  };
-  std::vector<ColumnPages> per_column(v.columns.size());
-  std::vector<std::uint64_t> cuts{0, v.row_count};
-  const auto note_cuts = [&](const std::vector<PageEntryView>& pages) {
-    for (const PageEntryView& e : pages) {
-      cuts.push_back(e.first_row);
-      cuts.push_back(e.first_row + e.rows);
-    }
-  };
-  for (std::size_t c = 0; c < v.columns.size(); ++c) {
-    ColumnPages& cp = per_column[c];
-    switch (v.columns[c].kind) {
-      case ColumnKind::kNumeric:
-        cp.primary = column_pages(v, c, kPageF64);
-        break;
-      case ColumnKind::kCategorical:
-        cp.primary = column_pages(v, c, kPageCodes);
-        break;
-      case ColumnKind::kMultiSelect:
-        cp.primary = column_pages(v, c, kPageMasks);
-        cp.missing = column_pages(v, c, kPageMissing);
-        note_cuts(cp.missing);
-        break;
-    }
-    note_cuts(cp.primary);
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-  for (std::size_t b = 0; b + 1 < cuts.size(); ++b) {
-    const std::uint64_t lo = cuts[b], hi = cuts[b + 1];
-    Table block;
-    for (std::size_t c = 0; c < v.columns.size(); ++c) {
-      const ColumnMeta& meta = v.columns[c];
-      switch (meta.kind) {
-        case ColumnKind::kNumeric: {
-          auto& col = block.add_numeric(meta.name);
-          col.adopt(copy_rows<double>(v, per_column[c].primary, lo, hi));
-          break;
-        }
-        case ColumnKind::kCategorical: {
-          auto& col = block.add_categorical(meta.name);
-          if (meta.frozen) {
-            col = CategoricalColumn{meta.labels};
-          } else {
-            for (const auto& label : meta.labels) col.push(label);
-            col.clear();
-          }
-          auto codes =
-              copy_rows<std::int32_t>(v, per_column[c].primary, lo, hi);
-          if (options.verify) {
-            const auto limit = static_cast<std::int32_t>(meta.labels.size());
-            for (const std::int32_t code : codes)
-              if (code != kMissingCode && (code < 0 || code >= limit))
-                snapshot_fail("page", "column '" + meta.name +
-                                          "': code out of dictionary range");
-          }
-          col.adopt_codes(std::move(codes));
-          break;
-        }
-        case ColumnKind::kMultiSelect: {
-          auto& col = block.add_multiselect(meta.name, meta.labels);
-          auto masks =
-              copy_rows<std::uint64_t>(v, per_column[c].primary, lo, hi);
-          auto missing =
-              copy_rows<std::uint8_t>(v, per_column[c].missing, lo, hi);
-          if (options.verify) {
-            for (const std::uint64_t mask : masks)
-              if (meta.labels.size() < MultiSelectColumn::kMaxOptions &&
-                  (mask >> meta.labels.size()) != 0)
-                snapshot_fail("page", "column '" + meta.name +
-                                          "': mask selects options beyond "
-                                          "the option list");
-            for (const std::uint8_t flag : missing)
-              if (flag > 1)
-                snapshot_fail("page", "column '" + meta.name +
-                                          "': bad missing flag");
-          }
-          col.adopt_rows(std::move(masks), std::move(missing));
-          break;
-        }
-      }
-    }
-    block.validate_rectangular();
-    emit(block, static_cast<std::size_t>(lo));
-  }
-
-  metrics().read_rows.add(v.row_count);
-  metrics().read_bytes.add(v.map->size());
-  metrics().read_pages.add(v.pages.size());
-  return static_cast<std::size_t>(v.row_count);
 }
 
 }  // namespace rcr::data

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -120,25 +119,5 @@ void write_snapshot(const Table& table, const std::string& path,
 // region on any validation failure.
 Table read_snapshot(const std::string& path,
                     const SnapshotReadOptions& options = {});
-
-// Walks `path` block by block WITHOUT materializing the whole table: the
-// row range cuts at the union of every column's page boundaries, and each
-// cut assembles only the page slices overlapping it (one small owned copy
-// per block — a block is mutation-bound delta input, not a long-lived
-// aliased table). emit(block, first_row) receives contiguous, in-order,
-// disjoint blocks tiling [0, rows); every block carries the snapshot's
-// full dictionaries (frozen state preserved), so its schema matches the
-// read_snapshot table's exactly — the shape QueryEngine::append
-// ingests. Peak memory is one block, so a table larger than RAM streams
-// through page-granularly; the block granularity is whatever
-// SnapshotWriteOptions::page_rows (or SnapshotWriter::append block sizes)
-// the writer chose — a page_rows == 0 snapshot is one whole-table block.
-// With options.verify (the default) page checksums and code/mask/flag
-// ranges are validated per block; options.zero_copy is ignored. Returns
-// the total row count.
-std::size_t for_each_snapshot_block(
-    const std::string& path,
-    const std::function<void(const Table& block, std::size_t first_row)>& emit,
-    const SnapshotReadOptions& options = {});
 
 }  // namespace rcr::data

@@ -1,6 +1,7 @@
 #include "parallel/algorithms.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -23,6 +24,33 @@ LoopObs& loop_obs() {
   return o;
 }
 
+// The chunk layout for an explicit grain: ceil(total/grain) chunks whose
+// sizes differ by at most one iteration, chunk k covering
+// [begin + k*base + min(k, rem), ...) with the first `rem` chunks one
+// iteration longer. A pure function of (begin, end, grain), never of the
+// pool or schedule; rebalancing means a range that barely exceeds the
+// grain never produces a degenerate 1-iteration tail chunk.
+struct ChunkLayout {
+  std::size_t begin = 0;
+  std::size_t chunks = 0;
+  std::size_t base = 0;
+  std::size_t rem = 0;
+
+  std::pair<std::size_t, std::size_t> bounds(std::size_t k) const {
+    const std::size_t lo = begin + k * base + std::min(k, rem);
+    return {lo, lo + base + (k < rem ? 1 : 0)};
+  }
+};
+
+ChunkLayout chunk_layout(std::size_t begin, std::size_t end,
+                         std::size_t grain) {
+  if (begin >= end) return {begin, 0, 0, 0};
+  const std::size_t total = end - begin;
+  const std::size_t g = std::max<std::size_t>(1, grain);
+  const std::size_t chunks = (total + g - 1) / g;
+  return {begin, chunks, total / chunks, total % chunks};
+}
+
 std::size_t pick_grain(std::size_t total, std::size_t threads,
                        Schedule schedule, std::size_t requested) {
   if (requested > 0) return requested;
@@ -42,19 +70,6 @@ ChunkLayout make_plan(std::size_t begin, std::size_t end, std::size_t threads,
 }
 
 }  // namespace
-
-// ceil(total/grain) chunks whose sizes differ by at most one iteration:
-// chunk k covers [begin + k*base + min(k, rem), ...) with the first `rem`
-// chunks one iteration longer. Rebalancing means a range that barely
-// exceeds the grain never produces a degenerate 1-iteration tail chunk.
-ChunkLayout chunk_layout(std::size_t begin, std::size_t end,
-                         std::size_t grain) {
-  if (begin >= end) return {begin, 0, 0, 0};
-  const std::size_t total = end - begin;
-  const std::size_t g = std::max<std::size_t>(1, grain);
-  const std::size_t chunks = (total + g - 1) / g;
-  return {begin, chunks, total / chunks, total % chunks};
-}
 
 std::size_t chunk_count(const ThreadPool& pool, std::size_t begin,
                         std::size_t end, ForOptions options) {

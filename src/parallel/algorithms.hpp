@@ -54,25 +54,6 @@ void parallel_for_chunks(
 std::size_t chunk_count(const ThreadPool& pool, std::size_t begin,
                         std::size_t end, ForOptions options = {});
 
-// The chunk layout parallel_for_chunks uses for an explicit grain: a pure
-// function of (begin, end, grain), never of the pool or schedule. Exposed
-// so pool-free callers — the streaming engine's serial path — can walk
-// exactly the shard partition the pooled path merges, keeping order-
-// sensitive accumulators bitwise identical with and without a pool.
-struct ChunkLayout {
-  std::size_t begin = 0;
-  std::size_t chunks = 0;
-  std::size_t base = 0;  // every chunk gets base iterations...
-  std::size_t rem = 0;   // ...and the first `rem` chunks one extra
-
-  std::pair<std::size_t, std::size_t> bounds(std::size_t k) const {
-    const std::size_t lo = begin + k * base + std::min(k, rem);
-    return {lo, lo + base + (k < rem ? 1 : 0)};
-  }
-};
-ChunkLayout chunk_layout(std::size_t begin, std::size_t end,
-                         std::size_t grain);
-
 // Element-wise convenience: body(i) for each i in [begin, end).
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,

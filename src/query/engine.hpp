@@ -3,9 +3,10 @@
 //
 // Every reproduced table/figure asks the same shapes of question — crosstab
 // two columns, share of each multi-select option, weighted share of one
-// option, summarize a numeric column — and the direct data:: builders each
-// answer with their own serial full-table scan. QueryEngine instead lets a
-// caller register the whole batch up front and executes it in ONE pass:
+// option, summarize a numeric column — and a per-query builder would answer
+// each with its own serial full-table scan (tests/query_reference.hpp keeps
+// those builders as the oracle). QueryEngine instead lets a caller register
+// the whole batch up front and executes it in ONE pass:
 //
 //   query::QueryEngine engine(table);
 //   const auto ct = engine.add_crosstab("field", "career_stage");
@@ -37,7 +38,7 @@
 // builders' left-to-right association; above that, count-style
 // accumulators stay exact (integer counts are associative in double below
 // 2^53) while fractional weighted sums reassociate at shard boundaries,
-// deterministically (same caveat StreamingCrosstab documents).
+// deterministically.
 //
 // Contract:
 //   * The engine's rows are the constructor table's followed by every
@@ -94,7 +95,7 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   // --- Registration (validates columns; same errors, same messages, as the
-  // --- direct data:: builders). Returns the id to fetch the result with.
+  // --- serial reference builders). Returns the id to fetch the result with.
   QueryId add_crosstab(const std::string& row_column,
                        const std::string& col_column,
                        const std::optional<std::string>& weight_column = {});

@@ -8,15 +8,16 @@
 //                  stream length);
 //   * mergeable  — merge(other) folds a shard built from a disjoint slice
 //                  of the stream into *this; shard-and-merge equals
-//                  single-stream ingestion exactly (Moments, counts,
-//                  CountMin, HyperLogLog, WeightedReservoir) or within the
+//                  single-stream ingestion exactly (Moments, CountMin,
+//                  HyperLogLog, WeightedReservoir) or within the
 //                  documented error bound (GKQuantile, SpaceSaving);
 //   * deterministic — no hidden global state: hashed sketches derive every
 //                  hash from an explicit seed, and the only order
 //                  sensitivity left (floating-point merge order in Moments
-//                  and GK summary structure) is fixed by the engine's
-//                  index-ordered combine (parallel_reduce contract), so
-//                  results are bitwise identical across thread counts.
+//                  and GK summary structure) is fixed by merging shards
+//                  in stream order (the streaming study merges block k's
+//                  shard after block k-1's), so results are bitwise
+//                  identical across thread counts.
 //
 // Error bounds (n = stream length, documented per sketch below):
 //   Moments          exact (floating point; merge order fixed by contract)

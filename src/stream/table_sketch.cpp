@@ -51,18 +51,12 @@ TableSketch::TableSketch(const data::Table& schema, TableSketchOptions options)
       case data::ColumnKind::kNumeric:
         numeric_.emplace(name, NumericState(options_.quantile_eps));
         break;
-      case data::ColumnKind::kCategorical: {
-        CountState s;
-        s.counts.assign(schema_.categorical(name).category_count(), 0.0);
-        categorical_.emplace(name, std::move(s));
+      case data::ColumnKind::kCategorical:
+        categorical_.insert(name);
         break;
-      }
-      case data::ColumnKind::kMultiSelect: {
-        CountState s;
-        s.counts.assign(schema_.multiselect(name).option_count(), 0.0);
-        multiselect_.emplace(name, std::move(s));
+      case data::ColumnKind::kMultiSelect:
+        multiselect_.insert(name);
         break;
-      }
     }
   }
   if (options_.distinct_columns.empty()) {
@@ -75,10 +69,6 @@ TableSketch::TableSketch(const data::Table& schema, TableSketchOptions options)
   if (!options_.reservoir_column.empty()) {
     RCR_CHECK_MSG(numeric_.count(options_.reservoir_column) > 0,
                   "reservoir column must be numeric");
-  }
-  for (const auto& [row_col, col_col] : options_.crosstabs) {
-    crosstabs_.emplace(std::make_pair(row_col, col_col),
-                       StreamingCrosstab(schema_, row_col, col_col));
   }
 }
 
@@ -136,13 +126,14 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
   std::vector<std::string> keys;
   std::vector<std::uint64_t> key_hashes;
   std::vector<std::uint64_t> cms_batch;
-  for (auto& [name, state] : categorical_) {
+  for (const std::string& name : categorical_) {
     const auto& col = block.categorical(name);
-    RCR_CHECK_MSG(col.category_count() == state.counts.size(),
+    const std::size_t labels = schema_.categorical(name).category_count();
+    RCR_CHECK_MSG(col.category_count() == labels,
                   "block categories diverge from the sketch schema");
     keys.clear();
     key_hashes.clear();
-    for (std::size_t c = 0; c < state.counts.size(); ++c) {
+    for (std::size_t c = 0; c < labels; ++c) {
       keys.push_back(label_key(name, col.category(c)));
       key_hashes.push_back(hash_bytes(keys.back(), options_.seed));
     }
@@ -150,38 +141,33 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
     for (std::size_t i = 0; i < n; ++i) {
       if (col.is_missing(i)) continue;
       const std::size_t code = static_cast<std::size_t>(col.code_at(i));
-      state.counts[code] += 1.0;
-      state.answered += 1.0;
       cms_batch.push_back(key_hashes[code]);
       heavy_hitters_.add(keys[code]);
     }
     label_cms_.add_batch(cms_batch);
   }
-  for (auto& [name, state] : multiselect_) {
+  for (const std::string& name : multiselect_) {
     const auto& col = block.multiselect(name);
-    RCR_CHECK_MSG(col.option_count() == state.counts.size(),
+    const std::size_t labels = schema_.multiselect(name).option_count();
+    RCR_CHECK_MSG(col.option_count() == labels,
                   "block options diverge from the sketch schema");
     keys.clear();
     key_hashes.clear();
-    for (std::size_t o = 0; o < state.counts.size(); ++o) {
+    for (std::size_t o = 0; o < labels; ++o) {
       keys.push_back(label_key(name, col.option(o)));
       key_hashes.push_back(hash_bytes(keys.back(), options_.seed));
     }
     cms_batch.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (col.is_missing(i)) continue;
-      state.answered += 1.0;
-      for (std::size_t o = 0; o < state.counts.size(); ++o) {
+      for (std::size_t o = 0; o < labels; ++o) {
         if (!col.has(i, o)) continue;
-        state.counts[o] += 1.0;
         cms_batch.push_back(key_hashes[o]);
         heavy_hitters_.add(keys[o]);
       }
     }
     label_cms_.add_batch(cms_batch);
   }
-
-  for (auto& [pair, xtab] : crosstabs_) xtab.ingest(block);
 
   // Distinct counting: the composite row key is a per-column chain of
   // mix64(h ^ cell). Running it column-major over the whole block turns n
@@ -249,19 +235,6 @@ void TableSketch::merge(const TableSketch& other) {
     state.moments.merge(o.moments);
     state.quantile.merge(o.quantile);
   }
-  for (auto& [name, state] : categorical_) {
-    const CountState& o = other.categorical_.at(name);
-    for (std::size_t c = 0; c < state.counts.size(); ++c)
-      state.counts[c] += o.counts[c];
-    state.answered += o.answered;
-  }
-  for (auto& [name, state] : multiselect_) {
-    const CountState& o = other.multiselect_.at(name);
-    for (std::size_t c = 0; c < state.counts.size(); ++c)
-      state.counts[c] += o.counts[c];
-    state.answered += o.answered;
-  }
-  for (auto& [pair, xtab] : crosstabs_) xtab.merge(other.crosstabs_.at(pair));
   label_cms_.merge(other.label_cms_);
   heavy_hitters_.merge(other.heavy_hitters_);
   distinct_.merge(other.distinct_);
@@ -280,27 +253,6 @@ const GKQuantile& TableSketch::quantile_sketch(
   return numeric_.at(column).quantile;
 }
 
-const std::vector<double>& TableSketch::category_counts(
-    const std::string& column) const {
-  return categorical_.at(column).counts;
-}
-
-const std::vector<double>& TableSketch::option_counts(
-    const std::string& column) const {
-  return multiselect_.at(column).counts;
-}
-
-double TableSketch::answered(const std::string& column) const {
-  if (const auto it = categorical_.find(column); it != categorical_.end())
-    return it->second.answered;
-  return multiselect_.at(column).answered;
-}
-
-const StreamingCrosstab& TableSketch::crosstab(
-    const std::string& row_column, const std::string& col_column) const {
-  return crosstabs_.at(std::make_pair(row_column, col_column));
-}
-
 const WeightedReservoir& TableSketch::reservoir() const {
   RCR_CHECK_MSG(!options_.reservoir_column.empty(),
                 "reservoir was not configured");
@@ -313,11 +265,6 @@ std::size_t TableSketch::approx_bytes() const {
                       distinct_.approx_bytes() + reservoir_.approx_bytes();
   for (const auto& [name, state] : numeric_)
     bytes += sizeof(Moments) + state.quantile.approx_bytes();
-  for (const auto& [name, state] : categorical_)
-    bytes += state.counts.capacity() * sizeof(double);
-  for (const auto& [name, state] : multiselect_)
-    bytes += state.counts.capacity() * sizeof(double);
-  for (const auto& [pair, xtab] : crosstabs_) bytes += xtab.approx_bytes();
   return bytes;
 }
 

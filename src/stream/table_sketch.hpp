@@ -3,17 +3,17 @@
 // pass with bounded memory:
 //
 //   numeric columns      -> Moments + GKQuantile
-//   categorical columns  -> exact per-label counts (+ answered total)
-//   multi-select columns -> exact per-option counts (+ answered total)
-//   all labels           -> one CountMinSketch + one SpaceSaving over
-//                           "column\x1Flabel" keys (cross-validates the
-//                           exact counts and demonstrates the approximate
-//                           path the exact one would take at larger
+//   categorical and      -> one CountMinSketch + one SpaceSaving over
+//   multi-select labels     "column\x1Flabel" keys (the approximate path
+//                           exact per-label counts would take at larger
 //                           domains)
 //   whole rows           -> HyperLogLog distinct count of the composite
 //                           key over `distinct_columns`
 //   one numeric column   -> WeightedReservoir sample (optional)
-//   configured pairs     -> StreamingCrosstab (exact data::crosstab)
+//
+// Every sketch here is approximate or order-free; exact tables over the
+// same stream come from query::QueryEngine::append (the streaming study,
+// core/stream_study.hpp, feeds both from one block walk).
 //
 // ingest() takes the block plus the global index of its first row (the
 // reservoir's shard-invariant priorities need it); merge() folds a shard's
@@ -24,12 +24,11 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "data/table.hpp"
-#include "stream/crosstab_stream.hpp"
 #include "stream/sketch.hpp"
 
 namespace rcr::stream {
@@ -44,8 +43,6 @@ struct TableSketchOptions {
   std::size_t heavy_hitter_capacity = 128;
   std::size_t reservoir_capacity = 64;
   std::uint64_t seed = 0x5EED5EEDULL;
-  // (row_column, col_column) pairs; col may be categorical or multi-select.
-  std::vector<std::pair<std::string, std::string>> crosstabs;
   // Columns forming the distinct-count key; empty = all schema columns.
   std::vector<std::string> distinct_columns;
   // Numeric column to reservoir-sample; empty disables the reservoir.
@@ -63,14 +60,6 @@ class TableSketch {
   // accumulations identical to the single-stream build).
   void ingest(const data::Table& block, std::size_t first_row);
 
-  // Tail-append convenience: ingest `block` as the rows immediately after
-  // everything seen so far (first_row = rows()). This is the form the
-  // incremental query engine uses, so one append advances the exact
-  // partials and the sketches in lockstep.
-  void ingest(const data::Table& block) {
-    ingest(block, static_cast<std::size_t>(rows_));
-  }
-
   // Folds a shard's sketch into this one. Options must match.
   void merge(const TableSketch& other);
 
@@ -81,14 +70,6 @@ class TableSketch {
 
   const Moments& moments(const std::string& column) const;
   const GKQuantile& quantile_sketch(const std::string& column) const;
-  // Per-category / per-option exact counts in schema label order, plus the
-  // number of rows answering the question at all.
-  const std::vector<double>& category_counts(const std::string& column) const;
-  const std::vector<double>& option_counts(const std::string& column) const;
-  double answered(const std::string& column) const;
-
-  const StreamingCrosstab& crosstab(const std::string& row_column,
-                                    const std::string& col_column) const;
   const CountMinSketch& label_cms() const { return label_cms_; }
   const SpaceSaving& heavy_hitters() const { return heavy_hitters_; }
   const HyperLogLog& distinct() const { return distinct_; }
@@ -115,10 +96,6 @@ class TableSketch {
     NumericState() : quantile(0.01) {}
     explicit NumericState(double eps) : quantile(eps) {}
   };
-  struct CountState {
-    std::vector<double> counts;
-    double answered = 0.0;
-  };
 
   TableSketchOptions options_;
   data::Table schema_;
@@ -126,9 +103,10 @@ class TableSketch {
   std::uint64_t blocks_ = 0;
   // std::map: deterministic iteration order for merges and reports.
   std::map<std::string, NumericState> numeric_;
-  std::map<std::string, CountState> categorical_;
-  std::map<std::string, CountState> multiselect_;
-  std::map<std::pair<std::string, std::string>, StreamingCrosstab> crosstabs_;
+  // Label columns by kind, in name order: the order their keys feed
+  // heavy_hitters_.
+  std::set<std::string> categorical_;
+  std::set<std::string> multiselect_;
   CountMinSketch label_cms_;
   SpaceSaving heavy_hitters_;
   HyperLogLog distinct_;

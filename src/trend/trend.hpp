@@ -93,8 +93,8 @@ void append_share_trends(std::vector<ShareTrend>& out,
                          const std::vector<data::OptionShare>& wave2,
                          double confidence = 0.95);
 
-// option_battery built from per-wave share vectors (data::option_shares or
-// one engine scan per wave): one adjusted battery with zero table scans.
+// option_battery built from per-wave share vectors (one engine scan per
+// wave): one adjusted battery with zero table scans.
 // Both waves must report the same options in the same order (validated
 // pairwise via append_share_trends; mismatches throw).
 std::vector<ShareTrend> option_battery_from_shares(

@@ -1,23 +1,34 @@
-// Streaming study mode: the sketch built from generated blocks must agree
-// with the materialized wave's exact analyses, and must be bitwise
-// thread-count-invariant (serial == 1 thread == 4 threads).
+// Streaming study mode: the exact tables must equal Study's cold
+// aggregates, the sketches must agree with the materialized wave within
+// their documented bounds, and the whole result must be the same bits for
+// any pool (serial == 1 thread == 4 threads) and for any source holding the
+// same rows (generator, CSV, snapshot).
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/stream_study.hpp"
-#include "data/crosstab.hpp"
+#include "core/study.hpp"
 #include "data/csv.hpp"
+#include "data/snapshot.hpp"
 #include "parallel/thread_pool.hpp"
+#include "query/engine.hpp"
 #include "stats/descriptive.hpp"
 #include "synth/domain.hpp"
 #include "synth/generator.hpp"
+#include "util/error.hpp"
 
 namespace {
 
 using rcr::core::StreamStudyConfig;
+using rcr::stream::TableSketch;
 namespace col = rcr::synth::col;
 
 StreamStudyConfig small_config() {
@@ -28,19 +39,118 @@ StreamStudyConfig small_config() {
   return config;
 }
 
+struct Bits {
+  std::vector<std::uint64_t> out;
+  void num(double v) { out.push_back(std::bit_cast<std::uint64_t>(v)); }
+  void label(const std::string& s) {
+    out.push_back(std::hash<std::string>{}(s));
+  }
+};
+
+// Every label and number of the eleven tables.
+std::vector<std::uint64_t> table_bits(const rcr::core::WaveAggregates& a) {
+  Bits b;
+  for (const auto* ct :
+       {&a.field_by_career, &a.field_by_languages, &a.field_by_se}) {
+    for (const auto& l : ct->row_labels) b.label(l);
+    for (const auto& l : ct->col_labels) b.label(l);
+    for (std::size_t r = 0; r < ct->counts.rows(); ++r)
+      for (std::size_t c = 0; c < ct->counts.cols(); ++c)
+        b.num(ct->counts.at(r, c));
+  }
+  for (const auto* shares : {&a.languages, &a.se_practices,
+                             &a.parallel_resources, &a.tools_aware,
+                             &a.tools_used, &a.gpu_usage}) {
+    for (const auto& s : *shares) {
+      b.label(s.label);
+      b.num(s.count);
+      b.num(s.total);
+      b.num(s.share.estimate);
+      b.num(s.share.lo);
+      b.num(s.share.hi);
+    }
+  }
+  for (const auto* counts :
+       {&a.field_answered_languages, &a.field_answered_se})
+    for (const double v : *counts) b.num(v);
+  return b.out;
+}
+
+// Everything the sketch exposes: moments, a percentile grid of every GK
+// summary, every label's CMS estimate, all tracked heavy hitters, the HLL
+// estimate and the reservoir.
+std::vector<std::uint64_t> sketch_bits(const TableSketch& s) {
+  Bits b;
+  b.out = {s.rows(), s.blocks(), s.approx_bytes()};
+  const auto& schema = s.schema();
+  const auto cms = [&](const std::string& column, const std::string& label) {
+    b.num(s.label_cms().estimate(TableSketch::label_key(column, label)));
+  };
+  for (const auto& name : schema.column_names()) {
+    switch (schema.kind(name)) {
+      case rcr::data::ColumnKind::kNumeric: {
+        const auto& m = s.moments(name);
+        b.out.push_back(m.count());
+        for (const double v : {m.weight(), m.mean(), m.variance(), m.min(),
+                               m.max()})
+          b.num(v);
+        const auto& q = s.quantile_sketch(name);
+        for (int p = 0; p <= 100; ++p) b.num(q.quantile(p / 100.0));
+        b.out.push_back(q.tuple_count());
+        break;
+      }
+      case rcr::data::ColumnKind::kCategorical:
+        for (const auto& label : schema.categorical(name).categories())
+          cms(name, label);
+        break;
+      case rcr::data::ColumnKind::kMultiSelect:
+        for (const auto& option : schema.multiselect(name).options())
+          cms(name, option);
+        break;
+    }
+  }
+  b.num(s.label_cms().total_weight());
+  for (const auto& e : s.heavy_hitters().top(s.heavy_hitters().capacity())) {
+    b.label(e.key);
+    b.num(e.count);
+    b.num(e.error);
+  }
+  b.num(s.distinct().estimate());
+  b.out.push_back(s.reservoir().offered());
+  for (const auto& item : s.reservoir().items()) {
+    b.out.push_back(item.index);
+    b.num(item.value);
+  }
+  return b.out;
+}
+
+// Study's eleven aggregates from one cold engine run over `table`.
+rcr::core::WaveAggregates cold_aggregates(const rcr::data::Table& table) {
+  rcr::query::QueryEngine engine(table);
+  rcr::core::register_wave_aggregates(engine);
+  engine.run();
+  return rcr::core::wave_aggregates(engine);
+}
+
 TEST(StreamStudy, SketchMatchesMaterializedWave) {
   const auto config = small_config();
-  const auto sketch = rcr::core::run_stream_study(config);
+  const auto result = rcr::core::run_stream_study(config);
+  const auto& sketch = result.sketch;
   const auto full = rcr::synth::generate_wave(
       {config.wave, config.respondents, config.seed, nullptr});
 
   EXPECT_EQ(sketch.rows(), full.row_count());
 
-  // Exact categorical counts.
-  EXPECT_EQ(sketch.category_counts(col::kField),
+  // Exact tables: the materialized column's option counts, and T2's
+  // per-field denominators equal the field counts (generated waves never
+  // leave languages missing).
+  const auto counts = full.multiselect(col::kLanguages).option_counts();
+  ASSERT_EQ(result.tables.languages.size(), counts.size());
+  for (std::size_t o = 0; o < counts.size(); ++o)
+    EXPECT_EQ(result.tables.languages[o].count, counts[o]);
+  EXPECT_EQ(result.tables.field_answered_languages,
             full.categorical(col::kField).counts());
-  EXPECT_EQ(sketch.option_counts(col::kLanguages),
-            full.multiselect(col::kLanguages).option_counts());
+  EXPECT_EQ(table_bits(result.tables), table_bits(cold_aggregates(full)));
 
   // Moments vs descriptive stats over present values.
   const auto years = full.numeric(col::kYearsProgramming).present_values();
@@ -68,16 +178,6 @@ TEST(StreamStudy, SketchMatchesMaterializedWave) {
     EXPECT_LE(err, 2.0 * eps * n) << "quantile " << p;
   }
 
-  // Streaming crosstab equals the exact multiselect crosstab.
-  const auto exact = rcr::data::crosstab_multiselect(full, col::kField,
-                                                     col::kLanguages);
-  const auto got = sketch.crosstab(col::kField, col::kLanguages).to_labeled();
-  ASSERT_EQ(got.row_labels, exact.row_labels);
-  ASSERT_EQ(got.col_labels, exact.col_labels);
-  for (std::size_t r = 0; r < got.row_labels.size(); ++r)
-    for (std::size_t c = 0; c < got.col_labels.size(); ++c)
-      EXPECT_EQ(got.counts.at(r, c), exact.counts.at(r, c));
-
   // Every respondent row is distinct; the HLL should land near n.
   EXPECT_NEAR(sketch.distinct().estimate(),
               static_cast<double>(config.respondents),
@@ -88,75 +188,76 @@ TEST(StreamStudy, SketchMatchesMaterializedWave) {
             config.sketch.reservoir_capacity);
 }
 
-// The acceptance criterion: identical sketch state for any --threads value.
+// At any block size and on any pool, the exact tables are Study's cold
+// aggregates of the same wave, bit for bit.
+TEST(StreamStudy, ExactTablesEqualColdStudyAggregates) {
+  rcr::core::StudyConfig cold_config;
+  cold_config.n_2024 = 650;
+  cold_config.seed = 7;
+  const rcr::core::Study study(cold_config);
+  const auto cold = table_bits(study.aggregates(1));
+
+  StreamStudyConfig config;
+  config.wave = rcr::synth::Wave::k2024;
+  config.respondents = 650;
+  config.seed = 7 ^ 0xA5A5A5A5ULL;  // Study's wave-2024 seed derivation
+  rcr::parallel::ThreadPool pool1(1), pool4(4);
+  for (const std::size_t block : {97, 650}) {
+    for (rcr::parallel::ThreadPool* pool :
+         {static_cast<rcr::parallel::ThreadPool*>(nullptr), &pool1, &pool4}) {
+      config.block_rows = block;
+      config.pool = pool;
+      EXPECT_EQ(table_bits(rcr::core::run_stream_study(config).tables), cold)
+          << "block " << block << ", pool "
+          << (pool ? pool->thread_count() : 0);
+    }
+  }
+}
+
+// The acceptance criterion: identical tables and sketch state for any
+// --threads value.
 TEST(StreamStudy, ThreadCountInvariant) {
   auto config = small_config();
   const auto serial = rcr::core::run_stream_study(config);
+  const auto serial_tables = table_bits(serial.tables);
+  const auto serial_sketch = sketch_bits(serial.sketch);
 
   rcr::parallel::ThreadPool pool1(1), pool4(4);
   for (rcr::parallel::ThreadPool* pool : {&pool1, &pool4}) {
     config.pool = pool;
     const auto pooled = rcr::core::run_stream_study(config);
-
-    EXPECT_EQ(pooled.rows(), serial.rows());
-    EXPECT_EQ(pooled.blocks(), serial.blocks());
-    // Bitwise equality of floating-point accumulations, not approximate.
-    for (const char* column :
-         {col::kYearsProgramming, col::kCoresTypical, col::kDatasetGb}) {
-      EXPECT_EQ(pooled.moments(column).mean(), serial.moments(column).mean());
-      EXPECT_EQ(pooled.moments(column).variance(),
-                serial.moments(column).variance());
-      for (double p : {0.01, 0.5, 0.99})
-        EXPECT_EQ(pooled.quantile_sketch(column).quantile(p),
-                  serial.quantile_sketch(column).quantile(p));
-    }
-    EXPECT_EQ(pooled.category_counts(col::kField),
-              serial.category_counts(col::kField));
-    EXPECT_EQ(pooled.distinct().estimate(), serial.distinct().estimate());
-    const auto& pr = pooled.reservoir().items();
-    const auto& sr = serial.reservoir().items();
-    ASSERT_EQ(pr.size(), sr.size());
-    for (std::size_t i = 0; i < pr.size(); ++i) {
-      EXPECT_EQ(pr[i].index, sr[i].index);
-      EXPECT_EQ(pr[i].value, sr[i].value);
-    }
-    const auto ph = pooled.heavy_hitters().top(10);
-    const auto sh = serial.heavy_hitters().top(10);
-    ASSERT_EQ(ph.size(), sh.size());
-    for (std::size_t i = 0; i < ph.size(); ++i) {
-      EXPECT_EQ(ph[i].key, sh[i].key);
-      EXPECT_EQ(ph[i].count, sh[i].count);
-    }
+    EXPECT_EQ(table_bits(pooled.tables), serial_tables);
+    EXPECT_EQ(sketch_bits(pooled.sketch), serial_sketch);
   }
 }
 
-// Block size must not change results either (different shard partition is
-// allowed to change FP accumulation order, so exact counts only).
+// Block size moves only the sketches' floating-point detail: the exact
+// tables are partition-invariant bit for bit, and so are the order-free
+// sketches.
 TEST(StreamStudy, BlockSizeChangesOnlyFloatingPointDetail) {
   auto config = small_config();
   const auto a = rcr::core::run_stream_study(config);
   config.block_rows = 997;
   const auto b = rcr::core::run_stream_study(config);
-  EXPECT_EQ(a.rows(), b.rows());
-  EXPECT_EQ(a.category_counts(col::kField), b.category_counts(col::kField));
-  EXPECT_EQ(a.option_counts(col::kSePractices),
-            b.option_counts(col::kSePractices));
-  EXPECT_EQ(a.distinct().estimate(), b.distinct().estimate());
+  EXPECT_EQ(a.sketch.rows(), b.sketch.rows());
+  EXPECT_EQ(table_bits(a.tables), table_bits(b.tables));
+  EXPECT_EQ(a.sketch.distinct().estimate(), b.sketch.distinct().estimate());
   // Reservoir priorities are pure functions of (seed, global index): the
   // sample is partition-invariant, not just thread-invariant.
-  const auto& ra = a.reservoir().items();
-  const auto& rb = b.reservoir().items();
+  const auto& ra = a.sketch.reservoir().items();
+  const auto& rb = b.sketch.reservoir().items();
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i)
     EXPECT_EQ(ra[i].index, rb[i].index);
-  EXPECT_NEAR(a.moments(col::kDatasetGb).mean(),
-              b.moments(col::kDatasetGb).mean(), 1e-9);
+  EXPECT_NEAR(a.sketch.moments(col::kDatasetGb).mean(),
+              b.sketch.moments(col::kDatasetGb).mean(), 1e-9);
 }
 
 TEST(StreamStudy, CsvIngestMatchesGeneratedPopulation) {
-  // Write a generated wave to CSV and stream it back through the sketch:
-  // the file-backed path must agree with the direct-ingest path on every
-  // exact statistic, and bitwise on partition-invariant state.
+  // Write a generated wave to CSV and stream it back: shortest-round-trip
+  // decimal literals re-parse to the same doubles, and both sources are
+  // cut into the same blocks and folded in the same order, so every table
+  // and every sketch is bitwise equal.
   auto config = small_config();
   config.respondents = 1500;
   const auto direct = rcr::core::run_stream_study(config);
@@ -168,60 +269,84 @@ TEST(StreamStudy, CsvIngestMatchesGeneratedPopulation) {
   auto csv_config = config;
   csv_config.csv_path = path;
   const auto from_csv = rcr::core::run_stream_study(csv_config);
+  std::remove(path.c_str());
 
-  EXPECT_EQ(from_csv.rows(), direct.rows());
-  EXPECT_EQ(from_csv.category_counts(col::kField),
-            direct.category_counts(col::kField));
-  EXPECT_EQ(from_csv.option_counts(col::kLanguages),
-            direct.option_counts(col::kLanguages));
-  EXPECT_EQ(from_csv.option_counts(col::kSePractices),
-            direct.option_counts(col::kSePractices));
-  const auto exact = from_csv.crosstab(col::kField, col::kLanguages)
-                         .to_labeled();
-  const auto want = direct.crosstab(col::kField, col::kLanguages)
-                        .to_labeled();
-  ASSERT_EQ(exact.row_labels, want.row_labels);
-  for (std::size_t r = 0; r < exact.row_labels.size(); ++r)
-    for (std::size_t c = 0; c < exact.col_labels.size(); ++c)
-      EXPECT_EQ(exact.counts.at(r, c), want.counts.at(r, c));
-  // Moments: shortest-round-trip decimal literals re-parse to the exact
-  // same doubles, but the CSV path accumulates sequentially while the
-  // direct path Chan-merges per-shard sketches, so means agree only to
-  // accumulation-order tolerance.
-  for (const char* column :
-       {col::kYearsProgramming, col::kCoresTypical, col::kDatasetGb}) {
-    EXPECT_EQ(from_csv.moments(column).count(), direct.moments(column).count());
-    EXPECT_NEAR(from_csv.moments(column).mean(), direct.moments(column).mean(),
-                1e-9);
+  EXPECT_EQ(table_bits(from_csv.tables), table_bits(direct.tables));
+  EXPECT_EQ(sketch_bits(from_csv.sketch), sketch_bits(direct.sketch));
+}
+
+// The same rows streamed from a CSV export render the same report as the
+// generated run, serially and on a pool.
+TEST(StreamStudy, CsvBackedReportEqualsGenerated) {
+  auto config = small_config();
+  const std::string path = ::testing::TempDir() + "rcr_stream_report.csv";
+  rcr::data::write_csv_file(
+      path, rcr::synth::generate_wave(
+                {config.wave, config.respondents, config.seed, nullptr}));
+  rcr::parallel::ThreadPool pool(4);
+  for (rcr::parallel::ThreadPool* p :
+       {static_cast<rcr::parallel::ThreadPool*>(nullptr), &pool}) {
+    config.pool = p;
+    config.csv_path.clear();
+    const std::string generated =
+        rcr::core::render_stream_report(rcr::core::run_stream_study(config));
+    config.csv_path = path;
+    EXPECT_EQ(
+        rcr::core::render_stream_report(rcr::core::run_stream_study(config)),
+        generated)
+        << (p ? "pooled" : "serial");
   }
-  EXPECT_EQ(from_csv.distinct().estimate(), direct.distinct().estimate());
-  const auto& ra = from_csv.reservoir().items();
-  const auto& rb = direct.reservoir().items();
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].index, rb[i].index);
-    EXPECT_EQ(ra[i].value, rb[i].value);
-  }
+  std::remove(path.c_str());
 }
 
 TEST(StreamStudy, NonresponsePathStreamsSequentially) {
   auto config = small_config();
   config.respondents = 800;
   config.nonresponse_strength = 0.3;
-  const auto sketch = rcr::core::run_stream_study(config);
+  const auto result = rcr::core::run_stream_study(config);
   const auto full = rcr::synth::generate_wave(
       {config.wave, config.respondents, config.seed, nullptr,
        config.nonresponse_strength});
-  EXPECT_EQ(sketch.rows(), full.row_count());
-  EXPECT_EQ(sketch.category_counts(col::kField),
-            full.categorical(col::kField).counts());
+  EXPECT_EQ(result.sketch.rows(), full.row_count());
+  EXPECT_EQ(table_bits(result.tables), table_bits(cold_aggregates(full)));
+}
+
+// A source with no rows is an error, whichever source it is.
+TEST(StreamStudy, EmptySourceThrows) {
+  const auto expect_no_rows = [](const StreamStudyConfig& config) {
+    try {
+      (void)rcr::core::run_stream_study(config);
+      ADD_FAILURE() << "an empty source was accepted";
+    } catch (const rcr::InvalidInputError& e) {
+      EXPECT_NE(std::string(e.what()).find("no rows"), std::string::npos)
+          << e.what();
+    }
+  };
+  rcr::parallel::ThreadPool pool(2);
+  auto config = small_config();
+  config.respondents = 0;
+  expect_no_rows(config);
+  config.pool = &pool;
+  expect_no_rows(config);
+
+  const auto empty = rcr::synth::instrument().make_table();
+  const std::string csv = ::testing::TempDir() + "rcr_stream_empty.csv";
+  const std::string snap = ::testing::TempDir() + "rcr_stream_empty.rcr";
+  rcr::data::write_csv_file(csv, empty);
+  rcr::data::write_snapshot(empty, snap);
+  config.csv_path = csv;
+  expect_no_rows(config);
+  config.snapshot_path = snap;
+  expect_no_rows(config);
+  std::remove(csv.c_str());
+  std::remove(snap.c_str());
 }
 
 TEST(StreamStudy, RenderReportSmoke) {
   auto config = small_config();
   config.respondents = 1200;
-  const auto sketch = rcr::core::run_stream_study(config);
-  const std::string report = rcr::core::render_stream_report(sketch);
+  const std::string report =
+      rcr::core::render_stream_report(rcr::core::run_stream_study(config));
   EXPECT_NE(report.find("respondents"), std::string::npos);
   EXPECT_NE(report.find("Python"), std::string::npos);
   EXPECT_NE(report.find("Version control"), std::string::npos);

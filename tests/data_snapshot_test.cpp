@@ -475,8 +475,9 @@ TEST(SnapshotCorruption, ForgedCodeRangeIsCaughtByVerification) {
 // --- End-to-end through core -------------------------------------------------
 
 TEST(SnapshotCore, StreamStudyMatchesCsvBackedRunExactly) {
-  // Same wave through both ingest formats: the sketch reports must be
-  // byte-identical, because the snapshot slices mirror the CSV blocks.
+  // Same wave through both ingest formats, serially and on a pool: the
+  // reports must be byte-identical, because every source is cut into the
+  // same blocks and folded in block order.
   synth::GeneratorConfig gen;
   gen.wave = synth::Wave::k2024;
   gen.respondents = 500;
@@ -501,6 +502,14 @@ TEST(SnapshotCore, StreamStudyMatchesCsvBackedRunExactly) {
   const auto snap_report =
       core::render_stream_report(core::run_stream_study(config));
   EXPECT_EQ(csv_report, snap_report);
+  parallel::ThreadPool pool(4);
+  config.pool = &pool;
+  EXPECT_EQ(core::render_stream_report(core::run_stream_study(config)),
+            csv_report);
+  config.snapshot_path.clear();
+  config.csv_path = csv_path;
+  EXPECT_EQ(core::render_stream_report(core::run_stream_study(config)),
+            csv_report);
   std::remove(csv_path.c_str());
   std::remove(snap_path.c_str());
 }

@@ -5,6 +5,7 @@
 #include "data/crosstab.hpp"
 #include "data/csv.hpp"
 #include "data/table.hpp"
+#include "query/engine.hpp"
 #include "util/error.hpp"
 
 namespace rcr::data {
@@ -150,7 +151,10 @@ TEST(TableTest, GroupRows) {
 
 TEST(CrosstabTest, CategoricalByMultiselect) {
   const Table t = make_sample_table();
-  const auto ct = crosstab_multiselect(t, "field", "langs");
+  query::QueryEngine engine(t);
+  const auto id = engine.add_crosstab_multiselect("field", "langs");
+  engine.run();
+  const auto& ct = engine.crosstab(id);
   EXPECT_EQ(ct.row_labels, (std::vector<std::string>{"phys", "bio"}));
   EXPECT_EQ(ct.col_labels, (std::vector<std::string>{"py", "cpp", "r"}));
   EXPECT_DOUBLE_EQ(ct.counts.at(0, 0), 1.0);  // phys x py
@@ -166,7 +170,10 @@ TEST(CrosstabTest, CategoricalByCategorical) {
   a.push("x"); b.push("v");
   a.push("y"); b.push("v");
   a.push_missing(); b.push("u");  // dropped
-  const auto ct = crosstab(t, "a", "b");
+  query::QueryEngine engine(t);
+  const auto id = engine.add_crosstab("a", "b");
+  engine.run();
+  const auto& ct = engine.crosstab(id);
   EXPECT_DOUBLE_EQ(ct.counts.grand_total(), 3.0);
   EXPECT_DOUBLE_EQ(ct.counts.at(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(ct.row_share(0, 0), 0.5);
@@ -180,7 +187,10 @@ TEST(CrosstabTest, WeightedCounts) {
   a.push("x"); b.push("u"); w.push(2.0);
   a.push("x"); b.push("u"); w.push(0.5);
   a.push("y"); b.push("v"); w.push_missing();  // dropped
-  const auto ct = crosstab(t, "a", "b", std::optional<std::string>{"w"});
+  query::QueryEngine engine(t);
+  const auto id = engine.add_crosstab("a", "b", std::string("w"));
+  engine.run();
+  const auto& ct = engine.crosstab(id);
   EXPECT_DOUBLE_EQ(ct.counts.at(0, 0), 2.5);
   EXPECT_DOUBLE_EQ(ct.counts.grand_total(), 2.5);
 }
@@ -211,7 +221,10 @@ TEST(CrosstabTest, MultiselectMatchesPerOptionProbing) {
     else ms.push_mask(next() & 0x7FFULL);  // any subset incl. empty
   }
 
-  const auto ct = crosstab_multiselect(t, "g", "m");
+  query::QueryEngine engine(t);
+  const auto id = engine.add_crosstab_multiselect("g", "m");
+  engine.run();
+  const auto& ct = engine.crosstab(id);
   stats::Contingency probed(3, opts.size());
   for (std::size_t i = 0; i < t.row_count(); ++i) {
     if (g.is_missing(i) || ms.is_missing(i)) continue;
@@ -227,7 +240,10 @@ TEST(CrosstabTest, MultiselectMatchesPerOptionProbing) {
 
 TEST(OptionSharesTest, ComputesWilsonIntervals) {
   const Table t = make_sample_table();
-  const auto shares = option_shares(t, "langs");
+  query::QueryEngine engine(t);
+  const auto id = engine.add_option_shares("langs");
+  engine.run();
+  const auto& shares = engine.shares(id);
   ASSERT_EQ(shares.size(), 3u);
   // 3 answered rows; py selected by 2.
   EXPECT_DOUBLE_EQ(shares[0].total, 3.0);
@@ -238,7 +254,10 @@ TEST(OptionSharesTest, ComputesWilsonIntervals) {
 
 TEST(CategorySharesTest, Computes) {
   const Table t = make_sample_table();
-  const auto shares = category_shares(t, "field");
+  query::QueryEngine engine(t);
+  const auto id = engine.add_category_shares("field");
+  engine.run();
+  const auto& shares = engine.shares(id);
   ASSERT_EQ(shares.size(), 2u);
   EXPECT_DOUBLE_EQ(shares[0].count, 2.0);
   EXPECT_DOUBLE_EQ(shares[0].total, 4.0);

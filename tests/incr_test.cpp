@@ -1,20 +1,16 @@
 // QueryEngine::append contract: every registered query's answer after any
 // sequence of appended blocks is bitwise-equal to a cold QueryEngine run
 // over the concatenation of those blocks — for any block partition
-// (including mid-shard resumes), any thread count, after a block that
-// throws, and with blocks sourced from the generator or streamed
-// page-granularly from an on-disk snapshot.
+// (including mid-shard resumes), any thread count, and after a block that
+// throws. The streaming study's appends of Study's eleven aggregates are
+// pinned in core_stream_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "core/incr_study.hpp"
-#include "core/study.hpp"
-#include "data/snapshot.hpp"
 #include "data/table.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
@@ -260,88 +256,6 @@ TEST(IncrementalEngineTest, PoolSizeIsInvariantAtEveryCut) {
                        par8.raw_result(ids.opt).shares);
   }
   expect_matches_cold(par8, ids, wave, &pool8);
-}
-
-// Snapshot pages stream through for_each_snapshot_block without ever
-// materializing the whole table, and the streamed blocks drive the
-// engine's appends to the same bits as a cold run on the full wave.
-TEST(IncrementalEngineTest, SnapshotBlocksStreamToTheSameBits) {
-  const std::size_t n = 5000;
-  const data::Table wave = test_wave(n, 17);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "incr_test_snapshot.rcr")
-          .string();
-  data::SnapshotWriteOptions write_options;
-  write_options.page_rows = 777;  // ragged page grid -> ragged blocks
-  data::write_snapshot(wave, path, write_options);
-
-  const data::Table none = wave.clone_empty();
-  QueryEngine engine(none);
-  const Ids ids = register_standard(engine);
-  std::size_t blocks = 0, rows_seen = 0;
-  const std::size_t total = data::for_each_snapshot_block(
-      path, [&](const data::Table& block, std::size_t first_row) {
-        ASSERT_EQ(first_row, rows_seen);  // in order, gap-free
-        ASSERT_GT(block.row_count(), 0u);
-        ASSERT_LE(block.row_count(), 777u);
-        engine.append(block);
-        rows_seen += block.row_count();
-        ++blocks;
-      });
-  std::filesystem::remove(path);
-
-  EXPECT_EQ(total, n);
-  EXPECT_EQ(rows_seen, n);
-  EXPECT_GE(blocks, n / 777);
-  expect_matches_cold(engine, ids, wave);
-}
-
-// The continuously-ingesting study: its live aggregates equal Study's cold
-// fused scan of the same wave at the final cut, and every intermediate cut
-// is consistent (denominators equal the rows ingested so far).
-TEST(IncrStudyTest, FinalCutMatchesColdStudyAggregates) {
-  core::StudyConfig cold_config;
-  cold_config.n_2024 = 650;
-  cold_config.seed = 7;
-  const core::Study study(cold_config);
-
-  core::IncrStudyConfig config;
-  config.wave = synth::Wave::k2024;
-  config.respondents = 650;
-  config.seed = 7 ^ 0xA5A5A5A5ULL;  // Study's wave-2024 seed derivation
-  config.block_rows = 97;
-  core::IncrStudy incremental(config);
-
-  std::size_t cuts = 0;
-  std::size_t last_rows = 0;
-  const std::size_t rows =
-      incremental.run([&](const core::WaveAggregates& cut, std::size_t seen) {
-        ++cuts;
-        ASSERT_GT(seen, last_rows);
-        last_rows = seen;
-        // Denominator consistency at every cut: no multiselect answer count
-        // can exceed the rows ingested so far.
-        for (const auto& share : cut.languages) ASSERT_LE(share.total, seen);
-      });
-
-  EXPECT_EQ(rows, 650u);
-  EXPECT_EQ(cuts, (650 + 96) / 97);
-  EXPECT_EQ(incremental.blocks(), cuts);
-
-  const core::WaveAggregates& live = incremental.aggregates();
-  const core::WaveAggregates& cold = study.aggregates(1);
-  expect_crosstab_bits(live.field_by_career, cold.field_by_career);
-  expect_crosstab_bits(live.field_by_languages, cold.field_by_languages);
-  expect_crosstab_bits(live.field_by_se, cold.field_by_se);
-  expect_shares_bits(live.languages, cold.languages);
-  expect_shares_bits(live.se_practices, cold.se_practices);
-  expect_shares_bits(live.parallel_resources, cold.parallel_resources);
-  expect_shares_bits(live.tools_aware, cold.tools_aware);
-  expect_shares_bits(live.tools_used, cold.tools_used);
-  expect_shares_bits(live.gpu_usage, cold.gpu_usage);
-  expect_counts_bits(live.field_answered_languages,
-                     cold.field_answered_languages);
-  expect_counts_bits(live.field_answered_se, cold.field_answered_se);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 // table scan per query, the weight column re-resolved by name on every row
 // (Table::find is a linear name scan), and multi-select cells filled by
 // probing every option per row. They exist for two reasons:
-//   * tests/query_test.cpp uses them as the equivalence oracle — the fused
-//     engine must reproduce them bitwise on single-shard tables;
+//   * tests/query_test.cpp and bench/bench_m2_stream.cpp use them as the
+//     equivalence oracle — the fused engine must reproduce them bitwise on
+//     single-shard tables, and its appended crosstabs exactly at any size;
 //   * bench/micro_query.cpp times them as the naive sequential baseline the
 //     fused scan is measured against.
-// Production callers should use data::crosstab et al. (engine-backed) or
-// batch into a query::QueryEngine directly.
+// Production callers batch into a query::QueryEngine.
 #pragma once
 
 #include <optional>

@@ -2,7 +2,9 @@
 // raking (the F9 methodology experiment's machinery).
 #include <gtest/gtest.h>
 
-#include "data/crosstab.hpp"
+#include <span>
+
+#include "query/engine.hpp"
 #include "survey/schema.hpp"
 #include "synth/domain.hpp"
 #include "synth/generator.hpp"
@@ -12,9 +14,21 @@ namespace rcr::synth {
 namespace {
 
 double share(const data::Table& t, const char* column, const char* option) {
-  for (const auto& s : data::option_shares(t, column))
+  query::QueryEngine engine(t);
+  const auto id = engine.add_option_shares(column);
+  engine.run();
+  for (const auto& s : engine.shares(id))
     if (s.label == option) return s.share.estimate;
   throw rcr::Error("option not found");
+}
+
+data::OptionShare weighted_share(const data::Table& t, const char* column,
+                                 const char* option,
+                                 std::span<const double> weights) {
+  query::QueryEngine engine(t);
+  const auto id = engine.add_weighted_option_share(column, option, weights);
+  engine.run();
+  return engine.weighted_share(id);
 }
 
 TEST(NonresponseTest, ZeroStrengthMatchesDefaultPath) {
@@ -78,7 +92,7 @@ TEST(WeightedOptionShareTest, UniformWeightsMatchUnweighted) {
   const auto t = generate_wave({Wave::k2024, 400, 3, nullptr});
   const std::vector<double> w(t.row_count(), 1.0);
   const auto weighted =
-      data::weighted_option_share(t, col::kLanguages, "Python", w);
+      weighted_share(t, col::kLanguages, "Python", w);
   const double plain = share(t, col::kLanguages, "Python");
   EXPECT_NEAR(weighted.share.estimate, plain, 1e-12);
 }
@@ -88,10 +102,10 @@ TEST(WeightedOptionShareTest, WeightsShiftTheShare) {
   auto& m = t.add_multiselect("m", {"x"});
   m.push_mask(1);  // selects x
   m.push_mask(0);  // does not
-  const auto up = data::weighted_option_share(
+  const auto up = weighted_share(
       t, "m", "x", std::vector<double>{3.0, 1.0});
   EXPECT_DOUBLE_EQ(up.share.estimate, 0.75);
-  const auto down = data::weighted_option_share(
+  const auto down = weighted_share(
       t, "m", "x", std::vector<double>{1.0, 3.0});
   EXPECT_DOUBLE_EQ(down.share.estimate, 0.25);
 }
@@ -100,13 +114,13 @@ TEST(WeightedOptionShareTest, RejectsBadInput) {
   data::Table t;
   t.add_multiselect("m", {"x"}).push_mask(1);
   EXPECT_THROW(
-      data::weighted_option_share(t, "m", "x", std::vector<double>{1.0, 2.0}),
+      weighted_share(t, "m", "x", std::vector<double>{1.0, 2.0}),
       rcr::Error);
   EXPECT_THROW(
-      data::weighted_option_share(t, "m", "zzz", std::vector<double>{1.0}),
+      weighted_share(t, "m", "zzz", std::vector<double>{1.0}),
       rcr::Error);
   EXPECT_THROW(
-      data::weighted_option_share(t, "m", "x", std::vector<double>{-1.0}),
+      weighted_share(t, "m", "x", std::vector<double>{-1.0}),
       rcr::Error);
 }
 
