@@ -46,18 +46,6 @@ void BM_MatmulSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulSerial)->Arg(64)->Arg(128);
 
-void BM_MatmulBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = rcr::kernels::random_matrix(n, 1);
-  const auto b = rcr::kernels::random_matrix(n, 2);
-  rcr::kernels::Dense c(n * n);
-  for (auto _ : state) {
-    rcr::kernels::matmul_blocked(a, b, c, n, 64);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_MatmulBlocked)->Arg(64)->Arg(128);
-
 void BM_Spmv(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto a = rcr::kernels::random_csr(rows, rows, 12, 5);

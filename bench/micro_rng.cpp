@@ -1,5 +1,5 @@
 // Microbenchmark of the two generators: scalar Rng draws (raw u64, unit
-// double, bounded integer, alias-table categorical) and the counter-based
+// double, bounded integer) and the counter-based
 // simd::Philox, whose scalar draws are timed against its SIMD fill
 // kernels. Emits a JSON report (stdout, or --out FILE) so CI can keep a
 // machine-readable baseline; CI requires the Philox u64 fill to beat the
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint64_t> u64_buf(kBufU64);
   std::vector<double> f64_buf(kBufU64);
-  std::vector<std::size_t> idx_buf(kBufU64);
 
   rcr::Rng scalar_rng(42);
 
@@ -129,19 +128,6 @@ int main(int argc, char** argv) {
     results.push_back(run_bench("philox.fill_double", kBufU64, [&] {
       dbl_philox.fill_double(f64_buf);
       g_sink += static_cast<std::uint64_t>(f64_buf.back() * 1e9);
-    }));
-  }
-
-  // Alias-table categorical sampling.
-  {
-    std::vector<double> weights(256);
-    rcr::Rng wrng(7);
-    for (double& w : weights) w = wrng.uniform(0.1, 4.0);
-    rcr::AliasTable table(weights);
-    rcr::Rng a_rng(11);
-    results.push_back(run_bench("alias.sample", kBufU64, [&] {
-      for (std::size_t& v : idx_buf) v = table.sample(a_rng);
-      g_sink += idx_buf.back();
     }));
   }
 

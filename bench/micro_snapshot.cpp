@@ -3,8 +3,8 @@
 //   * serial.read_csv — the text interchange path (parse every byte);
 //   * snapshot.write -> snapshot.read — the binary columnar path (mmap,
 //     validate checksums, alias or memcpy the pages). read_verified is the
-//     default configuration (every page hashed, codes/masks/flags
-//     range-checked); read_unverified trusts the file and shows the floor.
+//     only read there is: every page hashed, codes/masks/flags
+//     range-checked.
 // Emits a JSON report (stdout, or --out FILE); BENCH_snapshot.json keeps
 // the checked-in baseline. CI smoke-checks the headline ratio:
 // snapshot_read_vs_serial_csv_mibps must clear 10x.
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
        ("rcr_micro_snapshot_" + std::to_string(seed) + ".snap"))
           .string();
 
-  rcr::data::Table serial_t, snap_verified_t, snap_fast_t;
+  rcr::data::Table serial_t, snap_verified_t;
   const double serial_s = best_of(3, [&] {
     std::istringstream in(text);
     serial_t = rcr::data::read_csv(in, t);
@@ -170,21 +170,14 @@ int main(int argc, char** argv) {
   const double read_verified_s = best_of(3, [&] {
     snap_verified_t = rcr::data::read_snapshot(snap_path);
   });
-  rcr::data::SnapshotReadOptions trusted;
-  trusted.verify = false;
-  const double read_fast_s = best_of(3, [&] {
-    snap_fast_t = rcr::data::read_snapshot(snap_path, trusted);
-  });
 
-  // Verification gate: both snapshot reads reproduce the CSV bytes and the
+  // Verification gate: the snapshot read reproduces the CSV bytes and the
   // query fingerprint of the parsed table.
-  const bool round_trip_bitwise = to_csv(snap_verified_t) == text &&
-                                  to_csv(snap_fast_t) == text &&
-                                  to_csv(serial_t) == text;
+  const bool round_trip_bitwise =
+      to_csv(snap_verified_t) == text && to_csv(serial_t) == text;
   const std::uint64_t reference_fp = query_fingerprint(serial_t);
   const bool fingerprints_match =
-      query_fingerprint(snap_verified_t) == reference_fp &&
-      query_fingerprint(snap_fast_t) == reference_fp;
+      query_fingerprint(snap_verified_t) == reference_fp;
   const bool verified = round_trip_bitwise && fingerprints_match;
 
   // The headline ratio: ingest bandwidth, each format over its own bytes.
@@ -209,7 +202,6 @@ int main(int argc, char** argv) {
       {"serial.read_csv", serial_s, csv_mib},
       {"snapshot.write", write_s, snap_mib},
       {"snapshot.read_verified", read_verified_s, snap_mib},
-      {"snapshot.read_unverified", read_fast_s, snap_mib},
   };
   for (std::size_t i = 0; i < std::size(lines); ++i) {
     std::snprintf(buf, sizeof buf,
@@ -224,10 +216,9 @@ int main(int argc, char** argv) {
                 "  ],\n  \"speedups\": {\n"
                 "    \"snapshot_read_vs_serial_csv_mibps\": %.1f,\n"
                 "    \"snapshot_read_vs_serial_csv_time\": %.1f,\n"
-                "    \"snapshot_read_unverified_vs_serial_csv_time\": %.1f,\n"
                 "    \"snapshot_write_vs_serial_csv_time\": %.1f\n  },\n",
                 snap_mibps / serial_mibps, serial_s / read_verified_s,
-                serial_s / read_fast_s, serial_s / write_s);
+                serial_s / write_s);
   json += buf;
   std::snprintf(buf, sizeof buf,
                 "  \"round_trip_bitwise\": %s,\n"

@@ -9,7 +9,6 @@
 #include "stats/ci.hpp"
 #include "stats/contingency.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/permutation.hpp"
 #include "stats/regression.hpp"
 #include "stats/special.hpp"
 #include "util/rng.hpp"
@@ -74,15 +73,6 @@ void BM_Chi2Independence(benchmark::State& state) {
 }
 BENCHMARK(BM_Chi2Independence)->Arg(2)->Arg(8)->Arg(32);
 
-void BM_FisherExact(benchmark::State& state) {
-  const double n = static_cast<double>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        rcr::stats::fisher_exact(n, 2 * n, 3 * n, n));
-  // Cost grows with the margin (support of the hypergeometric).
-}
-BENCHMARK(BM_FisherExact)->Arg(5)->Arg(50)->Arg(500);
-
 void BM_Bootstrap(benchmark::State& state) {
   const auto data = random_data(400, 5);
   rcr::stats::BootstrapOptions opts;
@@ -116,27 +106,14 @@ void BM_McNemar(benchmark::State& state) {
 }
 BENCHMARK(BM_McNemar);
 
-void BM_PermutationMeanDiff(benchmark::State& state) {
-  const auto x = random_data(100, 7);
-  const auto y = random_data(120, 8);
-  rcr::stats::PermutationOptions opts;
-  opts.permutations = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        rcr::stats::permutation_test_mean_diff(x, y, opts));
-}
-BENCHMARK(BM_PermutationMeanDiff)->Arg(500)->Arg(2000);
-
-void BM_HolmVsBh(benchmark::State& state) {
+void BM_Holm(benchmark::State& state) {
   rcr::Rng rng(9);
   std::vector<double> p(static_cast<std::size_t>(state.range(0)));
   for (double& v : p) v = rng.next_double();
-  for (auto _ : state) {
+  for (auto _ : state)
     benchmark::DoNotOptimize(rcr::stats::holm_adjust(p));
-    benchmark::DoNotOptimize(rcr::stats::benjamini_hochberg_adjust(p));
-  }
 }
-BENCHMARK(BM_HolmVsBh)->Arg(32)->Arg(256);
+BENCHMARK(BM_Holm)->Arg(32)->Arg(256);
 
 }  // namespace
 

@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
 
   const rcr::core::Study study(config);
 
-  // Battery of share trends across all languages, Holm-adjusted.
-  const auto battery =
-      rcr::trend::option_battery(study.wave(0), study.wave(1),
-                                 rcr::synth::col::kLanguages);
+  // Battery of share trends across all languages, Holm-adjusted, from each
+  // wave's fused-engine language shares.
+  const auto battery = rcr::trend::option_battery_from_shares(
+      study.aggregates(0).languages, study.aggregates(1).languages);
   rcr::report::TextTable table(
       {"Language", "2011", "2024", "Δ (pp)", "p (Holm)", "Trend"});
   for (const auto& t : battery) {

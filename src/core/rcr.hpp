@@ -34,8 +34,6 @@
 #include "core/study.hpp"
 #include "data/crosstab.hpp"
 #include "data/csv.hpp"
-#include "data/recode.hpp"
-#include "data/summary.hpp"
 #include "data/table.hpp"
 #include "kernels/suite.hpp"
 #include "obs/metrics.hpp"
@@ -58,13 +56,11 @@
 #include "stats/descriptive.hpp"
 #include "stats/histogram.hpp"
 #include "stats/nonparametric.hpp"
-#include "stats/permutation.hpp"
 #include "stats/power.hpp"
 #include "stats/regression.hpp"
 #include "stream/sketch.hpp"
 #include "stream/table_sketch.hpp"
 #include "survey/allocate.hpp"
-#include "survey/impute.hpp"
 #include "survey/likert.hpp"
 #include "survey/schema.hpp"
 #include "survey/weighting.hpp"

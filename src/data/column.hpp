@@ -38,7 +38,7 @@ class NumericColumn {
   // reused scratch column does not reallocate per row batch.
   void clear() { values_.clear(); }
 
-  // Overwrites an existing cell (imputation / recoding).
+  // Overwrites an existing cell.
   void set(std::size_t i, double v) {
     RCR_DCHECK(i < values_.size());
     values_.set(i, v);
@@ -85,7 +85,7 @@ class CategoricalColumn {
   // Drops all rows but keeps the category set (and frozen state).
   void clear() { codes_.clear(); }
 
-  // Overwrites an existing cell with a valid code (imputation / recoding).
+  // Overwrites an existing cell with a valid code.
   void set_code(std::size_t i, std::int32_t code);
 
   void freeze() { frozen_ = true; }

@@ -545,14 +545,11 @@ void verify_page(const SnapshotView& v, const PageEntryView& e) {
 // (zero-copy), anything else assembles by page-wise memcpy.
 template <typename T>
 PageVec<T> load_array(const SnapshotView& v, std::size_t column,
-                      std::uint32_t kind, const SnapshotReadOptions& options,
-                      bool* borrowed) {
+                      std::uint32_t kind, bool* borrowed) {
   const auto pages = column_pages(v, column, kind);
   const unsigned char* base = v.map->data();
-  if (options.verify)
-    for (const auto& e : pages) verify_page(v, e);
-  if (options.zero_copy && pages.size() == 1 &&
-      aligned_for(pages[0].offset, alignof(T))) {
+  for (const auto& e : pages) verify_page(v, e);
+  if (pages.size() == 1 && aligned_for(pages[0].offset, alignof(T))) {
     if (borrowed) *borrowed = true;
     return PageVec<T>::borrowed(
         reinterpret_cast<const T*>(base + pages[0].offset), pages[0].rows,
@@ -568,8 +565,7 @@ PageVec<T> load_array(const SnapshotView& v, std::size_t column,
 
 }  // namespace
 
-Table read_snapshot(const std::string& path,
-                    const SnapshotReadOptions& options) {
+Table read_snapshot(const std::string& path) {
   obs::ScopedTimer timer(metrics().read_ms);
   const SnapshotView v = parse_and_validate(path);
 
@@ -580,7 +576,7 @@ Table read_snapshot(const std::string& path,
     switch (meta.kind) {
       case ColumnKind::kNumeric: {
         auto& col = out.add_numeric(meta.name);
-        col.adopt(load_array<double>(v, c, kPageF64, options, &borrowed));
+        col.adopt(load_array<double>(v, c, kPageF64, &borrowed));
         break;
       }
       case ColumnKind::kCategorical: {
@@ -594,36 +590,29 @@ Table read_snapshot(const std::string& path,
           for (const auto& label : meta.labels) col.push(label);
           col.clear();
         }
-        auto codes =
-            load_array<std::int32_t>(v, c, kPageCodes, options, &borrowed);
-        if (options.verify) {
-          const auto limit = static_cast<std::int32_t>(meta.labels.size());
-          for (const std::int32_t code : codes)
-            if (code != kMissingCode && (code < 0 || code >= limit))
-              snapshot_fail("page", "column '" + meta.name +
-                                        "': code out of dictionary range");
-        }
+        auto codes = load_array<std::int32_t>(v, c, kPageCodes, &borrowed);
+        const auto limit = static_cast<std::int32_t>(meta.labels.size());
+        for (const std::int32_t code : codes)
+          if (code != kMissingCode && (code < 0 || code >= limit))
+            snapshot_fail("page", "column '" + meta.name +
+                                      "': code out of dictionary range");
         col.adopt_codes(std::move(codes));
         break;
       }
       case ColumnKind::kMultiSelect: {
         auto& col = out.add_multiselect(meta.name, meta.labels);
-        auto masks =
-            load_array<std::uint64_t>(v, c, kPageMasks, options, &borrowed);
-        auto missing =
-            load_array<std::uint8_t>(v, c, kPageMissing, options, nullptr);
-        if (options.verify) {
-          for (const std::uint64_t mask : masks)
-            if (meta.labels.size() < MultiSelectColumn::kMaxOptions &&
-                (mask >> meta.labels.size()) != 0)
-              snapshot_fail("page", "column '" + meta.name +
-                                        "': mask selects options beyond the "
-                                        "option list");
-          for (const std::uint8_t flag : missing)
-            if (flag > 1)
-              snapshot_fail("page", "column '" + meta.name +
-                                        "': bad missing flag");
-        }
+        auto masks = load_array<std::uint64_t>(v, c, kPageMasks, &borrowed);
+        auto missing = load_array<std::uint8_t>(v, c, kPageMissing, nullptr);
+        for (const std::uint64_t mask : masks)
+          if (meta.labels.size() < MultiSelectColumn::kMaxOptions &&
+              (mask >> meta.labels.size()) != 0)
+            snapshot_fail("page", "column '" + meta.name +
+                                      "': mask selects options beyond the "
+                                      "option list");
+        for (const std::uint8_t flag : missing)
+          if (flag > 1)
+            snapshot_fail("page", "column '" + meta.name +
+                                      "': bad missing flag");
         col.adopt_rows(std::move(masks), std::move(missing));
         break;
       }

@@ -15,10 +15,9 @@
 //     so snapshot-backed analyses are byte-identical to CSV-backed ones.
 //   * Loud corruption: every region (header, dictionary, page index, each
 //     page) carries an XXH64 checksum; any flipped byte fails validation
-//     with an error naming the region. With verification enabled (the
-//     default) codes, masks, and flags are also range-checked against the
-//     dictionary, so even a forged checksum cannot produce out-of-bounds
-//     indexing later.
+//     with an error naming the region. Codes, masks, and flags are also
+//     range-checked against the dictionary, so even a forged checksum
+//     cannot produce out-of-bounds indexing later.
 //   * A zero-copy table is a normal Table: mutation copies on write, and
 //     the file mapping stays pinned for as long as any borrowing column
 //     (or copy of one) lives.
@@ -40,17 +39,6 @@ struct SnapshotWriteOptions {
   // can alias zero-copy); a positive value splits columns into row-range
   // pages, the shape SnapshotWriter::append produces per ingest block.
   std::size_t page_rows = 0;
-};
-
-struct SnapshotReadOptions {
-  // Validate every checksum and range-check codes/masks/flags against the
-  // dictionaries. Costs one memory-bandwidth pass over the file; disable
-  // only for trusted files on a hot path.
-  bool verify = true;
-  // Alias single-page columns directly onto the file mapping. Columns that
-  // span multiple pages, or whose page offsets are misaligned for their
-  // element type, are materialized by page-wise memcpy instead.
-  bool zero_copy = true;
 };
 
 // Streaming snapshot writer: one page set per appended block, so a larger-
@@ -112,12 +100,12 @@ void write_snapshot(const Table& table, const std::string& path,
                     const SnapshotWriteOptions& options = {});
 
 // Memory-maps `path`, validates it (header magic/version/endianness,
-// dictionary, page index, and — per options.verify — every page checksum
-// and code/mask/flag range), and materializes the Table: single-page
-// columns alias the mapping zero-copy, multi-page columns assemble by
-// page-wise memcpy. Throws rcr::InvalidInputError naming the offending
-// region on any validation failure.
-Table read_snapshot(const std::string& path,
-                    const SnapshotReadOptions& options = {});
+// dictionary, page index, every page checksum, and every code/mask/flag
+// range; one memory-bandwidth pass over the file), and materializes the
+// Table: single-page columns whose pages are aligned for their element
+// type alias the mapping zero-copy; multi-page or misaligned columns
+// assemble by page-wise memcpy. Throws rcr::InvalidInputError naming the
+// offending region on any validation failure.
+Table read_snapshot(const std::string& path);
 
 }  // namespace rcr::data

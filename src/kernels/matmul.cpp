@@ -43,30 +43,6 @@ void matmul_serial(const Dense& a, const Dense& b, Dense& c, std::size_t n) {
   matmul_rows(a.data(), b.data(), c.data(), n, 0, n);
 }
 
-void matmul_blocked(const Dense& a, const Dense& b, Dense& c, std::size_t n,
-                    std::size_t block) {
-  check_shapes(a, b, c, n);
-  RCR_CHECK_MSG(block > 0, "block size must be positive");
-  std::fill(c.begin(), c.end(), 0.0);
-  for (std::size_t ii = 0; ii < n; ii += block) {
-    const std::size_t i_hi = std::min(n, ii + block);
-    for (std::size_t kk = 0; kk < n; kk += block) {
-      const std::size_t k_hi = std::min(n, kk + block);
-      for (std::size_t jj = 0; jj < n; jj += block) {
-        const std::size_t j_hi = std::min(n, jj + block);
-        for (std::size_t i = ii; i < i_hi; ++i) {
-          for (std::size_t k = kk; k < k_hi; ++k) {
-            const double aik = a[i * n + k];
-            const double* bk = b.data() + k * n;
-            double* ci = c.data() + i * n;
-            for (std::size_t j = jj; j < j_hi; ++j) ci[j] += aik * bk[j];
-          }
-        }
-      }
-    }
-  }
-}
-
 void matmul_parallel(rcr::parallel::ThreadPool& pool, const Dense& a,
                      const Dense& b, Dense& c, std::size_t n) {
   check_shapes(a, b, c, n);

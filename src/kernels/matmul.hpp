@@ -1,6 +1,6 @@
-// Dense matrix multiplication kernels: naive, cache-blocked, and parallel.
-// Used by the micro benchmarks and to calibrate the simulator's per-core
-// throughput constant.
+// Dense matrix multiplication kernels, serial and row-parallel: the
+// compute-bound member of the F5 scaling suite, also timed by the kernel
+// micro benchmarks.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +18,6 @@ Dense random_matrix(std::size_t n, std::uint64_t seed);
 
 // c = a * b, classic triple loop (i, k, j order for streaming stores).
 void matmul_serial(const Dense& a, const Dense& b, Dense& c, std::size_t n);
-
-// Cache-blocked variant.
-void matmul_blocked(const Dense& a, const Dense& b, Dense& c, std::size_t n,
-                    std::size_t block = 64);
 
 // Rows of C distributed over the pool.
 void matmul_parallel(rcr::parallel::ThreadPool& pool, const Dense& a,

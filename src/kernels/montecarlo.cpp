@@ -35,17 +35,6 @@ std::size_t pi_hits_in_block(std::uint64_t master, std::size_t block,
   return hits;
 }
 
-double integral_block(const std::function<double(double)>& f, double a,
-                      double b, std::uint64_t master, std::size_t block,
-                      std::size_t samples_total) {
-  Rng rng(block_seed(master, block));
-  const std::size_t lo = block * kBlock;
-  const std::size_t hi = std::min(samples_total, lo + kBlock);
-  double sum = 0.0;
-  for (std::size_t i = lo; i < hi; ++i) sum += f(rng.uniform(a, b));
-  return sum;
-}
-
 std::size_t block_count(std::size_t samples) {
   return (samples + kBlock - 1) / kBlock;
 }
@@ -73,32 +62,6 @@ double mc_pi_parallel(rcr::parallel::ThreadPool& pool, std::size_t samples,
       },
       [](std::size_t a, std::size_t b) { return a + b; });
   return 4.0 * static_cast<double>(hits) / static_cast<double>(samples);
-}
-
-double mc_integrate_serial(const std::function<double(double)>& f, double a,
-                           double b, std::size_t samples, std::uint64_t seed) {
-  RCR_CHECK_MSG(samples > 0 && b > a, "bad mc_integrate arguments");
-  double sum = 0.0;
-  for (std::size_t blk = 0; blk < block_count(samples); ++blk)
-    sum += integral_block(f, a, b, seed, blk, samples);
-  return (b - a) * sum / static_cast<double>(samples);
-}
-
-double mc_integrate_parallel(rcr::parallel::ThreadPool& pool,
-                             const std::function<double(double)>& f, double a,
-                             double b, std::size_t samples,
-                             std::uint64_t seed) {
-  RCR_CHECK_MSG(samples > 0 && b > a, "bad mc_integrate arguments");
-  const double sum = rcr::parallel::parallel_reduce<double>(
-      pool, 0, block_count(samples), 0.0,
-      [&](std::size_t lo, std::size_t hi) {
-        double local = 0.0;
-        for (std::size_t blk = lo; blk < hi; ++blk)
-          local += integral_block(f, a, b, seed, blk, samples);
-        return local;
-      },
-      [](double x, double y) { return x + y; });
-  return (b - a) * sum / static_cast<double>(samples);
 }
 
 }  // namespace rcr::kernels

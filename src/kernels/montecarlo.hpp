@@ -1,11 +1,10 @@
-// Monte-Carlo kernels: π estimation and generic 1-D integration.
+// Monte-Carlo kernel: π estimation by dart throwing.
 // Deterministic under parallelism: sample i always comes from the stream
 // hash(seed, i / block), independent of thread assignment.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "parallel/thread_pool.hpp"
 
@@ -15,13 +14,5 @@ namespace rcr::kernels {
 double mc_pi_serial(std::size_t samples, std::uint64_t seed);
 double mc_pi_parallel(rcr::parallel::ThreadPool& pool, std::size_t samples,
                       std::uint64_t seed);
-
-// Integrates f over [a, b] with `samples` uniform points.
-double mc_integrate_serial(const std::function<double(double)>& f, double a,
-                           double b, std::size_t samples, std::uint64_t seed);
-double mc_integrate_parallel(rcr::parallel::ThreadPool& pool,
-                             const std::function<double(double)>& f, double a,
-                             double b, std::size_t samples,
-                             std::uint64_t seed);
 
 }  // namespace rcr::kernels

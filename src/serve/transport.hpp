@@ -5,9 +5,9 @@
 //
 //   * LocalTransport — in-process. A caller hands in request frames and
 //     gets response frames back, exercising the complete encode -> frame ->
-//     decode -> pipeline -> encode path with no sockets. Tests and
-//     bench_serve drive the full stack through this, so the serving
-//     numbers measure the server, not the kernel's loopback.
+//     decode -> pipeline -> encode path with no sockets. Tests and the
+//     in-process perfbench workloads drive the full stack through this, so
+//     the serving numbers measure the server, not the kernel's loopback.
 //
 //   * TcpServer — the real thing: a listening socket on 127.0.0.1 with a
 //     thread-per-core worker group. The acceptor thread epoll-waits on the

@@ -118,25 +118,6 @@ std::vector<double> make_task_durations(const MachineModel& machine,
   return durations;
 }
 
-std::vector<WeakScalingPoint> weak_scaling_curve(
-    const MachineModel& machine, const WorkloadModel& per_core_work,
-    std::span<const std::size_t> core_counts) {
-  RCR_CHECK_MSG(!core_counts.empty(), "need core counts");
-  const double t1 = predict_time(machine, per_core_work, 1);
-  std::vector<WeakScalingPoint> curve;
-  curve.reserve(core_counts.size());
-  for (std::size_t p : core_counts) {
-    WorkloadModel scaled = per_core_work;
-    scaled.work_ops = per_core_work.work_ops * static_cast<double>(p);
-    WeakScalingPoint pt;
-    pt.cores = p;
-    pt.time_seconds = predict_time(machine, scaled, p);
-    pt.efficiency = t1 / pt.time_seconds;
-    curve.push_back(pt);
-  }
-  return curve;
-}
-
 double amdahl_speedup(double serial_fraction, std::size_t cores) {
   RCR_CHECK_MSG(serial_fraction >= 0.0 && serial_fraction <= 1.0,
                 "serial fraction out of [0,1]");

@@ -77,18 +77,6 @@ std::vector<double> make_task_durations(const MachineModel& machine,
                                         double jitter_fraction = 0.0,
                                         std::uint64_t seed = 1);
 
-// Weak scaling: the problem grows with the core count (work_ops is the
-// per-core workload). Returns predicted time and scaled efficiency
-// t(1)/t(p) at each core count; an ideal machine holds time flat.
-struct WeakScalingPoint {
-  std::size_t cores = 1;
-  double time_seconds = 0.0;
-  double efficiency = 1.0;  // t(1) / t(p)
-};
-std::vector<WeakScalingPoint> weak_scaling_curve(
-    const MachineModel& machine, const WorkloadModel& per_core_work,
-    std::span<const std::size_t> core_counts);
-
 // Amdahl's law ideal speedup (no overheads), for reference lines.
 double amdahl_speedup(double serial_fraction, std::size_t cores);
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -34,9 +33,9 @@ constexpr std::size_t kDrawBlock = 1024;
 // rejected lanes redraw, in lane order, from a second cursor seeked to
 // position n. That consumes exactly the stream of one n-sized fill followed
 // by a scalar redraw pass, with no n-sized index buffer. `consume` receives
-// each block of reduced indices in order. Every replicate path (generic,
-// fast mean, proportions) draws through this one helper, so
-// bootstrap(data, mean-lambda) stays bit-identical to the fast paths.
+// each block of reduced indices in order. Both replicate paths (generic and
+// proportions) draw through this one helper, so bootstrap(data, mean-lambda)
+// stays bit-identical to the proportions path.
 template <typename Consume>
 void for_each_index_block(std::uint64_t master, std::size_t replicate,
                           std::size_t n, Consume&& consume) {
@@ -74,35 +73,11 @@ double generic_replicate(std::span<const double> data,
   return statistic(resample);
 }
 
-// Fast path for the mean: accumulate straight from the index blocks. The
-// accumulation replays stats::mean exactly — Neumaier compensated summation
-// over the resample in index order, then one divide — so the replicate
-// value is bit-identical to the generic path's statistic(resample) without
-// ever materializing the resample.
-double mean_replicate(std::span<const double> data, std::uint64_t master,
-                      std::size_t replicate) {
-  double s = 0.0, c = 0.0;
-  for_each_index_block(master, replicate, data.size(),
-                       [&](std::span<const std::uint64_t> idx) {
-                         for (std::uint64_t i : idx) {
-                           const double v = data[i];
-                           const double t = s + v;
-                           if (std::fabs(s) >= std::fabs(v)) {
-                             c += (s - t) + v;
-                           } else {
-                             c += (v - t) + s;
-                           }
-                           s = t;
-                         }
-                       });
-  return (s + c) / static_cast<double>(data.size());
-}
-
 // Fast path for up to 8 proportions over one resample: patterns[i] packs
 // row i's 0/1 values (bit c = column c), so one 256-bin histogram of the
 // drawn rows' patterns yields every column's count at once. A Neumaier sum
-// of 0/1 values is exact, so count / n is bit-identical to the mean path's
-// (and the generic path's) replicate value for that column.
+// of 0/1 values is exact, so count / n is bit-identical to the generic
+// path's mean-lambda replicate value for that column.
 void proportions_replicate(std::span<const std::uint8_t> patterns,
                            std::uint64_t master, std::size_t replicate,
                            std::span<double> out) {
@@ -219,14 +194,11 @@ void summarize(BootstrapResult& result, std::size_t n,
   }
 }
 
-// Single-sample engine: replicate generation is pluggable (generic vs. fast
-// mean); the estimate and the BCa jackknife always go through `statistic`
-// so every interval is computed identically on both paths.
-template <typename ReplicateFn>
-BootstrapResult bootstrap_core(std::span<const double> data,
-                               const Statistic& statistic,
-                               const BootstrapOptions& options,
-                               ReplicateFn&& replicate) {
+}  // namespace
+
+BootstrapResult bootstrap(std::span<const double> data,
+                          const Statistic& statistic,
+                          const BootstrapOptions& options) {
   RCR_CHECK_MSG(!data.empty(), "bootstrap of empty data");
   check_options(options);
 
@@ -235,7 +207,8 @@ BootstrapResult bootstrap_core(std::span<const double> data,
   result.replicates.resize(options.replicates);
   run_replicates(options, 1,
                  [&](std::size_t b, std::vector<double>& resample) {
-                   result.replicates[b] = replicate(b, resample);
+                   result.replicates[b] = generic_replicate(
+                       data, statistic, options.seed, b, resample);
                  });
 
   // Jackknife over one scratch buffer, updated incrementally: after
@@ -251,27 +224,6 @@ BootstrapResult bootstrap_core(std::span<const double> data,
     }
   });
   return result;
-}
-
-}  // namespace
-
-BootstrapResult bootstrap(std::span<const double> data,
-                          const Statistic& statistic,
-                          const BootstrapOptions& options) {
-  return bootstrap_core(
-      data, statistic, options,
-      [&](std::size_t b, std::vector<double>& resample) {
-        return generic_replicate(data, statistic, options.seed, b, resample);
-      });
-}
-
-BootstrapResult bootstrap_mean(std::span<const double> data,
-                               const BootstrapOptions& options) {
-  return bootstrap_core(
-      data, [](std::span<const double> x) { return mean(x); }, options,
-      [&](std::size_t b, std::vector<double>&) {
-        return mean_replicate(data, options.seed, b);
-      });
 }
 
 std::vector<BootstrapResult> bootstrap_proportions(
@@ -328,12 +280,6 @@ std::vector<BootstrapResult> bootstrap_proportions(
     });
   }
   return results;
-}
-
-BootstrapResult bootstrap_proportion(std::span<const double> binary_data,
-                                     const BootstrapOptions& options) {
-  const std::span<const double> column[] = {binary_data};
-  return std::move(bootstrap_proportions(column, options).front());
 }
 
 }  // namespace rcr::stats

@@ -53,15 +53,6 @@ BootstrapResult bootstrap(std::span<const double> data,
                           const Statistic& statistic,
                           const BootstrapOptions& options = {});
 
-// Bootstrap of the sample mean through the allocation-free fast path: each
-// replicate draws its resample indices in L1-sized blocks and accumulates
-// the mean directly from them, never materializing the resample or
-// dispatching through a std::function. Bit-identical to
-// bootstrap(data, mean-lambda, options) — same replicate streams, same
-// compensated summation order — just faster.
-BootstrapResult bootstrap_mean(std::span<const double> data,
-                               const BootstrapOptions& options = {});
-
 inline constexpr std::size_t kMaxProportionColumns = 8;
 
 // Bootstrap CIs for up to kMaxProportionColumns proportions over the same
@@ -72,10 +63,5 @@ inline constexpr std::size_t kMaxProportionColumns = 8;
 std::vector<BootstrapResult> bootstrap_proportions(
     std::span<const std::span<const double>> columns,
     const BootstrapOptions& options = {});
-
-// Bootstrap CI for one proportion given binary 0/1 data: the one-column
-// case of bootstrap_proportions.
-BootstrapResult bootstrap_proportion(std::span<const double> binary_data,
-                                     const BootstrapOptions& options = {});
 
 }  // namespace rcr::stats

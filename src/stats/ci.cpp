@@ -35,25 +35,6 @@ Interval wilson_ci(double successes, double n, double confidence) {
   return {p, std::max(0.0, center - half), std::min(1.0, center + half)};
 }
 
-Interval agresti_coull_ci(double successes, double n, double confidence) {
-  validate_binomial(successes, n);
-  const double z = z_critical(confidence);
-  const double z2 = z * z;
-  const double n_tilde = n + z2;
-  const double p_tilde = (successes + z2 / 2.0) / n_tilde;
-  const double half = z * std::sqrt(p_tilde * (1.0 - p_tilde) / n_tilde);
-  return {successes / n, std::max(0.0, p_tilde - half),
-          std::min(1.0, p_tilde + half)};
-}
-
-Interval wald_ci(double successes, double n, double confidence) {
-  validate_binomial(successes, n);
-  const double z = z_critical(confidence);
-  const double p = successes / n;
-  const double half = z * std::sqrt(p * (1.0 - p) / n);
-  return {p, std::max(0.0, p - half), std::min(1.0, p + half)};
-}
-
 Interval mean_ci(std::span<const double> x, double confidence) {
   RCR_CHECK_MSG(x.size() >= 2, "mean CI needs n >= 2");
   const double m = mean(x);

@@ -2,8 +2,7 @@
 //
 // The survey reports nearly everything as a proportion with an interval, so
 // these are the workhorses of every table. Wilson is the default (good
-// coverage at the small per-stratum n this kind of study has); Wald and
-// Agresti–Coull are provided for comparison (F7 methodology figure).
+// coverage at the small per-stratum n this kind of study has).
 #pragma once
 
 #include <span>
@@ -21,13 +20,6 @@ struct Interval {
 
 // Wilson score interval for a binomial proportion.
 Interval wilson_ci(double successes, double n, double confidence = 0.95);
-
-// Agresti–Coull "add z²/2" interval.
-Interval agresti_coull_ci(double successes, double n,
-                          double confidence = 0.95);
-
-// Wald (normal approximation) interval; clamped to [0,1].
-Interval wald_ci(double successes, double n, double confidence = 0.95);
 
 // Normal-theory interval for a mean (z critical value; survey n is large
 // enough that the t correction is negligible, see tests for the bound).

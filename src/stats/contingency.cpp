@@ -128,86 +128,6 @@ ChiSquareResult chi_square_independence(const Contingency& table) {
   return finish_chi2(table, stat);
 }
 
-ChiSquareResult g_test_independence(const Contingency& table) {
-  validate_for_independence(table);
-  double stat = 0.0;
-  for (std::size_t r = 0; r < table.rows(); ++r) {
-    for (std::size_t c = 0; c < table.cols(); ++c) {
-      const double o = table.at(r, c);
-      if (o > 0.0) stat += 2.0 * o * std::log(o / table.expected(r, c));
-    }
-  }
-  return finish_chi2(table, stat);
-}
-
-ChiSquareResult chi_square_goodness_of_fit(
-    std::span<const double> observed, std::span<const double> expected_p) {
-  RCR_CHECK_MSG(observed.size() == expected_p.size(),
-                "goodness-of-fit size mismatch");
-  RCR_CHECK_MSG(observed.size() >= 2, "goodness-of-fit needs >= 2 cells");
-  double n = 0.0, psum = 0.0;
-  for (double o : observed) {
-    RCR_CHECK_MSG(o >= 0.0, "observed counts must be non-negative");
-    n += o;
-  }
-  for (double p : expected_p) {
-    RCR_CHECK_MSG(p > 0.0, "expected proportions must be positive");
-    psum += p;
-  }
-  RCR_CHECK_MSG(n > 0.0, "goodness-of-fit needs data");
-  ChiSquareResult r;
-  r.min_expected = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    const double e = n * expected_p[i] / psum;
-    const double d = observed[i] - e;
-    r.statistic += d * d / e;
-    r.min_expected = std::min(r.min_expected, e);
-  }
-  r.dof = static_cast<double>(observed.size() - 1);
-  r.p_value = chi2_sf(r.statistic, r.dof);
-  r.cramers_v = 0.0;  // not defined for goodness-of-fit
-  return r;
-}
-
-FisherResult fisher_exact(double a, double b, double c, double d) {
-  for (double v : {a, b, c, d}) {
-    RCR_CHECK_MSG(v >= 0.0 && v == std::floor(v),
-                  "fisher_exact needs non-negative integer counts");
-  }
-  const double r1 = a + b, r2 = c + d, c1 = a + c, c2 = b + d;
-  const double n = r1 + r2;
-  RCR_CHECK_MSG(n > 0.0, "fisher_exact on an empty table");
-
-  FisherResult out;
-  out.odds_ratio = odds_ratio(a, b, c, d);
-  if (r1 == 0.0 || r2 == 0.0 || c1 == 0.0 || c2 == 0.0) {
-    return out;  // degenerate margin: only one table possible, p = 1
-  }
-
-  // Hypergeometric log-pmf of cell 'a' given fixed margins.
-  const auto log_pmf = [&](double x) {
-    return log_choose(r1, x) + log_choose(r2, c1 - x) - log_choose(n, c1);
-  };
-  const double a_min = std::max(0.0, c1 - r2);
-  const double a_max = std::min(r1, c1);
-  const double log_p_obs = log_pmf(a);
-
-  double p_less = 0.0, p_greater = 0.0, p_two = 0.0;
-  // Relative tolerance mirrors R's fisher.test handling of FP noise.
-  const double thresh = log_p_obs + 1e-7;
-  for (double x = a_min; x <= a_max; x += 1.0) {
-    const double lp = log_pmf(x);
-    const double p = std::exp(lp);
-    if (x <= a) p_less += p;
-    if (x >= a) p_greater += p;
-    if (lp <= thresh) p_two += p;
-  }
-  out.p_less = std::min(1.0, p_less);
-  out.p_greater = std::min(1.0, p_greater);
-  out.p_two_sided = std::min(1.0, p_two);
-  return out;
-}
-
 TwoProportionResult two_proportion_test(double success1, double n1,
                                         double success2, double n2,
                                         double confidence) {
@@ -315,30 +235,6 @@ std::vector<double> holm_adjust(std::span<const double> p_values) {
   return adjusted;
 }
 
-std::vector<double> benjamini_hochberg_adjust(
-    std::span<const double> p_values) {
-  const std::size_t m = p_values.size();
-  std::vector<std::size_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    RCR_CHECK_MSG(p_values[i] >= 0.0 && p_values[i] <= 1.0,
-                  "p-values must lie in [0,1]");
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return p_values[a] < p_values[b];
-  });
-  std::vector<double> adjusted(m, 0.0);
-  double running_min = 1.0;
-  for (std::size_t k = m; k-- > 0;) {
-    const double scaled = std::min(
-        1.0, p_values[order[k]] * static_cast<double>(m) /
-                 static_cast<double>(k + 1));
-    running_min = std::min(running_min, scaled);
-    adjusted[order[k]] = running_min;
-  }
-  return adjusted;
-}
-
 McNemarResult mcnemar_test(double b, double c) {
   RCR_CHECK_MSG(b >= 0.0 && c >= 0.0 && b == std::floor(b) &&
                     c == std::floor(c),
@@ -362,44 +258,6 @@ McNemarResult mcnemar_test(double b, double c) {
   const double d = std::fabs(b - c);
   r.statistic = d >= 1.0 ? (d - 1.0) * (d - 1.0) / n : 0.0;
   r.p_value = chi2_sf(r.statistic, 1.0);
-  return r;
-}
-
-TrendTestResult cochran_armitage_trend(std::span<const double> successes,
-                                       std::span<const double> trials,
-                                       std::span<const double> scores) {
-  const std::size_t k = successes.size();
-  RCR_CHECK_MSG(k >= 2, "trend test needs >= 2 groups");
-  RCR_CHECK_MSG(trials.size() == k && scores.size() == k,
-                "trend test size mismatch");
-  double total_n = 0.0, total_s = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    RCR_CHECK_MSG(trials[i] > 0.0, "trend test needs positive trials");
-    RCR_CHECK_MSG(successes[i] >= 0.0 && successes[i] <= trials[i],
-                  "trend test successes out of range");
-    total_n += trials[i];
-    total_s += successes[i];
-  }
-  const double p_bar = total_s / total_n;
-  const double s_bar = [&] {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < k; ++i) acc += trials[i] * scores[i];
-    return acc / total_n;
-  }();
-
-  // T = Σ s_i (x_i - n_i p̄); Var(T) = p̄(1-p̄) Σ n_i (s_i - s̄)².
-  double t_stat = 0.0, var = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    t_stat += scores[i] * (successes[i] - trials[i] * p_bar);
-    var += trials[i] * (scores[i] - s_bar) * (scores[i] - s_bar);
-  }
-  var *= p_bar * (1.0 - p_bar);
-
-  TrendTestResult r;
-  if (var > 0.0) {
-    r.z = t_stat / std::sqrt(var);
-    r.p_value = 2.0 * normal_sf(std::fabs(r.z));
-  }
   return r;
 }
 

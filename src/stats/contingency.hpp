@@ -1,5 +1,6 @@
 // Contingency tables and the categorical association tests the survey
-// analysis runs on them (χ², G-test, Fisher exact, effect sizes).
+// analysis runs on them (χ², two-proportion z, Mann–Whitney, McNemar,
+// effect sizes, Holm adjustment).
 #pragma once
 
 #include <cstddef>
@@ -51,23 +52,6 @@ struct ChiSquareResult {
 // positive margins everywhere (call without_empty_margins() first if needed).
 ChiSquareResult chi_square_independence(const Contingency& table);
 
-// Likelihood-ratio G-test of independence (same asymptotics as χ²).
-ChiSquareResult g_test_independence(const Contingency& table);
-
-// χ² goodness-of-fit of observed counts against expected proportions.
-ChiSquareResult chi_square_goodness_of_fit(std::span<const double> observed,
-                                           std::span<const double> expected_p);
-
-struct FisherResult {
-  double p_two_sided = 1.0;
-  double p_less = 1.0;     // P(table at least this extreme toward small a)
-  double p_greater = 1.0;  // toward large a
-  double odds_ratio = 1.0;  // conditional sample OR (ad/bc, inf-safe)
-};
-
-// Fisher's exact test on a 2×2 table of integer counts [[a,b],[c,d]].
-FisherResult fisher_exact(double a, double b, double c, double d);
-
 struct TwoProportionResult {
   double p1 = 0.0, p2 = 0.0;
   double diff = 0.0;       // p1 - p2
@@ -101,11 +85,6 @@ MannWhitneyResult mann_whitney_u(std::span<const double> x,
 // original order, each clamped to [0, 1] and enforced monotone.
 std::vector<double> holm_adjust(std::span<const double> p_values);
 
-// Benjamini–Hochberg FDR adjustment (step-up); returns adjusted p-values
-// ("q-values") in the original order, monotone and clamped to [0, 1].
-std::vector<double> benjamini_hochberg_adjust(
-    std::span<const double> p_values);
-
 struct McNemarResult {
   double statistic = 0.0;  // continuity-corrected chi-squared (large samples)
   double p_value = 1.0;    // exact binomial when discordant pairs < 26
@@ -115,17 +94,5 @@ struct McNemarResult {
 // McNemar's test for paired binary outcomes: `b` pairs changed 0→1 and
 // `c` pairs changed 1→0 (concordant pairs are irrelevant). Two-sided.
 McNemarResult mcnemar_test(double b, double c);
-
-struct TrendTestResult {
-  double z = 0.0;        // standardized Cochran–Armitage statistic
-  double p_value = 1.0;  // two-sided
-};
-
-// Cochran–Armitage test for a linear trend in proportions across ordered
-// groups. `successes[k]` / `trials[k]` are binomial counts at `scores[k]`
-// (e.g. years). Requires >= 2 groups with positive trials.
-TrendTestResult cochran_armitage_trend(std::span<const double> successes,
-                                       std::span<const double> trials,
-                                       std::span<const double> scores);
 
 }  // namespace rcr::stats

@@ -40,14 +40,6 @@ double variance(std::span<const double> x) {
 
 double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
 
-double variance_population(std::span<const double> x) {
-  RCR_CHECK_MSG(!x.empty(), "population variance of empty data");
-  const double m = mean(x);
-  double ss = 0.0;
-  for (double v : x) ss += (v - m) * (v - m);
-  return ss / static_cast<double>(x.size());
-}
-
 double min(std::span<const double> x) {
   RCR_CHECK_MSG(!x.empty(), "min of empty data");
   return *std::min_element(x.begin(), x.end());
@@ -56,91 +48,6 @@ double min(std::span<const double> x) {
 double max(std::span<const double> x) {
   RCR_CHECK_MSG(!x.empty(), "max of empty data");
   return *std::max_element(x.begin(), x.end());
-}
-
-double geomean(std::span<const double> x) {
-  RCR_CHECK_MSG(!x.empty(), "geomean of empty data");
-  double log_sum = 0.0;
-  for (double v : x) {
-    RCR_CHECK_MSG(v > 0.0, "geomean requires strictly positive values");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(x.size()));
-}
-
-double weighted_mean(std::span<const double> x, std::span<const double> w) {
-  RCR_CHECK_MSG(x.size() == w.size(), "weighted_mean size mismatch");
-  RCR_CHECK_MSG(!x.empty(), "weighted_mean of empty data");
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    RCR_CHECK_MSG(w[i] >= 0.0, "weights must be non-negative");
-    num += w[i] * x[i];
-    den += w[i];
-  }
-  RCR_CHECK_MSG(den > 0.0, "weights must not all be zero");
-  return num / den;
-}
-
-double effective_sample_size(std::span<const double> w) {
-  RCR_CHECK_MSG(!w.empty(), "effective_sample_size of empty weights");
-  double s = 0.0, s2 = 0.0;
-  for (double v : w) {
-    RCR_CHECK_MSG(v >= 0.0, "weights must be non-negative");
-    s += v;
-    s2 += v * v;
-  }
-  RCR_CHECK_MSG(s2 > 0.0, "weights must not all be zero");
-  return s * s / s2;
-}
-
-double weighted_variance(std::span<const double> x,
-                         std::span<const double> w) {
-  RCR_CHECK_MSG(x.size() == w.size(), "weighted_variance size mismatch");
-  const double mu = weighted_mean(x, w);
-  double wsum = 0.0, w2sum = 0.0, ss = 0.0;
-  std::size_t positive = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (w[i] > 0.0) ++positive;
-    wsum += w[i];
-    w2sum += w[i] * w[i];
-    ss += w[i] * (x[i] - mu) * (x[i] - mu);
-  }
-  RCR_CHECK_MSG(positive >= 2, "weighted_variance needs >= 2 positive weights");
-  const double denom = wsum - w2sum / wsum;
-  RCR_CHECK_MSG(denom > 0.0, "weighted_variance degenerate weights");
-  return ss / denom;
-}
-
-double weighted_quantile(std::span<const double> x,
-                         std::span<const double> w, double q) {
-  RCR_CHECK_MSG(x.size() == w.size(), "weighted_quantile size mismatch");
-  RCR_CHECK_MSG(!x.empty(), "weighted_quantile of empty data");
-  RCR_CHECK_MSG(q >= 0.0 && q <= 1.0, "weighted_quantile q out of [0,1]");
-  std::vector<std::size_t> order(x.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
-  double total = 0.0;
-  for (double v : w) {
-    RCR_CHECK_MSG(v >= 0.0, "weights must be non-negative");
-    total += v;
-  }
-  RCR_CHECK_MSG(total > 0.0, "weights must not all be zero");
-  const double target = q * total;
-  double cum = 0.0;
-  for (std::size_t idx : order) {
-    cum += w[idx];
-    if (cum >= target && w[idx] > 0.0) return x[idx];
-  }
-  // Fall through only on floating-point shortfall: return the largest
-  // positively weighted value.
-  for (std::size_t k = order.size(); k-- > 0;)
-    if (w[order[k]] > 0.0) return x[order[k]];
-  return x[order.back()];
-}
-
-double weighted_median(std::span<const double> x, std::span<const double> w) {
-  return weighted_quantile(x, w, 0.5);
 }
 
 double quantile_sorted(std::span<const double> sorted_x, double q) {
@@ -161,38 +68,6 @@ double quantile(std::span<const double> x, double q) {
 
 double median(std::span<const double> x) { return quantile(x, 0.5); }
 
-double skewness(std::span<const double> x) {
-  const double n = static_cast<double>(x.size());
-  RCR_CHECK_MSG(x.size() >= 3, "skewness needs n >= 3");
-  const double m = mean(x);
-  double m2 = 0.0, m3 = 0.0;
-  for (double v : x) {
-    const double d = v - m;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  m2 /= n;
-  m3 /= n;
-  RCR_CHECK_MSG(m2 > 0.0, "skewness undefined for zero variance");
-  const double g1 = m3 / std::pow(m2, 1.5);
-  return std::sqrt(n * (n - 1.0)) / (n - 2.0) * g1;
-}
-
-double pearson(std::span<const double> x, std::span<const double> y) {
-  RCR_CHECK_MSG(x.size() == y.size(), "pearson size mismatch");
-  RCR_CHECK_MSG(x.size() >= 2, "pearson needs n >= 2");
-  const double mx = mean(x), my = mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx, dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  RCR_CHECK_MSG(sxx > 0.0 && syy > 0.0, "pearson undefined for zero variance");
-  return sxy / std::sqrt(sxx * syy);
-}
-
 std::vector<double> ranks(std::span<const double> x) {
   const std::size_t n = x.size();
   std::vector<std::size_t> order(n);
@@ -210,13 +85,6 @@ std::vector<double> ranks(std::span<const double> x) {
     i = j + 1;
   }
   return r;
-}
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-  RCR_CHECK_MSG(x.size() == y.size(), "spearman size mismatch");
-  const auto rx = ranks(x);
-  const auto ry = ranks(y);
-  return pearson(rx, ry);
 }
 
 Summary summarize(std::span<const double> x) {

@@ -17,31 +17,8 @@ double mean(std::span<const double> x);
 double variance(std::span<const double> x);
 double stddev(std::span<const double> x);
 
-// Population variance (n denominator); requires n >= 1.
-double variance_population(std::span<const double> x);
-
 double min(std::span<const double> x);
 double max(std::span<const double> x);
-
-// Geometric mean; requires all values > 0.
-double geomean(std::span<const double> x);
-
-// Weighted mean; weights non-negative, positive total.
-double weighted_mean(std::span<const double> x, std::span<const double> w);
-
-// Effective sample size under weighting: (Σw)² / Σw² (Kish).
-double effective_sample_size(std::span<const double> w);
-
-// Weighted sample variance with reliability (frequency-normalized) weights:
-// Σw(x-μ)² / (Σw - Σw²/Σw). Requires at least two positive weights.
-double weighted_variance(std::span<const double> x,
-                         std::span<const double> w);
-
-// Weighted quantile: smallest x whose cumulative normalized weight
-// reaches q. Equal weights reproduce the empirical CDF inverse.
-double weighted_quantile(std::span<const double> x,
-                         std::span<const double> w, double q);
-double weighted_median(std::span<const double> x, std::span<const double> w);
 
 // Quantile with linear interpolation (type-7, the R/numpy default).
 // q in [0,1]. Sorts a copy; for repeated use sort once and call _sorted.
@@ -49,16 +26,7 @@ double quantile(std::span<const double> x, double q);
 double quantile_sorted(std::span<const double> sorted_x, double q);
 double median(std::span<const double> x);
 
-// Adjusted Fisher–Pearson skewness; requires n >= 3 and nonzero variance.
-double skewness(std::span<const double> x);
-
-// Pearson product-moment correlation; requires n >= 2, nonzero variances.
-double pearson(std::span<const double> x, std::span<const double> y);
-
-// Spearman rank correlation (average ranks for ties).
-double spearman(std::span<const double> x, std::span<const double> y);
-
-// Midranks (1-based, ties averaged) — shared by Spearman and Mann–Whitney.
+// Midranks (1-based, ties averaged) — shared by Mann–Whitney and Wilcoxon.
 std::vector<double> ranks(std::span<const double> x);
 
 // One-pass summary used by report tables.

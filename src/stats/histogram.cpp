@@ -9,44 +9,6 @@
 
 namespace rcr::stats {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0.0) {
-  RCR_CHECK_MSG(bins > 0, "histogram needs at least one bin");
-  RCR_CHECK_MSG(hi > lo, "histogram range must be non-empty");
-}
-
-void Histogram::add(double value, double weight) {
-  RCR_CHECK_MSG(weight >= 0.0, "histogram weight must be non-negative");
-  std::size_t bin;
-  if (value < lo_) {
-    bin = 0;
-  } else if (value >= hi_) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((value - lo_) / width_);
-    bin = std::min(bin, counts_.size() - 1);  // guard fp edge at hi
-  }
-  counts_[bin] += weight;
-  total_ += weight;
-}
-
-void Histogram::add_all(std::span<const double> values) {
-  for (double v : values) add(v);
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  RCR_DCHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-double Histogram::fraction(std::size_t i) const {
-  RCR_DCHECK(i < counts_.size());
-  return total_ > 0.0 ? counts_[i] / total_ : 0.0;
-}
-
 Log2Histogram::Log2Histogram(int min_exp, int max_exp)
     : min_exp_(min_exp), max_exp_(max_exp),
       counts_(static_cast<std::size_t>(max_exp - min_exp), 0.0) {

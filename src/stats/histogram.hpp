@@ -9,28 +9,6 @@
 
 namespace rcr::stats {
 
-// Fixed-width binning over [lo, hi); values outside are clamped into the
-// first/last bin so survey outliers stay visible rather than vanishing.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value, double weight = 1.0);
-  void add_all(std::span<const double> values);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  double count(std::size_t i) const { return counts_[i]; }
-  double total() const { return total_; }
-  double fraction(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 // Log2-binned histogram for heavy-tailed positive data (dataset sizes,
 // core counts). Bin i covers [2^(min_exp+i), 2^(min_exp+i+1)).
 class Log2Histogram {

@@ -9,12 +9,6 @@ namespace rcr::stats {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   RCR_DCHECK(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
@@ -23,57 +17,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
 double Matrix::at(std::size_t r, std::size_t c) const {
   RCR_DCHECK(r < rows_ && c < cols_);
   return data_[r * cols_ + c];
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  return t;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  RCR_CHECK_MSG(cols_ == other.rows_, "matrix multiply shape mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = at(i, k);
-      if (a == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j)
-        out.at(i, j) += a * other.at(k, j);
-    }
-  }
-  return out;
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> v) const {
-  RCR_CHECK_MSG(cols_ == v.size(), "matrix-vector shape mismatch");
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out[i] += at(i, j) * v[j];
-  return out;
-}
-
-Matrix Matrix::gram() const {
-  Matrix g(cols_, cols_);
-  for (std::size_t i = 0; i < cols_; ++i) {
-    for (std::size_t j = i; j < cols_; ++j) {
-      double s = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) s += at(r, i) * at(r, j);
-      g.at(i, j) = s;
-      g.at(j, i) = s;
-    }
-  }
-  return g;
-}
-
-std::vector<double> Matrix::transpose_multiply(
-    std::span<const double> v) const {
-  RCR_CHECK_MSG(rows_ == v.size(), "transpose_multiply shape mismatch");
-  std::vector<double> out(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += at(r, c) * v[r];
-  return out;
 }
 
 std::vector<double> cholesky_solve(const Matrix& a,
@@ -109,48 +52,6 @@ std::vector<double> cholesky_solve(const Matrix& a,
     double s = y[ii];
     for (std::size_t k = ii + 1; k < n; ++k) s -= l.at(k, ii) * x[k];
     x[ii] = s / l.at(ii, ii);
-  }
-  return x;
-}
-
-std::vector<double> lu_solve(const Matrix& a, std::span<const double> b) {
-  const std::size_t n = a.rows();
-  RCR_CHECK_MSG(a.cols() == n, "lu_solve needs a square matrix");
-  RCR_CHECK_MSG(b.size() == n, "lu_solve rhs size mismatch");
-
-  Matrix m = a;  // factor in place on a copy
-  std::vector<double> x(b.begin(), b.end());
-  std::vector<std::size_t> piv(n);
-  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t best = col;
-    double best_abs = std::fabs(m.at(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(m.at(r, col));
-      if (v > best_abs) {
-        best = r;
-        best_abs = v;
-      }
-    }
-    if (best_abs < 1e-12)
-      throw ComputeError("lu_solve: singular or near-singular matrix");
-    if (best != col) {
-      for (std::size_t c = 0; c < n; ++c)
-        std::swap(m.at(best, c), m.at(col, c));
-      std::swap(x[best], x[col]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = m.at(r, col) / m.at(col, col);
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) m.at(r, c) -= f * m.at(col, c);
-      x[r] -= f * x[col];
-    }
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = x[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) s -= m.at(ii, c) * x[c];
-    x[ii] = s / m.at(ii, ii);
   }
   return x;
 }

@@ -1,8 +1,8 @@
-// Small dense matrix support for the regression routines.
+// Small dense matrix support for the logistic regression.
 //
 // The survey fits are tiny (a handful of predictors), so a simple
-// row-major dense matrix with Cholesky and partially pivoted LU solvers is
-// all the linear algebra this project needs.
+// row-major dense matrix with a Cholesky solver is all the linear algebra
+// this project needs.
 #pragma once
 
 #include <cstddef>
@@ -16,21 +16,11 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
   double& at(std::size_t r, std::size_t c);
   double at(std::size_t r, std::size_t c) const;
-
-  Matrix transpose() const;
-  Matrix multiply(const Matrix& other) const;
-  std::vector<double> multiply(std::span<const double> v) const;
-
-  // A^T A and A^T b, the normal-equation building blocks.
-  Matrix gram() const;
-  std::vector<double> transpose_multiply(std::span<const double> v) const;
 
  private:
   std::size_t rows_ = 0, cols_ = 0;
@@ -40,9 +30,5 @@ class Matrix {
 // Solves A x = b for symmetric positive-definite A via Cholesky.
 // Throws ComputeError if A is not SPD (within tolerance).
 std::vector<double> cholesky_solve(const Matrix& a, std::span<const double> b);
-
-// Solves A x = b for general square A via LU with partial pivoting.
-// Throws ComputeError on (near-)singular A.
-std::vector<double> lu_solve(const Matrix& a, std::span<const double> b);
 
 }  // namespace rcr::stats

@@ -2,59 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "stats/special.hpp"
 #include "util/error.hpp"
 
 namespace rcr::stats {
-
-KruskalWallisResult kruskal_wallis(
-    const std::vector<std::vector<double>>& groups) {
-  RCR_CHECK_MSG(groups.size() >= 2, "kruskal_wallis needs >= 2 groups");
-  std::vector<double> pooled;
-  for (const auto& g : groups) {
-    RCR_CHECK_MSG(!g.empty(), "kruskal_wallis groups must be non-empty");
-    pooled.insert(pooled.end(), g.begin(), g.end());
-  }
-  const double n = static_cast<double>(pooled.size());
-  RCR_CHECK_MSG(pooled.size() >= 3, "kruskal_wallis needs >= 3 observations");
-
-  const auto r = ranks(pooled);
-  double h = 0.0;
-  std::size_t offset = 0;
-  for (const auto& g : groups) {
-    double rank_sum = 0.0;
-    for (std::size_t i = 0; i < g.size(); ++i) rank_sum += r[offset + i];
-    h += rank_sum * rank_sum / static_cast<double>(g.size());
-    offset += g.size();
-  }
-  h = 12.0 / (n * (n + 1.0)) * h - 3.0 * (n + 1.0);
-
-  // Tie correction: divide by 1 - sum(t³ - t) / (n³ - n).
-  std::vector<double> sorted(pooled);
-  std::sort(sorted.begin(), sorted.end());
-  double tie_term = 0.0;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::size_t j = i;
-    while (j + 1 < sorted.size() && sorted[j + 1] == sorted[i]) ++j;
-    const double t = static_cast<double>(j - i + 1);
-    tie_term += t * t * t - t;
-    i = j + 1;
-  }
-  const double correction = 1.0 - tie_term / (n * n * n - n);
-  RCR_CHECK_MSG(correction > 0.0,
-                "kruskal_wallis degenerate: all observations tie");
-  h /= correction;
-
-  KruskalWallisResult result;
-  result.h = h;
-  result.dof = static_cast<double>(groups.size() - 1);
-  result.p_value = chi2_sf(h, result.dof);
-  result.epsilon_squared = h / (n - 1.0);
-  return result;
-}
 
 WilcoxonResult wilcoxon_signed_rank(std::span<const double> x,
                                     std::span<const double> y) {
@@ -104,34 +58,6 @@ WilcoxonResult wilcoxon_signed_rank(std::span<const double> x,
     result.p_value = 2.0 * normal_sf(std::fabs(result.z));
   }
   return result;
-}
-
-double kendall_tau_b(std::span<const double> x, std::span<const double> y) {
-  RCR_CHECK_MSG(x.size() == y.size(), "kendall size mismatch");
-  RCR_CHECK_MSG(x.size() >= 2, "kendall needs n >= 2");
-  const std::size_t n = x.size();
-  double concordant = 0.0, discordant = 0.0;
-  double ties_x = 0.0, ties_y = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dx = x[i] - x[j];
-      const double dy = y[i] - y[j];
-      if (dx == 0.0 && dy == 0.0) continue;  // joint tie: excluded from all
-      if (dx == 0.0) {
-        ties_x += 1.0;
-      } else if (dy == 0.0) {
-        ties_y += 1.0;
-      } else if (dx * dy > 0.0) {
-        concordant += 1.0;
-      } else {
-        discordant += 1.0;
-      }
-    }
-  }
-  const double denom = std::sqrt((concordant + discordant + ties_x) *
-                                 (concordant + discordant + ties_y));
-  RCR_CHECK_MSG(denom > 0.0, "kendall undefined: a variable is constant");
-  return (concordant - discordant) / denom;
 }
 
 }  // namespace rcr::stats

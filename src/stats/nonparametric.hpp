@@ -1,25 +1,11 @@
-// Additional nonparametric machinery: k-sample location test, paired test,
-// and rank correlation with proper tie handling. Used by the drill-down
-// analyses (per-field comparisons) and available to downstream users.
+// Paired-sample nonparametric test with proper tie handling, for paired
+// comparisons such as two scenario arms replicated on shared streams.
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace rcr::stats {
-
-struct KruskalWallisResult {
-  double h = 0.0;        // tie-corrected H statistic
-  double dof = 0.0;
-  double p_value = 1.0;  // chi-squared approximation
-  // Epsilon-squared effect size: H / (n - 1).
-  double epsilon_squared = 0.0;
-};
-
-// Kruskal–Wallis test that k independent groups share a location.
-// Requires >= 2 non-empty groups and a total of >= 3 observations.
-KruskalWallisResult kruskal_wallis(
-    const std::vector<std::vector<double>>& groups);
 
 struct WilcoxonResult {
   double w = 0.0;         // signed-rank statistic (min of W+ / W-)
@@ -32,9 +18,5 @@ struct WilcoxonResult {
 // Zero differences are dropped (the standard treatment).
 WilcoxonResult wilcoxon_signed_rank(std::span<const double> x,
                                     std::span<const double> y);
-
-// Kendall's tau-b rank correlation (tie-corrected), O(n²) — fine for
-// survey-sized data.
-double kendall_tau_b(std::span<const double> x, std::span<const double> y);
 
 }  // namespace rcr::stats

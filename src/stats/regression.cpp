@@ -1,8 +1,8 @@
 #include "stats/regression.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
 namespace rcr::stats {
@@ -32,61 +32,6 @@ double linear_predictor(std::span<const double> coef,
 }
 
 }  // namespace
-
-double OlsResult::predict(std::span<const double> x) const {
-  return linear_predictor(coefficients, x);
-}
-
-OlsResult ols_fit(const std::vector<std::vector<double>>& xs,
-                  std::span<const double> y) {
-  RCR_CHECK_MSG(xs.size() == y.size(), "OLS x/y size mismatch");
-  const Matrix x = design_matrix(xs);
-  const std::size_t n = x.rows();
-  const std::size_t k = x.cols();
-  RCR_CHECK_MSG(n > k, "OLS needs more observations than parameters");
-
-  const Matrix xtx = x.gram();
-  const std::vector<double> xty = x.transpose_multiply(y);
-  OlsResult r;
-  r.n = n;
-  r.coefficients = cholesky_solve(xtx, xty);
-
-  // Residual diagnostics.
-  double ss_res = 0.0;
-  const double y_mean = mean(y);
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double yhat = 0.0;
-    for (std::size_t j = 0; j < k; ++j) yhat += x.at(i, j) * r.coefficients[j];
-    ss_res += (y[i] - yhat) * (y[i] - yhat);
-    ss_tot += (y[i] - y_mean) * (y[i] - y_mean);
-  }
-  r.r_squared = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
-  const double dof = static_cast<double>(n - k);
-  r.adjusted_r_squared =
-      ss_tot > 0.0
-          ? 1.0 - (ss_res / dof) / (ss_tot / static_cast<double>(n - 1))
-          : 1.0;
-  const double sigma2 = ss_res / dof;
-  r.residual_stddev = std::sqrt(sigma2);
-
-  // Var(beta) = sigma^2 (X^T X)^{-1}; solve column by column.
-  r.std_errors.resize(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    std::vector<double> e(k, 0.0);
-    e[j] = 1.0;
-    const auto col = cholesky_solve(xtx, e);
-    r.std_errors[j] = std::sqrt(sigma2 * col[j]);
-  }
-  return r;
-}
-
-OlsResult ols_fit_simple(std::span<const double> x,
-                         std::span<const double> y) {
-  std::vector<std::vector<double>> xs(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) xs[i] = {x[i]};
-  return ols_fit(xs, y);
-}
 
 double sigmoid(double z) {
   // Branch keeps exp() argument non-positive: no overflow either direction.

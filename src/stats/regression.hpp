@@ -1,6 +1,5 @@
-// Regression models used by the trend analysis:
-//  * OLS for linear fits (Amdahl-model calibration, time-allocation trends);
-//  * logistic regression for adoption curves (GPU uptake vs. wave/field).
+// Logistic regression for the trend analysis's adoption curves (GPU uptake
+// vs. wave/field).
 #pragma once
 
 #include <cstddef>
@@ -10,25 +9,6 @@
 #include "stats/matrix.hpp"
 
 namespace rcr::stats {
-
-struct OlsResult {
-  std::vector<double> coefficients;  // [intercept, b1, b2, ...]
-  std::vector<double> std_errors;    // same order
-  double r_squared = 0.0;
-  double adjusted_r_squared = 0.0;
-  double residual_stddev = 0.0;
-  std::size_t n = 0;
-
-  double predict(std::span<const double> x) const;
-};
-
-// Multiple linear regression with intercept. `xs` holds one row of
-// predictor values per observation (all rows the same length).
-OlsResult ols_fit(const std::vector<std::vector<double>>& xs,
-                  std::span<const double> y);
-
-// Convenience simple regression y = a + b x.
-OlsResult ols_fit_simple(std::span<const double> x, std::span<const double> y);
 
 struct LogisticResult {
   std::vector<double> coefficients;  // [intercept, b1, ...]

@@ -175,13 +175,6 @@ double chi2_sf(double x, double k) {
   return gamma_q(0.5 * k, 0.5 * x);
 }
 
-double student_t_sf(double t, double nu) {
-  RCR_CHECK_MSG(nu > 0.0, "student_t_sf requires positive d.o.f.");
-  const double x = nu / (nu + t * t);
-  const double half_tail = 0.5 * beta_inc(0.5 * nu, 0.5, x);
-  return t >= 0.0 ? half_tail : 1.0 - half_tail;
-}
-
 double log_choose(double n, double k) {
   RCR_CHECK_MSG(n >= 0.0 && k >= 0.0 && k <= n, "log_choose domain error");
   return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0);

@@ -31,10 +31,7 @@ double normal_quantile(double p);
 // Survival function of the chi-squared distribution with k d.o.f.
 double chi2_sf(double x, double k);
 
-// Survival function of Student's t with nu d.o.f. (one-sided, t >= any).
-double student_t_sf(double t, double nu);
-
-// log(n choose k) via log_gamma; exact enough for Fisher's exact test.
+// log(n choose k) via log_gamma; exact enough for McNemar's exact branch.
 double log_choose(double n, double k);
 
 }  // namespace rcr::stats

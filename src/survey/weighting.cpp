@@ -137,23 +137,4 @@ RakingResult rake_weights(const data::Table& table,
   return result;
 }
 
-double weighted_category_share(const data::Table& table,
-                               const std::string& column,
-                               const std::string& label,
-                               const std::vector<double>& weights) {
-  const auto& col = table.categorical(column);
-  RCR_CHECK_MSG(weights.size() == col.size(),
-                "weight vector does not match table rows");
-  const std::int32_t code = col.find_code(label);
-  RCR_CHECK_MSG(code >= 0, "unknown label '" + label + "'");
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    if (col.is_missing(i)) continue;
-    den += weights[i];
-    if (col.code_at(i) == code) num += weights[i];
-  }
-  RCR_CHECK_MSG(den > 0.0, "no answered rows for weighted share");
-  return num / den;
-}
-
 }  // namespace rcr::survey

@@ -45,10 +45,4 @@ RakingResult rake_weights(const data::Table& table,
                           const std::vector<MarginTarget>& targets,
                           const RakingOptions& options = {});
 
-// Weighted share of rows where `column == label` (for reporting).
-double weighted_category_share(const data::Table& table,
-                               const std::string& column,
-                               const std::string& label,
-                               const std::vector<double>& weights);
-
 }  // namespace rcr::survey

@@ -48,37 +48,6 @@ double exponential_interarrival(double lambda, double u01) {
   return -std::log1p(-u01) / lambda;
 }
 
-PoissonSampler::PoissonSampler(double lambda)
-    : lambda_(lambda), p0_(std::exp(-lambda)) {
-  RCR_CHECK_MSG(lambda > 0.0 && std::isfinite(lambda),
-                "PoissonSampler requires a positive finite rate");
-  RCR_CHECK_MSG(p0_ > 0.0,
-                "PoissonSampler rate too large for the inverse-CDF walk");
-}
-
-std::size_t PoissonSampler::sample(double u01) const {
-  double p = p0_;
-  double cum = p;
-  std::size_t k = 0;
-  // u < 1 and the cumulative sum approaches 1 from below, so the walk
-  // terminates; the cap only guards pathological draws at the double
-  // grid's edge.
-  const std::size_t cap =
-      static_cast<std::size_t>(lambda_ + 40.0 * std::sqrt(lambda_) + 64.0);
-  while (u01 >= cum && k < cap) {
-    ++k;
-    p *= lambda_ / static_cast<double>(k);
-    cum += p;
-  }
-  return k;
-}
-
-double PoissonSampler::probability(std::size_t k) const {
-  double p = p0_;
-  for (std::size_t i = 1; i <= k; ++i) p *= lambda_ / static_cast<double>(i);
-  return p;
-}
-
 BetaSampler::BetaSampler(double alpha, double beta)
     : alpha_(alpha), beta_(beta) {
   RCR_CHECK_MSG(alpha > 0.0 && std::isfinite(alpha) && beta > 0.0 &&
@@ -106,12 +75,6 @@ double BetaSampler::sample(double u01) const {
 
 double BetaSampler::cdf(double x) const {
   return stats::beta_inc(alpha_, beta_, x);
-}
-
-double log_uniform(double lo, double hi, double u01) {
-  RCR_CHECK_MSG(lo > 0.0 && lo < hi && std::isfinite(lo) && std::isfinite(hi),
-                "log_uniform requires 0 < lo < hi, finite");
-  return std::exp(std::log(lo) + (std::log(hi) - std::log(lo)) * u01);
 }
 
 }  // namespace rcr::synth

@@ -1,6 +1,6 @@
 // Traffic-shaped distributions for synthetic workloads.
 //
-// The serving layer's load generator (bench_serve) and the simulator's
+// The serving benchmarks' load generators (perfbench) and the simulator's
 // arrival processes need two classic heavy-traffic primitives that the
 // respondent generator never did:
 //
@@ -61,32 +61,6 @@ class ZipfSampler {
 // safe because next_double() style draws never reach 1.0 exactly.
 double exponential_interarrival(double lambda, double u01);
 
-// Poisson(lambda) counts by inverse-CDF walk: start at P(0) = e^-lambda
-// and step the cumulative sum (p *= lambda / k) until it passes the draw.
-// One uniform draw in, one count out — no rejection, so a load generator's
-// per-tick arrival counts stay one-draw-per-tick deterministic. O(lambda)
-// per draw; intended for the small-to-moderate rates batch arrival
-// modeling uses (the walk is capped well past any mass the double grid can
-// represent). Mean lambda, variance lambda.
-class PoissonSampler {
- public:
-  // lambda > 0, finite.
-  explicit PoissonSampler(double lambda);
-
-  // Maps one uniform draw u in [0, 1) to a count; monotone in u.
-  std::size_t sample(double u01) const;
-
-  // P(count = k) = e^-lambda lambda^k / k!; closed-form test target.
-  double probability(std::size_t k) const;
-
-  double mean() const { return lambda_; }
-  double variance() const { return lambda_; }
-
- private:
-  double lambda_;
-  double p0_;  // e^-lambda, the walk's starting mass
-};
-
 // Beta(alpha, beta) values in [0, 1] by inverse CDF: the draw u is mapped
 // to the x with I_x(alpha, beta) = u, where I is the regularized
 // incomplete beta function (stats::beta_inc), found by bisection — the
@@ -122,13 +96,5 @@ class BetaSampler {
   double alpha_;
   double beta_;
 };
-
-// Log-uniform value in [lo, hi) from one uniform draw:
-//   exp(log lo + (log hi - log lo) * u).
-// The scale-free spread for quantities whose order of magnitude, not
-// value, is uniform — dataset sizes, job durations, catalog sizes. Closed
-// moments for the tests: mean (hi - lo) / log(hi / lo). Requires
-// 0 < lo < hi, finite; monotone in u (u = 0 gives lo).
-double log_uniform(double lo, double hi, double u01);
 
 }  // namespace rcr::synth

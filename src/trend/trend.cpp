@@ -52,21 +52,6 @@ std::pair<double, double> option_counts(const data::Table& table,
   return {count, n};
 }
 
-std::pair<double, double> category_counts(const data::Table& table,
-                                          const std::string& column,
-                                          const std::string& label) {
-  const auto& col = table.categorical(column);
-  const std::int32_t code = col.find_code(label);
-  RCR_CHECK_MSG(code >= 0, "unknown category '" + label + "'");
-  double count = 0.0, n = 0.0;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    if (col.is_missing(i)) continue;
-    n += 1.0;
-    if (col.code_at(i) == code) count += 1.0;
-  }
-  return {count, n};
-}
-
 }  // namespace
 
 ShareTrend trend_from_counts(const std::string& indicator, double count1,
@@ -113,14 +98,6 @@ ShareTrend compare_option(const data::Table& wave1, const data::Table& wave2,
   return build_trend(option, c1, n1, c2, n2, confidence);
 }
 
-ShareTrend compare_category(const data::Table& wave1, const data::Table& wave2,
-                            const std::string& column,
-                            const std::string& label, double confidence) {
-  const auto [c1, n1] = category_counts(wave1, column, label);
-  const auto [c2, n2] = category_counts(wave2, column, label);
-  return build_trend(label, c1, n1, c2, n2, confidence);
-}
-
 ShareTrend compare_predicate(
     const data::Table& wave1, const data::Table& wave2,
     const std::string& indicator_name,
@@ -142,16 +119,13 @@ ShareTrend compare_predicate(
   return build_trend(indicator_name, c1, n1, c2, n2, confidence);
 }
 
-void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha,
-                         Multiplicity method) {
+void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha) {
   RCR_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0,1)");
   if (trends.empty()) return;
   std::vector<double> raw;
   raw.reserve(trends.size());
   for (const auto& t : trends) raw.push_back(t.test.p_value);
-  const auto adjusted = method == Multiplicity::kHolm
-                            ? stats::holm_adjust(raw)
-                            : stats::benjamini_hochberg_adjust(raw);
+  const auto adjusted = stats::holm_adjust(raw);
   for (std::size_t i = 0; i < trends.size(); ++i) {
     trends[i].p_adjusted = adjusted[i];
     if (adjusted[i] < alpha) {
@@ -161,20 +135,6 @@ void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha,
       trends[i].direction = Direction::kStable;
     }
   }
-}
-
-std::vector<ShareTrend> option_battery(const data::Table& wave1,
-                                       const data::Table& wave2,
-                                       const std::string& column, double alpha,
-                                       double confidence) {
-  const auto& col = wave1.multiselect(column);
-  std::vector<ShareTrend> trends;
-  trends.reserve(col.option_count());
-  for (std::size_t o = 0; o < col.option_count(); ++o)
-    trends.push_back(
-        compare_option(wave1, wave2, column, col.option(o), confidence));
-  adjust_and_classify(trends, alpha);
-  return trends;
 }
 
 std::vector<ShareTrend> per_group_trend(const data::Table& wave1,
@@ -271,7 +231,7 @@ MultiWaveTrend multi_wave_trend_from_counts(const std::string& indicator,
 }
 
 void adjust_and_classify_multi(std::vector<MultiWaveTrend>& trends,
-                               double alpha, Multiplicity method) {
+                               double alpha) {
   RCR_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0,1)");
   if (trends.empty()) return;
   // ONE family across the whole battery: every indicator's overall test
@@ -281,9 +241,7 @@ void adjust_and_classify_multi(std::vector<MultiWaveTrend>& trends,
     raw.push_back(t.overall.p_value);
     for (const auto& s : t.segments) raw.push_back(s.p_value);
   }
-  const auto adjusted = method == Multiplicity::kHolm
-                            ? stats::holm_adjust(raw)
-                            : stats::benjamini_hochberg_adjust(raw);
+  const auto adjusted = stats::holm_adjust(raw);
   std::size_t i = 0;
   for (auto& t : trends) {
     t.overall_p_adjusted = adjusted[i++];
@@ -301,7 +259,7 @@ void adjust_and_classify_multi(std::vector<MultiWaveTrend>& trends,
 std::vector<MultiWaveTrend> multi_wave_option_battery(
     const std::vector<double>& years,
     const std::vector<std::vector<data::OptionShare>>& waves, double alpha,
-    Multiplicity method, double confidence) {
+    double confidence) {
   RCR_CHECK_MSG(waves.size() >= 2, "battery needs at least two waves");
   RCR_CHECK_MSG(years.size() == waves.size(),
                 "battery needs exactly one year per wave");
@@ -329,7 +287,7 @@ std::vector<MultiWaveTrend> multi_wave_option_battery(
     trends.push_back(
         multi_wave_trend_from_counts(waves[0][o].label, counts, confidence));
   }
-  adjust_and_classify_multi(trends, alpha, method);
+  adjust_and_classify_multi(trends, alpha);
   return trends;
 }
 

@@ -39,12 +39,6 @@ ShareTrend compare_option(const data::Table& wave1, const data::Table& wave2,
                           const std::string& column, const std::string& option,
                           double confidence = 0.95);
 
-// Indicator = "respondent answered `label` on single-choice `column`".
-ShareTrend compare_category(const data::Table& wave1, const data::Table& wave2,
-                            const std::string& column,
-                            const std::string& label,
-                            double confidence = 0.95);
-
 // Indicator = arbitrary per-row predicate (missing handled by caller
 // returning nullopt).
 ShareTrend compare_predicate(
@@ -54,30 +48,16 @@ ShareTrend compare_predicate(
         predicate,
     double confidence = 0.95);
 
-// Family-wise / FDR control for a battery of trends.
-enum class Multiplicity {
-  kHolm,               // family-wise error rate (the batteries' default)
-  kBenjaminiHochberg,  // false discovery rate (for exploratory sweeps)
-};
-
-// Applies the chosen multiplicity adjustment across a battery of trends and
+// Applies the Holm family-wise adjustment across a battery of trends and
 // classifies each: significant increase / decrease at `alpha` (on adjusted
 // p), else stable.
-void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha = 0.05,
-                         Multiplicity method = Multiplicity::kHolm);
-
-// Every option of a multi-select column, as one adjusted battery.
-std::vector<ShareTrend> option_battery(const data::Table& wave1,
-                                       const data::Table& wave2,
-                                       const std::string& column,
-                                       double alpha = 0.05,
-                                       double confidence = 0.95);
+void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha = 0.05);
 
 // One indicator's trend from precomputed counts (count = selected/labelled
-// rows, n = answered rows). Produces exactly compare_option's /
-// compare_category's result when fed the same counts — the building block
-// for callers that already hold per-option tallies from a fused
-// query::QueryEngine scan instead of re-scanning the tables per option.
+// rows, n = answered rows). Produces exactly compare_option's result when
+// fed the same counts — the building block for callers that already hold
+// per-option tallies from a fused query::QueryEngine scan instead of
+// re-scanning the tables per option.
 ShareTrend trend_from_counts(const std::string& indicator, double count1,
                              double n1, double count2, double n2,
                              double confidence = 0.95);
@@ -87,16 +67,16 @@ ShareTrend trend_from_counts(const std::string& indicator, double count1,
 // option lists differ in order or content fail loudly (naming the first
 // mismatched label) instead of silently pairing unrelated indicators by
 // raw index. The validated building block for every caller holding fused
-// per-wave tallies (T6's cross-family battery, the option batteries below).
+// per-wave tallies (T6's cross-family battery, the option battery below).
 void append_share_trends(std::vector<ShareTrend>& out,
                          const std::vector<data::OptionShare>& wave1,
                          const std::vector<data::OptionShare>& wave2,
                          double confidence = 0.95);
 
-// option_battery built from per-wave share vectors (one engine scan per
-// wave): one adjusted battery with zero table scans.
-// Both waves must report the same options in the same order (validated
-// pairwise via append_share_trends; mismatches throw).
+// Every option of a multi-select column as one Holm-adjusted battery, built
+// from per-wave share vectors (one engine scan per wave) with zero table
+// scans. Both waves must report the same options in the same order
+// (validated pairwise via append_share_trends; mismatches throw).
 std::vector<ShareTrend> option_battery_from_shares(
     const std::vector<data::OptionShare>& wave1,
     const std::vector<data::OptionShare>& wave2, double alpha = 0.05,
@@ -166,20 +146,18 @@ MultiWaveTrend multi_wave_trend_from_counts(
 // scan per wave): waves[w] is wave w's per-option tally, labels validated
 // pairwise across every wave like append_share_trends. All tests of the
 // whole battery — each indicator's overall chi-square AND its W-1 segment
-// tests — are adjusted together as ONE Holm family (or BH), so a
-// significant segment claim survives the same multiplicity control as the
-// headline claim it refines.
+// tests — are adjusted together as ONE Holm family, so a significant
+// segment claim survives the same multiplicity control as the headline
+// claim it refines.
 std::vector<MultiWaveTrend> multi_wave_option_battery(
     const std::vector<double>& years,
     const std::vector<std::vector<data::OptionShare>>& waves,
-    double alpha = 0.05, Multiplicity method = Multiplicity::kHolm,
-    double confidence = 0.95);
+    double alpha = 0.05, double confidence = 0.95);
 
 // The battery's multiplicity step, exposed for callers assembling mixed
 // batteries by hand: one family spanning every overall + segment p.
 void adjust_and_classify_multi(std::vector<MultiWaveTrend>& trends,
-                               double alpha = 0.05,
-                               Multiplicity method = Multiplicity::kHolm);
+                               double alpha = 0.05);
 
 // Logistic adoption curve fitted on respondent-level data pooled over both
 // waves: P(adopt | year) = sigmoid(b0 + b1 * (year - 2011)).

@@ -9,10 +9,6 @@ namespace rcr {
 
 namespace {
 
-inline std::uint64_t rotl64(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 inline std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -89,28 +85,6 @@ double Rng::beta(double a, double b) {
   return x / (x + y);
 }
 
-std::uint64_t Rng::poisson(double lambda) {
-  RCR_CHECK_MSG(lambda >= 0.0, "poisson rate must be non-negative");
-  if (lambda == 0.0) return 0;
-  if (lambda < 30.0) {
-    // Knuth inversion, numerically stabilized in log space.
-    const double limit = -lambda;
-    double sum = 0.0;
-    std::uint64_t k = 0;
-    for (;;) {
-      sum += std::log1p(-next_double());  // log of uniform product term
-      if (sum < limit) return k;
-      ++k;
-    }
-  }
-  // Normal approximation with continuity correction; adequate for the
-  // simulator's arrival batching at large lambda.
-  for (;;) {
-    const double draw = normal(lambda, std::sqrt(lambda));
-    if (draw > -0.5) return static_cast<std::uint64_t>(draw + 0.5);
-  }
-}
-
 std::size_t Rng::categorical(std::span<const double> weights) {
   RCR_CHECK_MSG(!weights.empty(), "categorical needs at least one weight");
   double total = 0.0;
@@ -162,59 +136,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
     at_j = {j, at_i};
   }
   return out;
-}
-
-Rng Rng::split() {
-  // A fresh seed derived from two outputs keeps child streams decorrelated.
-  const std::uint64_t a = next_u64();
-  const std::uint64_t b = next_u64();
-  return Rng(a ^ rotl64(b, 31));
-}
-
-// --- AliasTable --------------------------------------------------------------
-
-AliasTable::AliasTable(std::span<const double> weights) {
-  RCR_CHECK_MSG(!weights.empty(), "AliasTable needs at least one weight");
-  const std::size_t n = weights.size();
-  double total = 0.0;
-  for (double w : weights) {
-    RCR_CHECK_MSG(w >= 0.0, "AliasTable weights must be non-negative");
-    total += w;
-  }
-  RCR_CHECK_MSG(total > 0.0, "AliasTable weights must not all be zero");
-
-  norm_.resize(n);
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-
-  std::vector<double> scaled(n);
-  std::vector<std::uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    norm_[i] = weights[i] / total;
-    scaled[i] = norm_[i] * static_cast<double>(n);
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  for (std::uint32_t l : large) prob_[l] = 1.0;
-  for (std::uint32_t s : small) prob_[s] = 1.0;  // numerical leftovers
-}
-
-std::size_t AliasTable::sample(Rng& rng) const {
-  const std::size_t i = static_cast<std::size_t>(rng.next_below(prob_.size()));
-  return rng.next_double() < prob_[i] ? i : alias_[i];
 }
 
 }  // namespace rcr

@@ -126,11 +126,7 @@ class Rng {
   // Beta(a, b) via two gamma draws.
   double beta(double a, double b);
 
-  // Poisson(lambda >= 0); inversion for small lambda, PTRS-lite otherwise.
-  std::uint64_t poisson(double lambda);
-
   // Index drawn from unnormalized non-negative weights (linear scan).
-  // For repeated draws from the same weights prefer AliasTable.
   std::size_t categorical(std::span<const double> weights);
 
   // Fisher–Yates shuffle.
@@ -149,10 +145,6 @@ class Rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 
-  // Derives an independent child generator; used to give each thread or
-  // each respondent its own stream while keeping the study reproducible.
-  Rng split();
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -161,25 +153,6 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
   double spare_normal_ = 0.0;
   bool has_spare_ = false;
-};
-
-// Walker alias table: O(1) sampling from a fixed discrete distribution.
-// Construction is O(n). Weights must be non-negative with a positive sum.
-class AliasTable {
- public:
-  explicit AliasTable(std::span<const double> weights);
-
-  std::size_t sample(Rng& rng) const;
-
-  std::size_t size() const { return prob_.size(); }
-
-  // Normalized probability of outcome i (for testing / introspection).
-  double probability(std::size_t i) const { return norm_[i]; }
-
- private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
-  std::vector<double> norm_;
 };
 
 }  // namespace rcr

@@ -244,16 +244,10 @@ TEST(Snapshot, MultiPageAndCopyModesMatchZeroCopy) {
   const Table zero_copy = read_snapshot(single);
   EXPECT_TRUE(zero_copy.numeric("score").values().is_borrowed());
 
-  SnapshotReadOptions copy_opts;
-  copy_opts.zero_copy = false;
-  const Table copied = read_snapshot(single, copy_opts);
-  EXPECT_FALSE(copied.numeric("score").values().is_borrowed());
-
   const Table multi_page = read_snapshot(paged);
   EXPECT_FALSE(multi_page.numeric("score").values().is_borrowed());
 
   expect_tables_bitwise_equal(t, zero_copy);
-  expect_tables_bitwise_equal(t, copied);
   expect_tables_bitwise_equal(t, multi_page);
   std::remove(single.c_str());
   std::remove(paged.c_str());

@@ -2,9 +2,8 @@
 //
 //   * Bootstrap replicate b resamples exactly the indices of one n-sized
 //     fill of Philox substream b, Lemire-reduced.
-//   * The resampling fast paths (bootstrap_mean, bootstrap_proportions,
-//     permutation mean-diff, bernoulli_mask) reproduce their generic
-//     counterparts byte for byte.
+//   * The resampling fast paths (bootstrap_proportions, bernoulli_mask)
+//     reproduce their generic counterparts byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "simd/philox.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/permutation.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -45,54 +43,6 @@ TEST(RngBatchTest, BernoulliMaskMatchesSequentialCoins) {
   }
   // Both consumed the same number of draws.
   EXPECT_EQ(batched.next_u64(), scalar.next_u64());
-}
-
-TEST(RngBatchTest, BootstrapMeanFastPathMatchesGenericBitwise) {
-  std::vector<double> data(257);
-  Rng rng(1);
-  for (auto& v : data) v = rng.normal() * 1e3 + rng.next_double();
-
-  stats::BootstrapOptions opts;
-  opts.replicates = 400;
-  opts.seed = 17;
-  opts.compute_bca = true;
-
-  const auto generic = stats::bootstrap(
-      data, [](std::span<const double> x) { return stats::mean(x); }, opts);
-  const auto fast = stats::bootstrap_mean(data, opts);
-
-  ASSERT_EQ(fast.replicates.size(), generic.replicates.size());
-  for (std::size_t i = 0; i < generic.replicates.size(); ++i)
-    ASSERT_EQ(bits_of(fast.replicates[i]), bits_of(generic.replicates[i]))
-        << i;
-  EXPECT_EQ(bits_of(fast.estimate), bits_of(generic.estimate));
-  EXPECT_EQ(bits_of(fast.std_error), bits_of(generic.std_error));
-  EXPECT_EQ(bits_of(fast.percentile_ci.lo), bits_of(generic.percentile_ci.lo));
-  EXPECT_EQ(bits_of(fast.percentile_ci.hi), bits_of(generic.percentile_ci.hi));
-  EXPECT_EQ(bits_of(fast.basic_ci.lo), bits_of(generic.basic_ci.lo));
-  EXPECT_EQ(bits_of(fast.basic_ci.hi), bits_of(generic.basic_ci.hi));
-  EXPECT_EQ(bits_of(fast.bca_ci.lo), bits_of(generic.bca_ci.lo));
-  EXPECT_EQ(bits_of(fast.bca_ci.hi), bits_of(generic.bca_ci.hi));
-}
-
-TEST(RngBatchTest, BootstrapMeanFastPathMatchesGenericPooled) {
-  std::vector<double> data(300);
-  Rng rng(2);
-  for (auto& v : data) v = rng.normal();
-
-  parallel::ThreadPool pool(4);
-  stats::BootstrapOptions opts;
-  opts.replicates = 350;
-  opts.seed = 23;
-  opts.pool = &pool;
-
-  const auto generic = stats::bootstrap(
-      data, [](std::span<const double> x) { return stats::mean(x); }, opts);
-  const auto fast = stats::bootstrap_mean(data, opts);
-  ASSERT_EQ(fast.replicates.size(), generic.replicates.size());
-  for (std::size_t i = 0; i < generic.replicates.size(); ++i)
-    ASSERT_EQ(bits_of(fast.replicates[i]), bits_of(generic.replicates[i]))
-        << i;
 }
 
 TEST(RngBatchTest, BootstrapResamplesFollowPhiloxSubstreams) {
@@ -187,8 +137,11 @@ TEST(RngBatchTest, BootstrapProportionUsesFastPathBitwise) {
       if (threads > 0) run.pool = &pool.emplace(threads);
       const std::string where =
           "n=" + std::to_string(n) + " threads=" + std::to_string(threads);
-      expect_same_bootstrap(stats::bootstrap_proportion(cols[0], run),
-                            generic[0], where + " one column");
+      expect_same_bootstrap(
+          stats::bootstrap_proportions(
+              std::span<const std::span<const double>>(spans).first(1), run)
+              .front(),
+          generic[0], where + " one column");
       const auto all = stats::bootstrap_proportions(spans, run);
       ASSERT_EQ(all.size(), cols.size());
       for (std::size_t c = 0; c < cols.size(); ++c)
@@ -196,39 +149,6 @@ TEST(RngBatchTest, BootstrapProportionUsesFastPathBitwise) {
                               where + " column " + std::to_string(c));
     }
   }
-}
-
-TEST(RngBatchTest, PermutationMeanDiffFastPathMatchesGenericBitwise) {
-  std::vector<double> x(90), y(110);
-  Rng rng(4);
-  for (auto& v : x) v = rng.normal() * 10.0;
-  for (auto& v : y) v = rng.normal() * 10.0 + 1.5;
-
-  stats::PermutationOptions opts;
-  opts.permutations = 500;
-  opts.seed = 37;
-
-  const auto generic = stats::permutation_test(
-      x, y,
-      [](std::span<const double> a, std::span<const double> b) {
-        return stats::mean(a) - stats::mean(b);
-      },
-      opts);
-  const auto fast = stats::permutation_test_mean_diff(x, y, opts);
-
-  EXPECT_EQ(bits_of(fast.observed), bits_of(generic.observed));
-  EXPECT_EQ(bits_of(fast.p_value), bits_of(generic.p_value));
-  EXPECT_EQ(bits_of(fast.p_greater), bits_of(generic.p_greater));
-  EXPECT_EQ(bits_of(fast.p_less), bits_of(generic.p_less));
-
-  // And the same under a pool.
-  parallel::ThreadPool pool(4);
-  stats::PermutationOptions pooled_opts = opts;
-  pooled_opts.pool = &pool;
-  const auto pooled = stats::permutation_test_mean_diff(x, y, pooled_opts);
-  EXPECT_EQ(bits_of(pooled.p_value), bits_of(generic.p_value));
-  EXPECT_EQ(bits_of(pooled.p_greater), bits_of(generic.p_greater));
-  EXPECT_EQ(bits_of(pooled.p_less), bits_of(generic.p_less));
 }
 
 }  // namespace

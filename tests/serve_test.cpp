@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -242,6 +243,115 @@ TEST(ServeTest, ServedBytesMatchColdEngineOnMissAndHit) {
     EXPECT_EQ(engine_runs(), runs_before);       // a hit never runs the engine
   }
   EXPECT_EQ(server.cache_size(), all_kind_specs().size());
+}
+
+// A catalog of `n` DISTINCT specs cycling through the servable kinds; the
+// share kinds absorb the index into the confidence level so every entry
+// fingerprints differently (distinct dashboards over the same snapshot).
+std::vector<QuerySpec> make_catalog(std::size_t n) {
+  std::vector<QuerySpec> catalog;
+  catalog.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    QuerySpec s;
+    const double conf = 0.80 + 0.00015 * static_cast<double>(i);
+    switch (i % 6) {
+      case 0:
+        s.kind = QueryKind::kCategoryShares;
+        s.a = "career";
+        s.confidence = conf;
+        break;
+      case 1:
+        s.kind = QueryKind::kOptionShares;
+        s.a = "langs";
+        s.confidence = conf;
+        break;
+      case 2:
+        s.kind = QueryKind::kCategoryShares;
+        s.a = "field";
+        s.confidence = conf;
+        break;
+      case 3:
+        s.kind = i % 12 == 3 ? QueryKind::kCrosstab
+                             : QueryKind::kCrosstabMultiselect;
+        s.a = "field";
+        s.b = i % 12 == 3 ? "career" : "langs";
+        s.weight = i % 24 < 12 ? "" : "w";
+        break;
+      case 4:
+        s.kind = QueryKind::kOptionShares;
+        s.a = "langs";
+        s.confidence = conf + 0.00005;
+        break;
+      default:
+        s.kind = i % 12 == 5 ? QueryKind::kNumericSummary
+                             : QueryKind::kGroupAnswered;
+        s.a = i % 12 == 5 ? "score" : "field";
+        s.b = i % 12 == 5 ? "" : "score";
+        break;
+    }
+    catalog.push_back(std::move(s));
+  }
+  return catalog;
+}
+
+double median_ms(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// The serving contract over a 128-spec dashboard catalog on a 20k-row
+// table, through the framed LocalTransport on a pooled server: every
+// served body (miss and hit) equals the cold engine's bytes, every response
+// echoes fingerprint(epoch, canonical spec), and a cache hit is at least 5x
+// faster than the cold engine pass it replaces (medians over 32 probes).
+TEST(ServeTest, CatalogServesColdBytesAndHitsBeatColdPasses) {
+  const data::Table table = make_table(20000);
+  const auto catalog = make_catalog(128);
+  parallel::ThreadPool pool(4);
+  ServerConfig cfg;
+  cfg.cache_capacity = catalog.size();
+  cfg.pool = &pool;
+
+  {
+    Server server(cfg);
+    server.register_snapshot(kEpoch, table);
+    LocalTransport transport(server);
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+      SCOPED_TRACE("catalog entry " + std::to_string(i));
+      const auto want = cold_engine_body(table, catalog[i]);
+      const auto key = fingerprint(kEpoch, canonicalize(catalog[i]));
+      const Response miss = transport.query(kEpoch, catalog[i]);
+      const Response hit = transport.query(kEpoch, catalog[i]);
+      ASSERT_EQ(miss.type, MsgType::kResult);
+      ASSERT_EQ(hit.type, MsgType::kResult);
+      EXPECT_EQ(miss.body, want);
+      EXPECT_EQ(hit.body, want);
+      EXPECT_EQ(miss.fingerprint, key);
+      EXPECT_EQ(hit.fingerprint, key);
+    }
+  }
+
+  Server server(cfg);
+  server.register_snapshot(kEpoch, table);
+  LocalTransport transport(server);
+  constexpr std::size_t kProbes = 32;
+  std::vector<std::vector<std::uint8_t>> frames(kProbes);
+  for (std::size_t i = 0; i < kProbes; ++i)
+    append_frame(frames[i], encode_request({kEpoch, catalog[i]}));
+  const auto time_ms = [&](std::size_t i) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto reply = transport.roundtrip_frame(frames[i]);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(reply.empty());
+    return took.count();
+  };
+  std::vector<double> cold, hit;
+  for (std::size_t i = 0; i < kProbes; ++i) cold.push_back(time_ms(i));
+  for (std::size_t i = 0; i < kProbes; ++i) hit.push_back(time_ms(i));
+  const double cold_ms = median_ms(cold), hit_ms = median_ms(hit);
+  EXPECT_GE(cold_ms, 5.0 * hit_ms)
+      << "cold median " << cold_ms << " ms, hit median " << hit_ms << " ms";
 }
 
 TEST(ServeTest, DecodedResultsMatchTheEngineForEveryKind) {

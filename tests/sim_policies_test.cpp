@@ -1,10 +1,9 @@
-// Tests for the simulator extensions: SJF scheduling and weak scaling.
+// Tests for the simulator extensions: SJF scheduling.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/cluster.hpp"
-#include "sim/scaling.hpp"
 #include "util/error.hpp"
 
 namespace rcr::sim {
@@ -53,66 +52,6 @@ TEST(SjfTest, ImprovesBoundedSlowdownUnderLoad) {
   // SJF optimizes exactly this metric (short jobs stop waiting behind
   // long ones); allow equality for light stretches.
   EXPECT_LE(sjf.mean_bounded_slowdown, fcfs.mean_bounded_slowdown + 1e-9);
-}
-
-TEST(WeakScalingTest, IdealWorkloadHoldsTimeFlat) {
-  MachineModel m;
-  m.core_gflops = 1.0;
-  m.barrier_latency_us = 0.0;
-  WorkloadModel per_core;
-  per_core.work_ops = 1e9;
-  per_core.serial_fraction = 0.0;
-  per_core.bytes_per_flop = 0.0;
-  per_core.barriers = 0;
-  const std::vector<std::size_t> cores = {1, 2, 4, 8, 16};
-  const auto curve = weak_scaling_curve(m, per_core, cores);
-  ASSERT_EQ(curve.size(), cores.size());
-  for (const auto& pt : curve) {
-    EXPECT_NEAR(pt.time_seconds, 1.0, 1e-12);
-    EXPECT_NEAR(pt.efficiency, 1.0, 1e-12);
-  }
-}
-
-TEST(WeakScalingTest, SerialFractionDegradesEfficiency) {
-  MachineModel m;
-  m.core_gflops = 1.0;
-  m.barrier_latency_us = 0.0;
-  WorkloadModel per_core;
-  per_core.work_ops = 1e9;
-  per_core.serial_fraction = 0.1;
-  per_core.barriers = 0;
-  const std::vector<std::size_t> cores = {1, 4, 16, 64};
-  const auto curve = weak_scaling_curve(m, per_core, cores);
-  double prev_eff = 2.0;
-  for (const auto& pt : curve) {
-    EXPECT_LT(pt.efficiency, prev_eff);
-    prev_eff = pt.efficiency;
-  }
-  // Serial part grows with total work: time at 64 cores ≈
-  // 0.1*64 + 0.9 seconds.
-  EXPECT_NEAR(curve.back().time_seconds, 0.1 * 64.0 + 0.9, 1e-9);
-}
-
-TEST(WeakScalingTest, HandComputedScaledTime) {
-  // Our model keeps the serial *fraction* of the scaled problem, so the
-  // serial term grows with p (a pessimistic stance vs Gustafson's fixed
-  // serial time). For per-core work 0.25 s at f = 0.2 on 8 cores:
-  //   total = 2 s of work; t = 0.2*2 + 0.8*2/8 = 0.6 s;
-  //   scaled speedup = 8 * 0.25 / 0.6 = 10/3, well below Gustafson's 6.6.
-  MachineModel m;
-  m.core_gflops = 2.0;
-  m.barrier_latency_us = 0.0;
-  WorkloadModel per_core;
-  per_core.work_ops = 5e8;  // 0.25 s at 2 Gop/s
-  per_core.serial_fraction = 0.2;
-  per_core.barriers = 0;
-  const std::vector<std::size_t> cores = {8};
-  const auto curve = weak_scaling_curve(m, per_core, cores);
-  EXPECT_NEAR(curve[0].time_seconds, 0.6, 1e-12);
-  const double t1 = predict_time(m, per_core, 1);
-  const double scaled_speedup = 8.0 * t1 / curve[0].time_seconds;
-  EXPECT_NEAR(scaled_speedup, 10.0 / 3.0, 1e-9);
-  EXPECT_LT(scaled_speedup, gustafson_speedup(0.2, 8));
 }
 
 }  // namespace

@@ -1,110 +1,15 @@
-// Tests for the extension statistics: Benjamini–Hochberg FDR adjustment,
-// the Cochran–Armitage trend test, and BCa bootstrap intervals.
+// Tests for BCa bootstrap intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "stats/bootstrap.hpp"
-#include "stats/contingency.hpp"
 #include "stats/descriptive.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace rcr::stats {
 namespace {
-
-// --- Benjamini–Hochberg ----------------------------------------------------------
-
-TEST(BhTest, KnownAdjustment) {
-  // p = {0.01, 0.02, 0.03, 0.04} with m = 4:
-  // sorted scaled: 0.04, 0.04, 0.04, 0.04 after the step-up min pass.
-  const auto adj =
-      benjamini_hochberg_adjust(std::vector<double>{0.01, 0.02, 0.03, 0.04});
-  for (double a : adj) EXPECT_NEAR(a, 0.04, 1e-12);
-}
-
-TEST(BhTest, StepUpMonotone) {
-  const std::vector<double> p = {0.001, 0.01, 0.5, 0.04};
-  const auto adj = benjamini_hochberg_adjust(p);
-  // q-values preserve the order of p-values.
-  EXPECT_LT(adj[0], adj[1]);
-  EXPECT_LE(adj[1], adj[3]);
-  EXPECT_LE(adj[3], adj[2]);
-  for (double a : adj) EXPECT_LE(a, 1.0);
-}
-
-TEST(BhTest, LessConservativeThanHolm) {
-  const std::vector<double> p = {0.01, 0.02, 0.03, 0.04, 0.05};
-  const auto bh = benjamini_hochberg_adjust(p);
-  const auto holm = holm_adjust(p);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_LE(bh[i], holm[i] + 1e-12) << i;
-    EXPECT_GE(bh[i], p[i]);  // adjustment never shrinks p
-  }
-}
-
-TEST(BhTest, SingleTestUnchanged) {
-  const auto adj = benjamini_hochberg_adjust(std::vector<double>{0.2});
-  EXPECT_DOUBLE_EQ(adj[0], 0.2);
-}
-
-TEST(BhTest, RejectsInvalidP) {
-  EXPECT_THROW(benjamini_hochberg_adjust(std::vector<double>{1.5}),
-               rcr::Error);
-}
-
-// --- Cochran–Armitage --------------------------------------------------------------
-
-TEST(CochranArmitageTest, FlatProportionsGiveZero) {
-  const std::vector<double> successes = {20, 40, 60};
-  const std::vector<double> trials = {100, 200, 300};
-  const std::vector<double> scores = {0, 1, 2};
-  const auto r = cochran_armitage_trend(successes, trials, scores);
-  EXPECT_NEAR(r.z, 0.0, 1e-10);
-  EXPECT_NEAR(r.p_value, 1.0, 1e-10);
-}
-
-TEST(CochranArmitageTest, RisingTrendDetected) {
-  const std::vector<double> successes = {10, 30, 60};
-  const std::vector<double> trials = {100, 100, 100};
-  const std::vector<double> scores = {0, 1, 2};
-  const auto r = cochran_armitage_trend(successes, trials, scores);
-  EXPECT_GT(r.z, 5.0);
-  EXPECT_LT(r.p_value, 1e-6);
-}
-
-TEST(CochranArmitageTest, FallingTrendNegativeZ) {
-  const std::vector<double> successes = {60, 30, 10};
-  const std::vector<double> trials = {100, 100, 100};
-  const std::vector<double> scores = {2011, 2017, 2024};
-  const auto r = cochran_armitage_trend(successes, trials, scores);
-  EXPECT_LT(r.z, -5.0);
-}
-
-TEST(CochranArmitageTest, TwoGroupsMatchProportionTestRoughly) {
-  // With k = 2 the trend test reduces to the two-proportion z-test.
-  const auto trend = cochran_armitage_trend(
-      std::vector<double>{30, 60}, std::vector<double>{100, 100},
-      std::vector<double>{0, 1});
-  const auto prop = two_proportion_test(60, 100, 30, 100);
-  EXPECT_NEAR(std::fabs(trend.z), std::fabs(prop.z), 1e-9);
-}
-
-TEST(CochranArmitageTest, RejectsBadInput) {
-  EXPECT_THROW(cochran_armitage_trend(std::vector<double>{1.0},
-                                      std::vector<double>{10.0},
-                                      std::vector<double>{0.0}),
-               rcr::Error);
-  EXPECT_THROW(cochran_armitage_trend(std::vector<double>{1, 2},
-                                      std::vector<double>{0, 10},
-                                      std::vector<double>{0, 1}),
-               rcr::Error);
-  EXPECT_THROW(cochran_armitage_trend(std::vector<double>{11, 2},
-                                      std::vector<double>{10, 10},
-                                      std::vector<double>{0, 1}),
-               rcr::Error);
-}
 
 // --- BCa bootstrap -------------------------------------------------------------------
 

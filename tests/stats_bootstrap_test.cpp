@@ -83,7 +83,8 @@ TEST(BootstrapTest, ProportionAgreesWithWilson) {
   for (int i = 0; i < 500; ++i) binary.push_back(rng.bernoulli(0.3) ? 1 : 0);
   BootstrapOptions opts;
   opts.replicates = 4000;
-  const auto boot = bootstrap_proportion(binary, opts);
+  const std::span<const double> column[] = {binary};
+  const auto boot = bootstrap_proportions(column, opts).front();
   const double successes = mean(binary) * binary.size();
   const auto wilson = wilson_ci(successes, binary.size());
   EXPECT_NEAR(boot.percentile_ci.lo, wilson.lo, 0.02);
@@ -118,8 +119,9 @@ TEST(BootstrapTest, RejectsBadInput) {
                          [](std::span<const double> x) { return mean(x); },
                          opts),
                rcr::Error);
-  EXPECT_THROW(bootstrap_proportion(std::vector<double>{0.0, 0.5}),
-               rcr::Error);
+  const std::vector<double> fractional = {0.0, 0.5};
+  const std::span<const double> column[] = {fractional};
+  EXPECT_THROW(bootstrap_proportions(column), rcr::Error);
 }
 
 TEST(BootstrapTest, ProportionsRejectBadColumns) {
@@ -135,7 +137,7 @@ TEST(BootstrapTest, ProportionsRejectBadColumns) {
   EXPECT_THROW(bootstrap_proportions(Columns{a, shorter}), rcr::Error);
   EXPECT_THROW(bootstrap_proportions(Columns{empty, empty}), rcr::Error);
   EXPECT_THROW(bootstrap_proportions(Columns{a, fractional}), rcr::Error);
-  EXPECT_THROW(bootstrap_proportion(empty), rcr::Error);
+  EXPECT_THROW(bootstrap_proportions(Columns{empty}), rcr::Error);
 }
 
 // Property: percentile CI endpoints are monotone in confidence level.

@@ -34,20 +34,6 @@ TEST(WilsonTest, HigherConfidenceIsWider) {
   EXPECT_GT(c99.width(), c90.width());
 }
 
-TEST(WaldTest, DegenerateAtBoundary) {
-  const auto ci = wald_ci(0, 20);
-  EXPECT_DOUBLE_EQ(ci.lo, 0.0);
-  EXPECT_DOUBLE_EQ(ci.hi, 0.0);  // the known Wald failure Wilson avoids
-}
-
-TEST(AgrestiCoullTest, ContainsWilsonEstimate) {
-  const auto w = wilson_ci(12, 80);
-  const auto ac = agresti_coull_ci(12, 80);
-  EXPECT_NEAR(w.estimate, ac.estimate, 1e-12);
-  // AC is at least as wide as Wilson.
-  EXPECT_GE(ac.width(), w.width() - 1e-9);
-}
-
 TEST(ProportionCiTest, RejectsInvalidInput) {
   EXPECT_THROW(wilson_ci(5, 0), rcr::Error);
   EXPECT_THROW(wilson_ci(11, 10), rcr::Error);

@@ -16,7 +16,6 @@ const std::vector<double> kSample = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
 TEST(DescriptiveTest, MeanAndVariance) {
   EXPECT_DOUBLE_EQ(mean(kSample), 5.0);
   // Known population variance of this classic sample is 4.
-  EXPECT_DOUBLE_EQ(variance_population(kSample), 4.0);
   EXPECT_NEAR(variance(kSample), 4.0 * 8.0 / 7.0, 1e-12);
   EXPECT_NEAR(stddev(kSample), std::sqrt(32.0 / 7.0), 1e-12);
 }
@@ -41,30 +40,6 @@ TEST(DescriptiveTest, EmptyDataThrows) {
   EXPECT_THROW(variance(std::vector<double>{1.0}), rcr::Error);
 }
 
-TEST(DescriptiveTest, Geomean) {
-  EXPECT_NEAR(geomean(std::vector<double>{1.0, 8.0}),
-              std::sqrt(8.0), 1e-12);
-  EXPECT_NEAR(geomean(std::vector<double>{2.0, 2.0, 2.0}), 2.0, 1e-12);
-  EXPECT_THROW(geomean(std::vector<double>{1.0, 0.0}), rcr::Error);
-}
-
-TEST(DescriptiveTest, WeightedMean) {
-  const std::vector<double> x = {1.0, 3.0};
-  EXPECT_DOUBLE_EQ(weighted_mean(x, std::vector<double>{1.0, 1.0}), 2.0);
-  EXPECT_DOUBLE_EQ(weighted_mean(x, std::vector<double>{3.0, 1.0}), 1.5);
-  EXPECT_THROW(weighted_mean(x, std::vector<double>{0.0, 0.0}), rcr::Error);
-  EXPECT_THROW(weighted_mean(x, std::vector<double>{1.0}), rcr::Error);
-}
-
-TEST(DescriptiveTest, EffectiveSampleSize) {
-  // Equal weights: ESS = n.
-  EXPECT_DOUBLE_EQ(effective_sample_size(std::vector<double>{2, 2, 2, 2}),
-                   4.0);
-  // One dominant weight: ESS -> 1.
-  EXPECT_NEAR(effective_sample_size(std::vector<double>{100, 0.0, 0.0}), 1.0,
-              1e-12);
-}
-
 TEST(QuantileTest, Type7Interpolation) {
   const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
@@ -84,44 +59,6 @@ TEST(QuantileTest, SingleElement) {
 TEST(QuantileTest, RejectsOutOfRangeQ) {
   EXPECT_THROW(quantile(kSample, -0.1), rcr::Error);
   EXPECT_THROW(quantile(kSample, 1.1), rcr::Error);
-}
-
-TEST(SkewnessTest, SymmetricIsZero) {
-  EXPECT_NEAR(skewness(std::vector<double>{-2, -1, 0, 1, 2}), 0.0, 1e-12);
-}
-
-TEST(SkewnessTest, RightSkewPositive) {
-  EXPECT_GT(skewness(std::vector<double>{1, 1, 1, 1, 10}), 0.0);
-  EXPECT_LT(skewness(std::vector<double>{-10, 1, 1, 1, 1}), 0.0);
-}
-
-TEST(SkewnessTest, Degenerate) {
-  EXPECT_THROW(skewness(std::vector<double>{1.0, 2.0}), rcr::Error);
-  EXPECT_THROW(skewness(std::vector<double>{3.0, 3.0, 3.0}), rcr::Error);
-}
-
-TEST(CorrelationTest, PerfectLinear) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  std::vector<double> neg;
-  for (double v : y) neg.push_back(-v);
-  EXPECT_NEAR(pearson(x, neg), -1.0, 1e-12);
-}
-
-TEST(CorrelationTest, KnownValue) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 1, 4, 3, 5};
-  EXPECT_NEAR(pearson(x, y), 0.8, 1e-12);
-  EXPECT_NEAR(spearman(x, y), 0.8, 1e-12);  // same ranks here
-}
-
-TEST(CorrelationTest, SpearmanMonotonicNonlinear) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  std::vector<double> y;
-  for (double v : x) y.push_back(std::exp(v));  // monotone but curved
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-  EXPECT_LT(pearson(x, y), 1.0);
 }
 
 TEST(RanksTest, TiesGetAverageRank) {

@@ -8,51 +8,6 @@
 namespace rcr::stats {
 namespace {
 
-TEST(HistogramTest, BasicBinning) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bin 0
-  h.add(3.9);   // bin 1
-  h.add(4.0);   // bin 2
-  h.add(9.99);  // bin 4
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(2), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(3), 0.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.25);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(HistogramTest, OutliersClampToEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(1e9);
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 1.0);
-}
-
-TEST(HistogramTest, WeightedAdds) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25, 2.5);
-  h.add(0.75, 0.5);
-  EXPECT_DOUBLE_EQ(h.count(0), 2.5);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.5 / 3.0);
-  EXPECT_THROW(h.add(0.5, -1.0), rcr::Error);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), rcr::Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), rcr::Error);
-}
-
 TEST(Log2HistogramTest, BinsPowersOfTwo) {
   Log2Histogram h(0, 4);  // [1,2), [2,4), [4,8), [8,16)
   h.add(1.0);

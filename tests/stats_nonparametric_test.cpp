@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "stats/nonparametric.hpp"
@@ -9,41 +8,6 @@
 
 namespace rcr::stats {
 namespace {
-
-TEST(KruskalWallisTest, IdenticalGroupsScoreLow) {
-  const std::vector<std::vector<double>> groups = {
-      {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}};
-  const auto r = kruskal_wallis(groups);
-  EXPECT_LT(r.h, 1.0);
-  EXPECT_GT(r.p_value, 0.5);
-  EXPECT_DOUBLE_EQ(r.dof, 2.0);
-}
-
-TEST(KruskalWallisTest, SeparatedGroupsScoreHigh) {
-  const std::vector<std::vector<double>> groups = {
-      {1, 2, 3, 4, 5, 6}, {11, 12, 13, 14, 15, 16}, {21, 22, 23, 24, 25, 26}};
-  const auto r = kruskal_wallis(groups);
-  EXPECT_GT(r.h, 14.0);  // near the maximum for this configuration
-  EXPECT_LT(r.p_value, 0.001);
-  EXPECT_GT(r.epsilon_squared, 0.8);
-}
-
-TEST(KruskalWallisTest, TwoFullySeparatedGroupsHandComputed) {
-  // Group A holds ranks 6..10, group B ranks 1..5 (complete separation):
-  // H = 12/(10*11) * (40²/5 + 15²/5) - 3*11 = 6.818... (no ties).
-  const std::vector<std::vector<double>> groups = {
-      {6.5, 6.8, 7.1, 7.3, 10.2}, {5.8, 5.9, 6.0, 6.1, 6.2}};
-  const auto r = kruskal_wallis(groups);
-  EXPECT_NEAR(r.h, 6.8181818, 1e-6);
-  EXPECT_LT(r.p_value, 0.01);
-}
-
-TEST(KruskalWallisTest, RejectsDegenerate) {
-  EXPECT_THROW(kruskal_wallis({{1.0, 2.0}}), rcr::Error);
-  EXPECT_THROW(kruskal_wallis({{1.0}, {}}), rcr::Error);
-  // All values tie: correction factor hits zero.
-  EXPECT_THROW(kruskal_wallis({{3.0, 3.0}, {3.0, 3.0}}), rcr::Error);
-}
 
 TEST(WilcoxonTest, SymmetricDifferencesNotSignificant) {
   const std::vector<double> x = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -77,46 +41,6 @@ TEST(WilcoxonTest, RejectsMismatch) {
   EXPECT_THROW(wilcoxon_signed_rank(std::vector<double>{1.0},
                                     std::vector<double>{1.0, 2.0}),
                rcr::Error);
-}
-
-TEST(KendallTest, PerfectAgreementAndReversal) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(kendall_tau_b(x, y), 1.0);
-  const std::vector<double> rev = {50, 40, 30, 20, 10};
-  EXPECT_DOUBLE_EQ(kendall_tau_b(x, rev), -1.0);
-}
-
-TEST(KendallTest, KnownSmallValue) {
-  // x = 1..4, y = {1, 3, 2, 4}: 5 concordant, 1 discordant -> tau = 4/6.
-  const std::vector<double> x = {1, 2, 3, 4};
-  const std::vector<double> y = {1, 3, 2, 4};
-  EXPECT_NEAR(kendall_tau_b(x, y), 4.0 / 6.0, 1e-12);
-}
-
-TEST(KendallTest, TiesShrinkMagnitude) {
-  const std::vector<double> x = {1, 2, 3, 4, 5, 6};
-  const std::vector<double> y = {1, 1, 2, 2, 3, 3};  // monotone with ties
-  const double tau = kendall_tau_b(x, y);
-  EXPECT_GT(tau, 0.8);
-  EXPECT_LT(tau, 1.0);  // tau-b < 1 under ties in y only
-}
-
-TEST(KendallTest, RejectsConstantVariable) {
-  const std::vector<double> x = {1, 1, 1};
-  const std::vector<double> y = {1, 2, 3};
-  EXPECT_THROW(kendall_tau_b(x, y), rcr::Error);
-}
-
-TEST(KendallTest, AgreesInSignWithStrongCorrelation) {
-  rcr::Rng rng(9);
-  std::vector<double> x, y;
-  for (int i = 0; i < 200; ++i) {
-    const double v = rng.normal();
-    x.push_back(v);
-    y.push_back(0.9 * v + 0.1 * rng.normal());
-  }
-  EXPECT_GT(kendall_tau_b(x, y), 0.7);
 }
 
 }  // namespace

@@ -13,31 +13,6 @@ namespace {
 
 // --- matrix -------------------------------------------------------------------
 
-TEST(MatrixTest, MultiplyAndTranspose) {
-  Matrix a(2, 3);
-  a.at(0, 0) = 1; a.at(0, 1) = 2; a.at(0, 2) = 3;
-  a.at(1, 0) = 4; a.at(1, 1) = 5; a.at(1, 2) = 6;
-  const auto at = a.transpose();
-  EXPECT_EQ(at.rows(), 3u);
-  EXPECT_DOUBLE_EQ(at.at(2, 1), 6.0);
-  const auto aat = a.multiply(at);
-  EXPECT_DOUBLE_EQ(aat.at(0, 0), 14.0);
-  EXPECT_DOUBLE_EQ(aat.at(0, 1), 32.0);
-  EXPECT_DOUBLE_EQ(aat.at(1, 1), 77.0);
-  const auto g = a.gram();  // A^T A, 3x3
-  EXPECT_DOUBLE_EQ(g.at(0, 0), 17.0);
-  EXPECT_DOUBLE_EQ(g.at(0, 2), 27.0);
-  EXPECT_DOUBLE_EQ(g.at(2, 0), 27.0);
-}
-
-TEST(MatrixTest, VectorMultiply) {
-  Matrix a(2, 2);
-  a.at(0, 0) = 2; a.at(0, 1) = 0; a.at(1, 0) = 1; a.at(1, 1) = 3;
-  const auto v = a.multiply(std::vector<double>{1.0, 2.0});
-  EXPECT_DOUBLE_EQ(v[0], 2.0);
-  EXPECT_DOUBLE_EQ(v[1], 7.0);
-}
-
 TEST(CholeskyTest, SolvesSpdSystem) {
   Matrix a(2, 2);
   a.at(0, 0) = 4; a.at(0, 1) = 2; a.at(1, 0) = 2; a.at(1, 1) = 3;
@@ -51,88 +26,6 @@ TEST(CholeskyTest, RejectsIndefinite) {
   a.at(0, 0) = 1; a.at(0, 1) = 2; a.at(1, 0) = 2; a.at(1, 1) = 1;
   EXPECT_THROW(cholesky_solve(a, std::vector<double>{1.0, 1.0}),
                rcr::ComputeError);
-}
-
-TEST(LuTest, SolvesGeneralSystem) {
-  Matrix a(3, 3);
-  const double vals[3][3] = {{0, 2, 1}, {3, 0, 1}, {1, 1, 1}};
-  for (int r = 0; r < 3; ++r)
-    for (int c = 0; c < 3; ++c) a.at(r, c) = vals[r][c];
-  const std::vector<double> b = {5.0, 7.0, 6.0};
-  const auto x = lu_solve(a, b);
-  for (int r = 0; r < 3; ++r) {
-    double lhs = 0.0;
-    for (int c = 0; c < 3; ++c) lhs += vals[r][c] * x[c];
-    EXPECT_NEAR(lhs, b[r], 1e-10);
-  }
-}
-
-TEST(LuTest, RejectsSingular) {
-  Matrix a(2, 2);
-  a.at(0, 0) = 1; a.at(0, 1) = 2; a.at(1, 0) = 2; a.at(1, 1) = 4;
-  EXPECT_THROW(lu_solve(a, std::vector<double>{1.0, 1.0}),
-               rcr::ComputeError);
-}
-
-// --- OLS ----------------------------------------------------------------------
-
-TEST(OlsTest, ExactLineRecovered) {
-  // y = 3 + 2x with no noise.
-  std::vector<double> x, y;
-  for (int i = 0; i < 10; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const auto fit = ols_fit_simple(x, y);
-  EXPECT_NEAR(fit.coefficients[0], 3.0, 1e-10);
-  EXPECT_NEAR(fit.coefficients[1], 2.0, 1e-10);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(fit.residual_stddev, 0.0, 1e-8);
-  EXPECT_NEAR(fit.predict(std::vector<double>{20.0}), 43.0, 1e-8);
-}
-
-TEST(OlsTest, NoisyFitRecoversCoefficients) {
-  rcr::Rng rng(3);
-  std::vector<std::vector<double>> xs;
-  std::vector<double> y;
-  for (int i = 0; i < 500; ++i) {
-    const double a = rng.uniform(-2, 2), b = rng.uniform(-2, 2);
-    xs.push_back({a, b});
-    y.push_back(1.5 - 0.8 * a + 2.2 * b + rng.normal(0, 0.3));
-  }
-  const auto fit = ols_fit(xs, y);
-  EXPECT_NEAR(fit.coefficients[0], 1.5, 0.05);
-  EXPECT_NEAR(fit.coefficients[1], -0.8, 0.05);
-  EXPECT_NEAR(fit.coefficients[2], 2.2, 0.05);
-  EXPECT_GT(fit.r_squared, 0.95);
-  // Standard errors should be small and positive.
-  for (double se : fit.std_errors) {
-    EXPECT_GT(se, 0.0);
-    EXPECT_LT(se, 0.1);
-  }
-}
-
-TEST(OlsTest, KnownSimpleRegression) {
-  // Hand-computed: x = {1,2,3}, y = {2, 2, 4} -> slope 1, intercept 2/3.
-  const auto fit = ols_fit_simple(std::vector<double>{1, 2, 3},
-                                  std::vector<double>{2, 2, 4});
-  EXPECT_NEAR(fit.coefficients[1], 1.0, 1e-10);
-  EXPECT_NEAR(fit.coefficients[0], 2.0 / 3.0, 1e-10);
-}
-
-TEST(OlsTest, RejectsUnderdetermined) {
-  std::vector<std::vector<double>> xs = {{1.0}, {2.0}};
-  EXPECT_THROW(ols_fit(xs, std::vector<double>{1.0, 2.0}), rcr::Error);
-}
-
-TEST(OlsTest, RejectsCollinearPredictors) {
-  std::vector<std::vector<double>> xs;
-  std::vector<double> y;
-  for (int i = 0; i < 10; ++i) {
-    xs.push_back({double(i), 2.0 * i});  // perfectly collinear
-    y.push_back(i);
-  }
-  EXPECT_THROW(ols_fit(xs, y), rcr::ComputeError);
 }
 
 // --- logistic -------------------------------------------------------------------

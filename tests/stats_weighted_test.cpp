@@ -1,5 +1,4 @@
-// Tests for the weighted descriptive statistics plus a fuzz-style CSV
-// round-trip property over randomly generated tables.
+// A fuzz-style CSV round-trip property over randomly generated tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,75 +7,10 @@
 
 #include "data/csv.hpp"
 #include "data/table.hpp"
-#include "stats/descriptive.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace rcr {
 namespace {
-
-// --- weighted variance -------------------------------------------------------------
-
-TEST(WeightedVarianceTest, EqualWeightsMatchSampleVariance) {
-  const std::vector<double> x = {2, 4, 4, 4, 5, 5, 7, 9};
-  const std::vector<double> w(x.size(), 1.0);
-  EXPECT_NEAR(stats::weighted_variance(x, w), stats::variance(x), 1e-12);
-  // Scaling all weights by a constant changes nothing.
-  const std::vector<double> w3(x.size(), 3.0);
-  EXPECT_NEAR(stats::weighted_variance(x, w3), stats::variance(x), 1e-12);
-}
-
-TEST(WeightedVarianceTest, ZeroWeightPointsIgnored) {
-  const std::vector<double> x = {1.0, 2.0, 3.0, 1000.0};
-  const std::vector<double> w = {1.0, 1.0, 1.0, 0.0};
-  const std::vector<double> trimmed = {1.0, 2.0, 3.0};
-  EXPECT_NEAR(stats::weighted_variance(x, w), stats::variance(trimmed),
-              1e-12);
-}
-
-TEST(WeightedVarianceTest, RejectsDegenerate) {
-  EXPECT_THROW(stats::weighted_variance(std::vector<double>{1.0},
-                                        std::vector<double>{1.0}),
-               rcr::Error);
-  EXPECT_THROW(stats::weighted_variance(std::vector<double>{1.0, 2.0},
-                                        std::vector<double>{1.0, 0.0}),
-               rcr::Error);
-}
-
-// --- weighted quantile ---------------------------------------------------------------
-
-TEST(WeightedQuantileTest, EqualWeightsHitEmpiricalCdf) {
-  const std::vector<double> x = {10, 20, 30, 40};
-  const std::vector<double> w(4, 1.0);
-  EXPECT_DOUBLE_EQ(stats::weighted_median(x, w), 20.0);
-  EXPECT_DOUBLE_EQ(stats::weighted_quantile(x, w, 0.75), 30.0);
-  EXPECT_DOUBLE_EQ(stats::weighted_quantile(x, w, 1.0), 40.0);
-}
-
-TEST(WeightedQuantileTest, HeavyWeightDragsTheMedian) {
-  const std::vector<double> x = {1.0, 2.0, 100.0};
-  EXPECT_DOUBLE_EQ(
-      stats::weighted_median(x, std::vector<double>{1.0, 1.0, 5.0}), 100.0);
-  EXPECT_DOUBLE_EQ(
-      stats::weighted_median(x, std::vector<double>{5.0, 1.0, 1.0}), 1.0);
-}
-
-TEST(WeightedQuantileTest, UnsortedInputHandled) {
-  const std::vector<double> x = {30, 10, 20};
-  const std::vector<double> w = {1.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(stats::weighted_median(x, w), 20.0);
-}
-
-TEST(WeightedQuantileTest, RejectsBadInput) {
-  const std::vector<double> x = {1.0};
-  EXPECT_THROW(stats::weighted_quantile(x, std::vector<double>{0.0}, 0.5),
-               rcr::Error);
-  EXPECT_THROW(stats::weighted_quantile(x, std::vector<double>{1.0}, 1.5),
-               rcr::Error);
-  EXPECT_THROW(
-      stats::weighted_quantile(x, std::vector<double>{1.0, 2.0}, 0.5),
-      rcr::Error);
-}
 
 // --- CSV fuzz round-trip ---------------------------------------------------------------
 

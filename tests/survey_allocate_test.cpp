@@ -1,9 +1,8 @@
-// Tests for stratified allocation and the recode utilities.
+// Tests for stratified allocation.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "data/recode.hpp"
 #include "survey/allocate.hpp"
 #include "util/error.hpp"
 
@@ -53,57 +52,6 @@ TEST(AllocationTest, RejectsBadInput) {
   EXPECT_THROW(survey::neyman_allocation(std::vector<double>{1.0},
                                          std::vector<double>{-1.0}, 10),
                rcr::Error);
-}
-
-// --- recode ---------------------------------------------------------------------
-
-data::Table cores_table() {
-  data::Table t;
-  auto& cores = t.add_numeric("cores");
-  for (double v : {1.0, 2.0, 8.0, 64.0, 1024.0}) cores.push(v);
-  cores.push_missing();
-  return t;
-}
-
-TEST(RecodeTest, BinsNumericIntoClasses) {
-  auto t = cores_table();
-  data::add_binned_column(t, "cores", "width_class", {2.0, 16.0, 256.0},
-                          {"serial", "node", "cluster", "capability"});
-  const auto& col = t.categorical("width_class");
-  EXPECT_EQ(col.label_at(0), "serial");      // 1 < 2
-  EXPECT_EQ(col.label_at(1), "node");        // 2 in [2,16)
-  EXPECT_EQ(col.label_at(2), "node");        // 8
-  EXPECT_EQ(col.label_at(3), "cluster");     // 64 in [16,256)
-  EXPECT_EQ(col.label_at(4), "capability");  // 1024 >= 256
-  EXPECT_TRUE(col.is_missing(5));
-}
-
-TEST(RecodeTest, DerivedColumnFromPredicate) {
-  auto t = cores_table();
-  data::add_derived_column(
-      t, "wide", {"no", "yes"},
-      [](const data::Table& table, std::size_t i) -> std::int32_t {
-        const double v = table.numeric("cores").at(i);
-        if (data::NumericColumn::is_missing(v)) return data::kMissingCode;
-        return v >= 16.0 ? 1 : 0;
-      });
-  const auto& col = t.categorical("wide");
-  EXPECT_EQ(col.label_at(0), "no");
-  EXPECT_EQ(col.label_at(3), "yes");
-  EXPECT_TRUE(col.is_missing(5));
-  EXPECT_NO_THROW(t.validate_rectangular());
-}
-
-TEST(RecodeTest, RejectsBadBinning) {
-  auto t = cores_table();
-  EXPECT_THROW(data::add_binned_column(t, "cores", "w", {}, {"a"}),
-               rcr::Error);
-  EXPECT_THROW(
-      data::add_binned_column(t, "cores", "w", {2.0}, {"a", "b", "c"}),
-      rcr::Error);
-  EXPECT_THROW(
-      data::add_binned_column(t, "cores", "w", {5.0, 2.0}, {"a", "b", "c"}),
-      rcr::Error);
 }
 
 }  // namespace

@@ -127,105 +127,6 @@ TEST(ExponentialInterarrivalTest, MomentsMatchClosedFormWithFixedSeed) {
   EXPECT_NEAR(var, 1.0 / (lambda * lambda), 0.05 / (lambda * lambda));
 }
 
-TEST(PoissonSamplerTest, ValidatesParameters) {
-  EXPECT_THROW(PoissonSampler(0.0), Error);
-  EXPECT_THROW(PoissonSampler(-1.0), Error);
-  EXPECT_THROW(PoissonSampler(1e9), Error);  // e^-lambda underflows
-  EXPECT_NO_THROW(PoissonSampler(0.01));
-  EXPECT_NO_THROW(PoissonSampler(100.0));
-}
-
-TEST(PoissonSamplerTest, PmfNormalizesAndPinsClosedForm) {
-  const double lambda = 3.5;
-  const PoissonSampler poisson(lambda);
-  EXPECT_DOUBLE_EQ(poisson.probability(0), std::exp(-lambda));
-  // P(k)/P(k-1) = lambda/k, exactly how the walk builds the pmf.
-  EXPECT_NEAR(poisson.probability(4) / poisson.probability(3), lambda / 4.0,
-              1e-12);
-  double total = 0.0;
-  for (std::size_t k = 0; k <= 60; ++k) total += poisson.probability(k);
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(poisson.mean(), lambda);
-  EXPECT_DOUBLE_EQ(poisson.variance(), lambda);
-}
-
-TEST(PoissonSamplerTest, SampleIsMonotoneInverseCdf) {
-  const PoissonSampler poisson(2.0);
-  // u below P(0) = e^-2 yields 0; the CDF boundaries map exactly.
-  EXPECT_EQ(poisson.sample(0.0), 0u);
-  EXPECT_EQ(poisson.sample(std::exp(-2.0) - 1e-9), 0u);
-  EXPECT_EQ(poisson.sample(std::exp(-2.0) + 1e-9), 1u);
-  std::size_t prev = 0;
-  for (double u = 0.0; u < 1.0; u += 0.0005) {
-    const std::size_t k = poisson.sample(u);
-    EXPECT_GE(k, prev);
-    prev = k;
-  }
-}
-
-TEST(PoissonSamplerTest, MomentsMatchClosedFormWithFixedSeed) {
-  const double lambda = 6.0;
-  const PoissonSampler poisson(lambda);
-  constexpr std::size_t kDraws = 200000;
-  Rng rng(31337);
-  double sum = 0.0, sum_sq = 0.0;
-  for (std::size_t i = 0; i < kDraws; ++i) {
-    const double k = static_cast<double>(poisson.sample(rng.next_double()));
-    sum += k;
-    sum_sq += k * k;
-  }
-  const double mean = sum / kDraws;
-  const double var = sum_sq / kDraws - mean * mean;
-  // Poisson(lambda): mean lambda, variance lambda; 4-sigma band on the
-  // sample mean of kDraws iid counts.
-  EXPECT_NEAR(mean, lambda, 4.0 * std::sqrt(lambda / kDraws));
-  EXPECT_NEAR(var, lambda, 0.05 * lambda);
-}
-
-TEST(LogUniformTest, ValidatesAndPinsEdges) {
-  EXPECT_THROW(log_uniform(0.0, 10.0, 0.5), Error);
-  EXPECT_THROW(log_uniform(-1.0, 10.0, 0.5), Error);
-  EXPECT_THROW(log_uniform(5.0, 5.0, 0.5), Error);
-  EXPECT_THROW(log_uniform(10.0, 2.0, 0.5), Error);
-  EXPECT_DOUBLE_EQ(log_uniform(2.0, 32.0, 0.0), 2.0);
-  // u = 0.5 lands on the geometric midpoint sqrt(lo * hi).
-  EXPECT_NEAR(log_uniform(2.0, 32.0, 0.5), 8.0, 1e-12);
-  // Monotone in the draw and bounded by [lo, hi).
-  EXPECT_LT(log_uniform(1.0, 100.0, 0.2), log_uniform(1.0, 100.0, 0.8));
-  EXPECT_LT(log_uniform(1.0, 100.0, std::nextafter(1.0, 0.0)), 100.0);
-}
-
-TEST(LogUniformTest, MomentsMatchClosedFormWithFixedSeed) {
-  const double lo = 1.0, hi = 1000.0;
-  constexpr std::size_t kDraws = 200000;
-  Rng rng(8081);
-  double sum = 0.0, sum_log = 0.0, sum_log_sq = 0.0;
-  for (std::size_t i = 0; i < kDraws; ++i) {
-    const double v = log_uniform(lo, hi, rng.next_double());
-    EXPECT_GE(v, lo);
-    EXPECT_LT(v, hi);
-    sum += v;
-    const double lv = std::log(v);
-    sum_log += lv;
-    sum_log_sq += lv * lv;
-  }
-  // Closed-form mean (hi - lo) / log(hi / lo); the value's variance is
-  // large, so band the mean at 4 sigma of the sample mean using the
-  // closed-form second moment (hi^2 - lo^2) / (2 log(hi / lo)).
-  const double span = std::log(hi / lo);
-  const double mean = (hi - lo) / span;
-  const double second = (hi * hi - lo * lo) / (2.0 * span);
-  const double sd_mean = std::sqrt((second - mean * mean) / kDraws);
-  EXPECT_NEAR(sum / kDraws, mean, 4.0 * sd_mean);
-  // log(v) is uniform on [log lo, log hi): mean span/2 (lo = 1 makes
-  // log lo = 0), variance span^2/12.
-  const double log_var = span * span / 12.0;
-  EXPECT_NEAR(sum_log / kDraws, span / 2.0,
-              4.0 * std::sqrt(log_var / kDraws));
-  EXPECT_NEAR(sum_log_sq / kDraws - (sum_log / kDraws) * (sum_log / kDraws),
-              log_var, 0.05 * log_var);
-}
-
 TEST(BetaSamplerTest, ValidatesParameters) {
   EXPECT_THROW(BetaSampler(0.0, 1.0), Error);
   EXPECT_THROW(BetaSampler(1.0, -2.0), Error);
@@ -300,7 +201,7 @@ TEST(TrafficTest, PureFunctionsAreDeterministicAcrossGenerators) {
     EXPECT_EQ(zipf.sample(u), zipf.sample(u));
   }
   // Philox substreams drive the identical code path: the sampler only sees
-  // a u01 double, so client fan-out in bench_serve (one substream per
+  // a u01 double, so a load generator's client fan-out (one substream per
   // synthetic client) needs no sampler-side support.
   simd::Philox root(2024, 0);
   simd::Philox c0 = root.substream(0);

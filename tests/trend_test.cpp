@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "query/engine.hpp"
 #include "trend/trend.hpp"
 #include "util/error.hpp"
 
@@ -51,18 +52,6 @@ TEST(CompareOptionTest, MissingRowsExcluded) {
   EXPECT_DOUBLE_EQ(t.n1, 10.0);  // the missing row does not count
 }
 
-TEST(CompareCategoryTest, Works) {
-  const auto w1 = make_wave(20, 100);
-  const auto w2 = make_wave(20, 100);
-  const auto t = compare_category(w1, w2, "c", "yes");
-  EXPECT_NEAR(t.share1.estimate, 0.2, 1e-12);
-  EXPECT_NEAR(t.share2.estimate, 0.2, 1e-12);
-  EXPECT_NEAR(t.test.p_value, 1.0, 1e-9);
-  std::vector<ShareTrend> battery = {t};
-  adjust_and_classify(battery);
-  EXPECT_EQ(battery[0].direction, Direction::kStable);
-}
-
 TEST(ComparePredicateTest, NulloptExcludes) {
   const auto w1 = make_wave(4, 10);
   const auto w2 = make_wave(6, 10);
@@ -81,31 +70,26 @@ TEST(CompareOptionTest, UnknownOptionThrows) {
   EXPECT_THROW(compare_option(w1, w1, "m", "zzz"), rcr::Error);
 }
 
+// Every option's (selected, answered) tally from one fused-engine scan.
+std::vector<data::OptionShare> engine_shares(const data::Table& wave,
+                                             const std::string& column) {
+  query::QueryEngine engine(wave);
+  const auto id = engine.add_option_shares(column);
+  engine.run();
+  return engine.shares(id);
+}
+
 TEST(OptionBatteryTest, CoversAllOptionsWithHolm) {
   const auto w1 = make_wave(10, 100);
   const auto w2 = make_wave(300, 600);
-  const auto battery = option_battery(w1, w2, "m");
+  const auto battery = option_battery_from_shares(engine_shares(w1, "m"),
+                                                  engine_shares(w2, "m"));
   ASSERT_EQ(battery.size(), 2u);
   // Holm-adjusted p >= raw p.
   for (const auto& t : battery) EXPECT_GE(t.p_adjusted, t.test.p_value);
   // "x" rose, "y" fell (complementary in this construction).
   EXPECT_EQ(battery[0].direction, Direction::kIncrease);
   EXPECT_EQ(battery[1].direction, Direction::kDecrease);
-}
-
-TEST(AdjustClassifyTest, BhIsNoMoreConservativeThanHolm) {
-  const auto w1 = make_wave(10, 100);
-  const auto w2 = make_wave(300, 600);
-  std::vector<ShareTrend> holm = {
-      compare_option(w1, w2, "m", "x"), compare_option(w1, w2, "m", "y"),
-      compare_category(w1, w2, "c", "yes")};
-  auto bh = holm;
-  adjust_and_classify(holm, 0.05, Multiplicity::kHolm);
-  adjust_and_classify(bh, 0.05, Multiplicity::kBenjaminiHochberg);
-  for (std::size_t i = 0; i < holm.size(); ++i) {
-    EXPECT_LE(bh[i].p_adjusted, holm[i].p_adjusted + 1e-12);
-    EXPECT_GE(bh[i].p_adjusted, bh[i].test.p_value);
-  }
 }
 
 TEST(AdjustClassifyTest, EmptyBatteryIsFine) {

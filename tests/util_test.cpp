@@ -156,27 +156,6 @@ TEST(RngTest, BetaMean) {
   EXPECT_NEAR(sum / n, 0.4, 0.01);
 }
 
-TEST(RngTest, PoissonSmallLambdaMean) {
-  Rng rng(37);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(3.5));
-  EXPECT_NEAR(sum / n, 3.5, 0.05);
-}
-
-TEST(RngTest, PoissonLargeLambdaMean) {
-  Rng rng(41);
-  const int n = 20000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(200.0));
-  EXPECT_NEAR(sum / n, 200.0, 1.0);
-}
-
-TEST(RngTest, PoissonZeroLambda) {
-  Rng rng(1);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(43);
   const std::vector<double> w = {1.0, 0.0, 3.0};
@@ -271,53 +250,6 @@ TEST(RngTest, SampleWithoutReplacementMatchesDenseFisherYates) {
         shape.next_below(std::min<std::size_t>(n, 300) + 1));
     expect_matches_dense(shape.next_u64(), n, k);
   }
-}
-
-TEST(RngTest, SplitStreamsAreDecorrelated) {
-  Rng parent(67);
-  Rng a = parent.split();
-  Rng b = parent.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a.next_u64() == b.next_u64()) ++same;
-  EXPECT_LT(same, 2);
-}
-
-// --- alias table -------------------------------------------------------------
-
-TEST(AliasTableTest, MatchesWeights) {
-  const std::vector<double> w = {0.1, 0.2, 0.3, 0.4};
-  AliasTable table(w);
-  Rng rng(71);
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[table.sample(rng)];
-  for (std::size_t i = 0; i < w.size(); ++i)
-    EXPECT_NEAR(static_cast<double>(counts[i]) / n, w[i], 0.01);
-}
-
-TEST(AliasTableTest, NormalizedProbabilities) {
-  AliasTable table(std::vector<double>{2.0, 6.0});
-  EXPECT_NEAR(table.probability(0), 0.25, 1e-12);
-  EXPECT_NEAR(table.probability(1), 0.75, 1e-12);
-}
-
-TEST(AliasTableTest, ZeroWeightNeverSampled) {
-  AliasTable table(std::vector<double>{1.0, 0.0, 1.0});
-  Rng rng(73);
-  for (int i = 0; i < 10000; ++i) EXPECT_NE(table.sample(rng), 1u);
-}
-
-TEST(AliasTableTest, SingleOutcome) {
-  AliasTable table(std::vector<double>{5.0});
-  Rng rng(79);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.sample(rng), 0u);
-}
-
-TEST(AliasTableTest, RejectsBadInput) {
-  EXPECT_THROW(AliasTable(std::vector<double>{}), Error);
-  EXPECT_THROW(AliasTable(std::vector<double>{0.0}), Error);
-  EXPECT_THROW(AliasTable(std::vector<double>{1.0, -0.5}), Error);
 }
 
 // --- strings -------------------------------------------------------------------
