@@ -33,6 +33,14 @@ std::string run_f8_dataset_size(const Study& study);
 std::string run_f9_nonresponse(const Study& study);
 std::string run_f10_panel_transitions(const Study& study);
 
+// Ablations of the scaling and communication models: pure functions of
+// the kernel suite's declared profiles and fixed network presets, so they
+// take no study. bench_artifacts registers them itself;
+// register_all_experiments keeps a study's registry to T1–T8, F1–F10
+// (and L1).
+std::string run_a1_model_ablation();
+std::string run_a2_comm_model();
+
 // Longitudinal extension (registered only for studies with 3+ waves):
 // piecewise N-wave trend batteries per indicator family, one Holm family
 // spanning every overall chi-square and every adjacent-segment z-test.

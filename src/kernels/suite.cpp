@@ -16,16 +16,19 @@ namespace rcr::kernels {
 
 std::vector<KernelCase> standard_suite(std::size_t scale) {
   RCR_CHECK_MSG(scale >= 1, "suite scale must be >= 1");
+  // Each reference.core_gflops is the declared single-core throughput of
+  // the scale-1 serial kernel (Gop/s; provenance in DESIGN.md).
   std::vector<KernelCase> suite;
 
   {
     KernelCase k;
     k.name = "heat-stencil";
-    k.serial_fraction = 0.02;   // halo bookkeeping + buffer swap
-    k.bytes_per_flop = 4.0;     // streaming 5-point stencil
+    k.reference.core_gflops = 5.7;
+    k.work.serial_fraction = 0.02;  // halo bookkeeping + buffer swap
+    k.work.bytes_per_flop = 4.0;  // streaming 5-point stencil
     const std::size_t n = 192 * scale;
     const std::size_t steps = 20;
-    k.work_ops = static_cast<double>(n * n * steps) * 6.0;
+    k.work.work_ops = static_cast<double>(n * n * steps) * 6.0;
     k.run_serial = [n, steps] {
       HeatGrid g(n, n);
       for (std::size_t s = 0; s < steps; ++s) g.step_serial(0.2);
@@ -42,10 +45,11 @@ std::vector<KernelCase> standard_suite(std::size_t scale) {
   {
     KernelCase k;
     k.name = "dense-matmul";
-    k.serial_fraction = 0.005;  // near-perfectly parallel
-    k.bytes_per_flop = 0.3;     // cache-friendly compute-bound
+    k.reference.core_gflops = 4.0;
+    k.work.serial_fraction = 0.005;  // near-perfectly parallel
+    k.work.bytes_per_flop = 0.3;  // cache-friendly compute-bound
     const std::size_t n = 96 * scale;
-    k.work_ops = 2.0 * static_cast<double>(n) * n * n;
+    k.work.work_ops = 2.0 * static_cast<double>(n) * n * n;
     k.run_serial = [n] {
       const Dense a = random_matrix(n, 1);
       const Dense b = random_matrix(n, 2);
@@ -70,11 +74,12 @@ std::vector<KernelCase> standard_suite(std::size_t scale) {
   {
     KernelCase k;
     k.name = "nbody";
-    k.serial_fraction = 0.01;  // integration step is serial-ish but tiny
-    k.bytes_per_flop = 0.05;   // strongly compute-bound
+    k.reference.core_gflops = 3.1;
+    k.work.serial_fraction = 0.01;  // integration step is serial-ish but tiny
+    k.work.bytes_per_flop = 0.05;  // strongly compute-bound
     const std::size_t n = 384 * scale;
     const std::size_t steps = 3;
-    k.work_ops = static_cast<double>(n) * n * steps * 20.0;
+    k.work.work_ops = static_cast<double>(n) * n * steps * 20.0;
     k.run_serial = [n, steps] {
       Bodies b = random_bodies(n, 3);
       for (std::size_t s = 0; s < steps; ++s) nbody_step_serial(b, 1e-3);
@@ -92,10 +97,11 @@ std::vector<KernelCase> standard_suite(std::size_t scale) {
   {
     KernelCase k;
     k.name = "monte-carlo";
-    k.serial_fraction = 0.001;  // embarrassingly parallel
-    k.bytes_per_flop = 0.0;
+    k.reference.core_gflops = 1.7;
+    k.work.serial_fraction = 0.001;  // embarrassingly parallel
+    k.work.bytes_per_flop = 0.0;
     const std::size_t samples = 400000 * scale;
-    k.work_ops = static_cast<double>(samples) * 8.0;
+    k.work.work_ops = static_cast<double>(samples) * 8.0;
     k.run_serial = [samples] { return mc_pi_serial(samples, 11); };
     k.run_parallel = [samples](rcr::parallel::ThreadPool& pool) {
       return mc_pi_parallel(pool, samples, 11);
@@ -106,12 +112,13 @@ std::vector<KernelCase> standard_suite(std::size_t scale) {
   {
     KernelCase k;
     k.name = "spmv";
-    k.serial_fraction = 0.02;
-    k.bytes_per_flop = 10.0;  // memory-bound: index + value traffic
+    k.reference.core_gflops = 1.0;
+    k.work.serial_fraction = 0.02;
+    k.work.bytes_per_flop = 10.0;  // memory-bound: index + value traffic
     const std::size_t rows = 60000 * scale;
     const std::size_t nnz = 12;
     const std::size_t iters = 8;
-    k.work_ops = static_cast<double>(rows * nnz * iters) * 2.0;
+    k.work.work_ops = static_cast<double>(rows * nnz * iters) * 2.0;
     const auto checksum = [](const std::vector<double>& y) {
       double s = 0.0;
       for (double v : y) s += v;
@@ -142,10 +149,11 @@ std::vector<KernelCase> standard_suite(std::size_t scale) {
   {
     KernelCase k;
     k.name = "data-reduction";
-    k.serial_fraction = 0.03;  // partial-histogram merge
-    k.bytes_per_flop = 6.0;    // streaming, memory-bound
+    k.reference.core_gflops = 2.2;
+    k.work.serial_fraction = 0.03;  // partial-histogram merge
+    k.work.bytes_per_flop = 6.0;  // streaming, memory-bound
     const std::size_t count = 500000 * scale;
-    k.work_ops = static_cast<double>(count) * 10.0;
+    k.work.work_ops = static_cast<double>(count) * 10.0;
     k.run_serial = [count] {
       return reduce_stream_serial(count, 23).checksum();
     };

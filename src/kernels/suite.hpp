@@ -1,8 +1,8 @@
 // The standard kernel suite: one entry per computational-science archetype,
-// with the modeling constants the simulator needs (serial fraction and
-// memory intensity). F5 uses the suite both ways: running the real kernels
-// to calibrate single-core cost, and feeding the constants to the simulator
-// to predict scaling beyond the host's core count.
+// with the workload the simulator needs (work, serial fraction and memory
+// intensity) and a declared reference core. F5 uses the suite both ways:
+// running the real kernels to verify serial against pooled, and projecting
+// the workload from the reference core beyond the host's core count.
 #pragma once
 
 #include <cstddef>
@@ -11,18 +11,20 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+#include "sim/scaling.hpp"
 
 namespace rcr::kernels {
 
 struct KernelCase {
   std::string name;
-  // Modeled Amdahl serial fraction of one run (setup, reductions, I/O).
-  double serial_fraction = 0.0;
-  // Modeled memory intensity in bytes moved per arithmetic op; drives the
-  // simulator's bandwidth ceiling. ~0 for compute-bound kernels.
-  double bytes_per_flop = 0.0;
-  // Approximate arithmetic operations per run (work units for the sim).
-  double work_ops = 0.0;
+  // Approximate arithmetic operations per run, the modeled Amdahl serial
+  // fraction (setup, reductions, I/O) and memory intensity in bytes moved
+  // per op (drives the bandwidth ceiling; ~0 for compute-bound kernels).
+  sim::WorkloadModel work;
+  // The reference core: core_gflops is this kernel's declared single-core
+  // throughput (DESIGN.md gives its provenance); the rest is the default
+  // machine.
+  sim::MachineModel reference;
   // Runs the kernel once and returns a verification checksum.
   std::function<double()> run_serial;
   std::function<double(rcr::parallel::ThreadPool&)> run_parallel;

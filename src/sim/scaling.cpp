@@ -19,6 +19,18 @@ void validate(const MachineModel& m, const WorkloadModel& w) {
                 "serial fraction out of [0,1]");
   RCR_CHECK_MSG(w.bytes_per_flop >= 0.0, "bytes_per_flop must be >= 0");
 }
+
+double serial_seconds(const MachineModel& m, const WorkloadModel& w) {
+  return w.serial_fraction * w.work_ops / (m.core_gflops * 1e9);
+}
+
+// work.barriers tree barriers of log2(p) steps each; none on one core.
+double barrier_seconds(const MachineModel& m, const WorkloadModel& w,
+                       std::size_t cores) {
+  if (cores <= 1) return 0.0;
+  return static_cast<double>(w.barriers) * m.barrier_latency_us * 1e-6 *
+         std::log2(static_cast<double>(cores));
+}
 }  // namespace
 
 double predict_time_ablated(const MachineModel& machine,
@@ -27,7 +39,6 @@ double predict_time_ablated(const MachineModel& machine,
   validate(machine, work);
   RCR_CHECK_MSG(cores >= 1, "need at least one core");
   const double flops = machine.core_gflops * 1e9;
-  const double serial_time = work.serial_fraction * work.work_ops / flops;
   const double parallel_ops = (1.0 - work.serial_fraction) * work.work_ops;
   double parallel_time = parallel_ops / (static_cast<double>(cores) * flops);
 
@@ -38,13 +49,9 @@ double predict_time_ablated(const MachineModel& machine,
     parallel_time = std::max(parallel_time, bw_floor);
   }
 
-  double barrier_time = 0.0;
-  if (ablation.include_barriers && cores > 1) {
-    barrier_time = static_cast<double>(work.barriers) *
-                   machine.barrier_latency_us * 1e-6 *
-                   std::log2(static_cast<double>(cores));
-  }
-  return serial_time + parallel_time + barrier_time;
+  const double barrier_time =
+      ablation.include_barriers ? barrier_seconds(machine, work, cores) : 0.0;
+  return serial_seconds(machine, work) + parallel_time + barrier_time;
 }
 
 double predict_time(const MachineModel& machine, const WorkloadModel& work,
@@ -116,6 +123,16 @@ std::vector<double> make_task_durations(const MachineModel& machine,
       d *= 1.0 + jitter_fraction * (2.0 * rng.next_double() - 1.0);
   }
   return durations;
+}
+
+double des_time(const MachineModel& machine, const WorkloadModel& work,
+                std::size_t cores, double jitter_fraction,
+                std::uint64_t seed) {
+  RCR_CHECK_MSG(cores >= 1, "need at least one core");
+  const auto tasks =
+      make_task_durations(machine, work, 4 * cores, jitter_fraction, seed);
+  return simulate_fork_join(tasks, cores, serial_seconds(machine, work),
+                            barrier_seconds(machine, work, cores));
 }
 
 double amdahl_speedup(double serial_fraction, std::size_t cores) {

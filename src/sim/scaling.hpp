@@ -3,7 +3,7 @@
 // Two independent predictors, cross-validated against each other in tests
 // and ablated in F5:
 //   * an analytic machine model (Amdahl + fork-join overhead + a shared
-//     memory-bandwidth ceiling), calibrated from one measured serial run;
+//     memory-bandwidth ceiling), projected from a declared single core;
 //   * a discrete-event fork-join simulator that executes an explicit task
 //     list on P virtual cores (greedy list scheduling) and reports the
 //     makespan — no closed-form assumptions.
@@ -24,7 +24,7 @@ struct MachineModel {
   // Barrier cost grows ~log2(p) (tree barrier), scaled by this model.
 };
 
-// Workload description matching kernels::KernelCase.
+// What one run of a workload asks of the machine.
 struct WorkloadModel {
   double work_ops = 1e9;        // arithmetic operations per run
   double serial_fraction = 0.01;
@@ -76,6 +76,13 @@ std::vector<double> make_task_durations(const MachineModel& machine,
                                         std::size_t tasks,
                                         double jitter_fraction = 0.0,
                                         std::uint64_t seed = 1);
+
+// The fork-join DES of one run on `cores`: the parallel portion as 4 tasks
+// per core (jittered as in make_task_durations), plus the serial fraction
+// and the barrier term exactly as predict_time charges them (none on one
+// core). F5 and A1 cross-check the analytic model with it.
+double des_time(const MachineModel& machine, const WorkloadModel& work,
+                std::size_t cores, double jitter_fraction, std::uint64_t seed);
 
 // Amdahl's law ideal speedup (no overheads), for reference lines.
 double amdahl_speedup(double serial_fraction, std::size_t cores);

@@ -82,14 +82,16 @@ TEST(CsvRoundTrip, GnarlyTableRoundTripsBitwise) {
   for (std::size_t i = 0; i < t.row_count(); ++i) {
     ASSERT_EQ(back.categorical("label").is_missing(i),
               t.categorical("label").is_missing(i));
-    if (!t.categorical("label").is_missing(i))
+    if (!t.categorical("label").is_missing(i)) {
       EXPECT_EQ(back.categorical("label").label_at(i),
                 t.categorical("label").label_at(i));
+    }
     ASSERT_EQ(back.multiselect("opts").is_missing(i),
               t.multiselect("opts").is_missing(i));
-    if (!t.multiselect("opts").is_missing(i))
+    if (!t.multiselect("opts").is_missing(i)) {
       EXPECT_EQ(back.multiselect("opts").mask_at(i),
                 t.multiselect("opts").mask_at(i));
+    }
   }
 }
 

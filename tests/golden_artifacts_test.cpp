@@ -3,13 +3,15 @@
 // unchanged" is a tier-1 check instead of a hand comparison of captures.
 //
 //   * T1–T8 and F1–F10: the experiment bodies of one two-wave Study at the
-//     reference sizes (50,000 / 250,000 rows, seed 3). F5 prints host
-//     timings, so it is pinned by its serial-vs-parallel "checksum diff"
-//     values alone, each followed by '\n'.
+//     reference sizes (50,000 / 250,000 rows, seed 3).
 //   * L1: the longitudinal battery of a three-wave study (2011 / 2017 /
 //     2024 at 2,000 / 2,000 / 5,000 rows, seed 3, the 2024 wave raked).
 //   * M2: render_stream_report of the streaming study (100,000 rows,
 //     seed 7, 65,536-row blocks).
+//   * A1 and A2: the ablation bodies (what bench_artifacts prints after
+//     each banner line).
+//   * S1/<cell>: each cell of sweep::standard_catalog() at master seed 7,
+//     pinned by its metric fingerprint.
 //
 // Every artifact is computed with no pool and on a 4-thread pool, and both
 // must match the same entry. A deliberate re-pin is a reviewed edit of
@@ -20,10 +22,9 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,8 @@
 #include "core/study.hpp"
 #include "parallel/thread_pool.hpp"
 #include "report/experiment.hpp"
+#include "sweep/scenarios.hpp"
+#include "sweep/sweep.hpp"
 #include "synth/calibration.hpp"
 #include "util/hash.hpp"
 
@@ -56,7 +59,7 @@ constexpr Golden kGolden[] = {
     {"F2", 0x7b0a4b0b8cabcfcbULL},
     {"F3", 0x4b301e37647c7857ULL},
     {"F4", 0xc588abf635872500ULL},
-    {"F5", 0xfc8fb3b32cc70a2fULL},
+    {"F5", 0x9ed70083f786c61bULL},
     {"F6", 0x3019daf58434a570ULL},
     {"F7", 0xc85f417bad58207dULL},
     {"F8", 0x848a3892b0bbb0ddULL},
@@ -64,6 +67,36 @@ constexpr Golden kGolden[] = {
     {"F10", 0xb411a8e126d88d8cULL},
     {"L1", 0xe879eee2b99b8b2eULL},
     {"M2", 0x4a2b47f799e6ccdfULL},
+    {"A1", 0x1be19064ec4734bdULL},
+    {"A2", 0xfd9513954f863004ULL},
+    {"S1/amdahl_f0.01_p8_full", 0xd7d99fc38507dc1dULL},
+    {"S1/amdahl_f0.01_p8_no_bandwidth", 0x7fdbba76c36fc0a7ULL},
+    {"S1/amdahl_f0.01_p8_no_barriers", 0x87c1bc7443d7bd60ULL},
+    {"S1/amdahl_f0.01_p64_full", 0x13217d0a6875825cULL},
+    {"S1/amdahl_f0.01_p64_no_bandwidth", 0x9aa294148b6eeae9ULL},
+    {"S1/amdahl_f0.01_p64_no_barriers", 0xc3691542b9450845ULL},
+    {"S1/amdahl_f0.05_p8_full", 0xed3eafa779042439ULL},
+    {"S1/amdahl_f0.05_p8_no_bandwidth", 0x9fc0d708ccada572ULL},
+    {"S1/amdahl_f0.05_p8_no_barriers", 0xe2c290fe986921caULL},
+    {"S1/amdahl_f0.05_p64_full", 0x2acbf64a4f45a61dULL},
+    {"S1/amdahl_f0.05_p64_no_bandwidth", 0xbe60c9be5586625fULL},
+    {"S1/amdahl_f0.05_p64_no_barriers", 0x8c7a9ac609356678ULL},
+    {"S1/queue_FCFS_rate20", 0x08b05fde0c1dc885ULL},
+    {"S1/queue_EASY-backfill_rate20", 0x735338a407711efdULL},
+    {"S1/queue_SJF_rate20", 0xdc6db08b91acd2eaULL},
+    {"S1/queue_FCFS_rate40", 0x22b8f8b57450d54dULL},
+    {"S1/queue_EASY-backfill_rate40", 0xfb6a2eeaa501bc0cULL},
+    {"S1/queue_SJF_rate40", 0x79372c8c922aca83ULL},
+    {"S1/network_bw12.5_halo100000", 0xdc2f2b5b97c494ceULL},
+    {"S1/network_bw12.5_halo1000000", 0x2d7d83d6b7aaec21ULL},
+    {"S1/network_bw1.25_halo100000", 0x391bfb25358f36f8ULL},
+    {"S1/network_bw1.25_halo1000000", 0x0393472c07bdaeabULL},
+    {"S1/population_y2011", 0x8a9da7affd683f7bULL},
+    {"S1/population_y2017.5", 0x4e1aa8aa41ed1effULL},
+    {"S1/population_y2024", 0x5e9f8651d1798b98ULL},
+    {"S1/beta_a2_b5", 0xb04ba71c200931adULL},
+    {"S1/beta_a5_b2", 0x8791fa414e641279ULL},
+    {"S1/beta_a0.5_b0.5", 0x40fa115c75b8ae23ULL},
 };
 
 using Hashes = std::vector<std::pair<std::string, std::uint64_t>>;
@@ -78,20 +111,6 @@ std::string hex(std::uint64_t h) {
   return buf;
 }
 
-// F5's reproducible part: the text after "checksum diff " on every
-// "kernel " line, one value per line.
-std::string f5_checksum_values(const std::string& body) {
-  std::istringstream in(body);
-  std::string line, values;
-  while (std::getline(in, line)) {
-    if (line.rfind("kernel ", 0) != 0) continue;
-    const auto at = line.find("checksum diff ");
-    if (at == std::string::npos) continue;
-    values += line.substr(at + 14) + '\n';
-  }
-  return values;
-}
-
 // Hashes of every experiment registered for `study`, or of `only` alone.
 Hashes experiment_hashes(const Study& study, const std::string& only = "") {
   report::ExperimentRegistry registry;
@@ -99,12 +118,18 @@ Hashes experiment_hashes(const Study& study, const std::string& only = "") {
   Hashes out;
   for (const auto& e : registry.all()) {
     if (!only.empty() && e.id != only) continue;
-    const std::string body = e.run();
-    out.emplace_back(e.id, hash_of(e.id == "F5" ? f5_checksum_values(body)
-                                                : body));
+    out.emplace_back(e.id, hash_of(e.run()));
   }
   EXPECT_FALSE(out.empty()) << "no registered experiment " << only;
   return out;
+}
+
+// Number of kGolden entries whose id starts with `prefix`.
+std::size_t pinned_count(std::string_view prefix) {
+  std::size_t n = 0;
+  for (const Golden& g : kGolden)
+    if (std::string_view(g.id).starts_with(prefix)) ++n;
+  return n;
 }
 
 // Compares `actual` against kGolden. On any difference, names each artifact
@@ -160,9 +185,9 @@ TEST_P(GoldenArtifactsTest, StudyTablesAndFigures) {
   config.pool = pool();
   const Study study(config);
   const Hashes hashes = experiment_hashes(study);
-  // Every entry but L1 and M2 comes from this study; a new experiment
-  // fails as unpinned, a dropped one fails here.
-  EXPECT_EQ(hashes.size(), std::size(kGolden) - 2);
+  // Every T and F entry comes from this study; a new experiment fails as
+  // unpinned, a dropped one fails here.
+  EXPECT_EQ(hashes.size(), pinned_count("T") + pinned_count("F"));
   expect_pinned(hashes, where("two-wave study"));
 }
 
@@ -185,6 +210,23 @@ TEST_P(GoldenArtifactsTest, StreamingStudyReport) {
   config.pool = pool();
   const std::string report = render_stream_report(run_stream_study(config));
   expect_pinned({{"M2", hash_of(report)}}, where("streaming study"));
+}
+
+TEST_P(GoldenArtifactsTest, Ablations) {
+  expect_pinned({{"A1", hash_of(run_a1_model_ablation())},
+                 {"A2", hash_of(run_a2_comm_model())}},
+                where("ablations"));
+}
+
+TEST_P(GoldenArtifactsTest, ScenarioSweepCells) {
+  sweep::SweepConfig config;
+  config.seed = 7;
+  config.pool = pool();
+  Hashes hashes;
+  for (const auto& cell : sweep::run_sweep(sweep::standard_catalog(), config))
+    hashes.emplace_back("S1/" + cell.id, cell.fingerprint);
+  EXPECT_EQ(hashes.size(), pinned_count("S1/"));
+  expect_pinned(hashes, where("scenario sweep"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenArtifactsTest,

@@ -260,9 +260,11 @@ TEST(SuiteTest, AllKernelsVerifySerialVsParallel) {
     EXPECT_NEAR(parallel, serial,
                 std::max(1e-6, std::fabs(serial) * 1e-9))
         << k.name;
-    EXPECT_GT(k.work_ops, 0.0) << k.name;
-    EXPECT_GE(k.serial_fraction, 0.0) << k.name;
-    EXPECT_LT(k.serial_fraction, 0.2) << k.name;
+    EXPECT_GT(k.work.work_ops, 0.0) << k.name;
+    EXPECT_GE(k.work.serial_fraction, 0.0) << k.name;
+    EXPECT_LT(k.work.serial_fraction, 0.2) << k.name;
+    EXPECT_GE(k.work.bytes_per_flop, 0.0) << k.name;
+    EXPECT_GT(k.reference.core_gflops, 0.0) << k.name;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/cluster.hpp"
 #include "sim/scaling.hpp"
@@ -182,6 +184,51 @@ TEST(ForkJoinTest, JitterIsDeterministicAndBounded) {
 TEST(ForkJoinTest, RejectsBadInput) {
   EXPECT_THROW(simulate_fork_join(std::vector<double>{1.0}, 0), rcr::Error);
   EXPECT_THROW(simulate_fork_join(std::vector<double>{-1.0}, 1), rcr::Error);
+}
+
+// For p >= 2, des_time is exactly the hand-built fork-join set-up: 4
+// jittered tasks per core, the serial fraction, and one log2(p) barrier.
+TEST(DesTimeTest, MatchesHandBuiltForkJoinBitForBit) {
+  const auto machine = test_machine();
+  WorkloadModel w;
+  w.work_ops = 3e8;
+  w.serial_fraction = 0.02;
+  for (std::uint64_t seed : {1u, 5u}) {
+    for (std::size_t p : {2u, 8u, 64u}) {
+      const double by_hand = simulate_fork_join(
+          make_task_durations(machine, w, 4 * p, 0.2, seed), p,
+          w.serial_fraction * w.work_ops / (machine.core_gflops * 1e9),
+          machine.barrier_latency_us * 1e-6 *
+              std::log2(static_cast<double>(std::max<std::size_t>(2, p))));
+      EXPECT_EQ(des_time(machine, w, p, 0.2, seed), by_hand)
+          << "p=" << p << " seed=" << seed;
+    }
+  }
+}
+
+// The barrier term, as des_time charges it: the difference the machine's
+// barrier latency makes.
+double des_barrier_term(const WorkloadModel& w, std::size_t p) {
+  MachineModel no_barrier = test_machine();
+  no_barrier.barrier_latency_us = 0.0;
+  return des_time(test_machine(), w, p, 0.2, 1) -
+         des_time(no_barrier, w, p, 0.2, 1);
+}
+
+TEST(DesTimeTest, ChargesBarriersAsPredictTimeDoes) {
+  WorkloadModel one;
+  one.work_ops = 3e8;
+  WorkloadModel four = one;
+  four.barriers = 4;
+  // None at one core.
+  EXPECT_EQ(des_barrier_term(one, 1), 0.0);
+  EXPECT_EQ(des_barrier_term(four, 1), 0.0);
+  for (std::size_t p : {2u, 16u, 256u}) {
+    const double term = des_barrier_term(one, p);
+    EXPECT_NEAR(term, 5e-6 * std::log2(static_cast<double>(p)), 1e-12)
+        << "p=" << p;
+    EXPECT_NEAR(des_barrier_term(four, p), 4.0 * term, 1e-12) << "p=" << p;
+  }
 }
 
 // Brute-force reference scheduler: the core-free times as a plain array,
