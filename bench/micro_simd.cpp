@@ -86,8 +86,10 @@ std::uint64_t bits_of(double v) {
 // accelerates.
 rcr::data::Table make_table(std::size_t rows, std::uint64_t seed) {
   std::vector<std::string> groups, opts;
-  for (int i = 0; i < 6; ++i) groups.push_back("g" + std::to_string(i));
-  for (int i = 0; i < 12; ++i) opts.push_back("o" + std::to_string(i));
+  for (int i = 0; i < 6; ++i)
+    groups.push_back(std::string("g").append(std::to_string(i)));
+  for (int i = 0; i < 12; ++i)
+    opts.push_back(std::string("o").append(std::to_string(i)));
   rcr::data::Table t;
   auto& group = t.add_categorical("group", groups);
   auto& picks = t.add_multiselect("picks", opts);

@@ -2,6 +2,7 @@
 // Holm-corrected significance, and a fitted logistic adoption curve.
 //
 //   ./build/examples/language_trends [--n2011 120] [--n2024 650] [--seed 7]
+#include <algorithm>
 #include <iostream>
 
 #include "core/rcr.hpp"
@@ -44,10 +45,13 @@ int main(int argc, char** argv) {
             << ", Cramer's V=" << rcr::format_double(shift.cramers_v, 2)
             << "\n\n";
 
-  // Logistic adoption curve for Python.
+  // Logistic adoption curve for Python, from the counts behind its trend.
+  const auto python = std::find_if(
+      battery.begin(), battery.end(),
+      [](const rcr::trend::ShareTrend& t) { return t.indicator == "Python"; });
+  if (python == battery.end()) return 1;
   const auto curve = rcr::trend::fit_adoption_curve(
-      study.wave(0), 2011, study.wave(1), 2024,
-      rcr::synth::col::kLanguages, "Python");
+      python->count1, python->n1, 2011, python->count2, python->n2, 2024);
   std::cout << "Python adoption curve: P(year) = sigmoid("
             << rcr::format_double(curve.intercept, 2) << " + "
             << rcr::format_double(curve.slope_per_year, 3)

@@ -59,8 +59,12 @@ std::string run_f1_language_trend(const Study& study) {
   out += report::render_series_csv("language_index",
                            {s2011, lo2011, hi2011, s2024, lo2024, hi2024});
   out += "\nlanguage_index order:";
-  for (std::size_t i = 0; i < battery.size(); ++i)
-    out += " " + std::to_string(i) + "=" + battery[i].indicator;
+  for (std::size_t i = 0; i < battery.size(); ++i) {
+    out += ' ';
+    out += std::to_string(i);
+    out += '=';
+    out += battery[i].indicator;
+  }
   out += "\n";
   return out;
 }
@@ -73,17 +77,15 @@ std::string run_f2_parallelism_ladder(const Study& study) {
                                 ParallelRung::kCluster, ParallelRung::kGpu};
   report::TextTable t({"Rung", "2011 share [95% CI]", "2024 share [95% CI]",
                        "Δ (pp)", "p (Holm)", "Trend"});
+  // One rung tally per wave; the share of a rung is over answered rows.
+  const RungCounts c2011 = rung_counts(study.wave(0));
+  const RungCounts c2024 = rung_counts(study.wave(1));
   std::vector<trend::ShareTrend> trends;
   for (ParallelRung rung : rungs) {
-    trends.push_back(trend::compare_predicate(
-        study.wave(0), study.wave(1), rung_label(rung),
-        [rung](const data::Table& table, std::size_t i)
-            -> std::optional<bool> {
-          const auto& res =
-              table.multiselect(synth::col::kParallelResources);
-          if (res.is_missing(i)) return std::nullopt;
-          return parallel_rung(table, i) == rung;
-        }));
+    const auto r = static_cast<std::size_t>(rung);
+    trends.push_back(trend::trend_from_counts(
+        rung_label(rung), c2011.at_rung[r], c2011.answered, c2024.at_rung[r],
+        c2024.answered));
   }
   trend::adjust_and_classify(trends);
   for (const auto& tr : trends) {
@@ -389,23 +391,25 @@ std::string run_f7_weighting(const Study& study) {
 
 std::string run_f8_dataset_size(const Study& study) {
   std::string out = "Typical dataset size distribution (log2 GB bins)\n\n";
+  // Each wave is sorted once: the quantiles and the Mann-Whitney test read
+  // the sorted values.
+  std::array<std::vector<double>, 2> sorted;
   for (std::size_t w = 0; w < 2; ++w) {
-    const auto values =
-        study.wave(w).numeric(synth::col::kDatasetGb).present_values();
+    auto& values = sorted[w];
+    values = study.wave(w).numeric(synth::col::kDatasetGb).present_values();
+    std::sort(values.begin(), values.end());
     stats::Log2Histogram h(-6, 14);  // ~15 MB .. 16 TB
     for (double v : values) h.add(v);
     out += std::string("Wave ") + (w == 0 ? "2011" : "2024") + " (n=" +
            std::to_string(values.size()) + ", median " +
-           format_double(stats::median(values), 2) + " GB, p90 " +
-           format_double(stats::quantile(values, 0.9), 1) + " GB)\n";
+           format_double(stats::quantile_sorted(values, 0.5), 2) + " GB, p90 " +
+           format_double(stats::quantile_sorted(values, 0.9), 1) + " GB)\n";
     std::vector<report::Bar> bars;
     for (std::size_t b = 0; b < h.bin_count(); ++b)
       bars.push_back({h.bin_label(b), h.fraction(b)});
     out += report::render_bars(bars) + "\n";
   }
-  const auto mw = stats::mann_whitney_u(
-      study.wave(0).numeric(synth::col::kDatasetGb).present_values(),
-      study.wave(1).numeric(synth::col::kDatasetGb).present_values());
+  const auto mw = stats::mann_whitney_u(sorted[0], sorted[1]);
   out += "Mann-Whitney 2011 vs 2024: z=" + format_double(mw.z, 2) +
          ", p=" + report::p_cell(mw.p_value) + " — the median dataset grew "
          "by roughly two orders of magnitude.\n";
@@ -430,7 +434,7 @@ std::string run_f9_nonresponse(const Study& study) {
   // Observed sample: same population, strong trait-driven nonresponse.
   synth::GeneratorConfig biased_cfg{synth::Wave::k2024,
                                     study.config().n_2024, seed,
-                                    nullptr, 0.9};
+                                    study.config().pool, 0.9};
   const auto observed = synth::generate_wave(biased_cfg);
 
   // Rake the observed sample to the true field/career margins.
@@ -516,9 +520,9 @@ std::string run_f10_panel_transitions(const Study& study) {
       "paired by person). Transitions per indicator with McNemar tests "
       "on the discordant pairs.\n\n";
   // The panel is the 2011 cohort, so it has the 2011 wave's size.
-  const auto panel =
-      synth::generate_panel(study.config().n_2011,
-                            study.config().seed ^ 0xBA5EBA11ULL);
+  const auto panel = synth::generate_panel(
+      study.config().n_2011, study.config().seed ^ 0xBA5EBA11ULL,
+      study.config().pool);
 
   struct Target {
     const char* column;

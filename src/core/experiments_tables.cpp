@@ -3,7 +3,6 @@
 
 #include "core/experiments.hpp"
 #include "data/crosstab.hpp"
-#include "query/engine.hpp"
 #include "report/series.hpp"
 #include "report/table.hpp"
 #include "stats/contingency.hpp"
@@ -40,6 +39,14 @@ std::string render_battery(const std::vector<trend::ShareTrend>& trends) {
                trend::direction_label(tr.direction)});
   }
   return t.render();
+}
+
+// The share labelled `label` in one wave's fused share vector.
+const data::OptionShare& share_labelled(
+    const std::vector<data::OptionShare>& shares, const char* label) {
+  for (const auto& s : shares)
+    if (s.label == label) return s;
+  throw Error(std::string("share '") + label + "' missing");
 }
 }  // namespace
 
@@ -101,31 +108,51 @@ std::string run_t2_languages_by_field(const Study& study) {
   return out;
 }
 
+namespace {
+// One wave's parallel users (parallel_resources answered with some resource
+// selected) and, over the users answering parallel_models, each model's
+// share, built as the engine's option shares are.
+struct ParallelUsers {
+  std::size_t users = 0;
+  std::vector<data::OptionShare> models;
+};
+
+ParallelUsers parallel_users(const data::Table& wave) {
+  const auto& res = wave.multiselect(synth::col::kParallelResources);
+  const auto& models = wave.multiselect(synth::col::kParallelModels);
+  ParallelUsers out;
+  double answered = 0.0;
+  std::vector<double> counts(models.option_count(), 0.0);
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    if (res.is_missing(i) || res.mask_at(i) == 0) continue;
+    ++out.users;
+    if (models.is_missing(i)) continue;
+    answered += 1.0;
+    for (std::size_t o = 0; o < counts.size(); ++o)
+      if (models.has(i, o)) counts[o] += 1.0;
+  }
+  RCR_CHECK_MSG(answered > 0.0, "option_shares: no answered rows");
+  for (std::size_t o = 0; o < counts.size(); ++o)
+    out.models.push_back({models.option(o), counts[o], answered,
+                          stats::wilson_ci(counts[o], answered, 0.95)});
+  return out;
+}
+}  // namespace
+
 std::string run_t3_parallel_models(const Study& study) {
   std::string out = wave_header(study);
   out += "\nParallel programming model usage among parallel users\n";
-  const auto only_parallel = [](const data::Table& t) {
-    return t.filter([&t](std::size_t i) { return is_parallel_user(t, i); });
-  };
-  const data::Table p2011 = only_parallel(study.wave(0));
-  const data::Table p2024 = only_parallel(study.wave(1));
-  out += "parallel users: 2011 n=" + std::to_string(p2011.row_count()) +
-         " (" +
-         format_percent(static_cast<double>(p2011.row_count()) /
+  const ParallelUsers p2011 = parallel_users(study.wave(0));
+  const ParallelUsers p2024 = parallel_users(study.wave(1));
+  out += "parallel users: 2011 n=" + std::to_string(p2011.users) + " (" +
+         format_percent(static_cast<double>(p2011.users) /
                         study.wave(0).row_count()) +
-         "), 2024 n=" + std::to_string(p2024.row_count()) + " (" +
-         format_percent(static_cast<double>(p2024.row_count()) /
+         "), 2024 n=" + std::to_string(p2024.users) + " (" +
+         format_percent(static_cast<double>(p2024.users) /
                         study.wave(1).row_count()) +
          ")\n";
-  // One fused scan per filtered wave, then the battery from the counts.
-  query::QueryEngine e2011(p2011), e2024(p2024);
-  const auto id2011 = e2011.add_option_shares(synth::col::kParallelModels);
-  const auto id2024 = e2024.add_option_shares(synth::col::kParallelModels);
-  e2011.run(study.config().pool);
-  e2024.run(study.config().pool);
-  const auto battery = trend::option_battery_from_shares(
-      e2011.shares(id2011), e2024.shares(id2024));
-  out += render_battery(battery);
+  out += render_battery(
+      trend::option_battery_from_shares(p2011.models, p2024.models));
   return out;
 }
 
@@ -181,9 +208,7 @@ std::string run_t5_tool_gap(const Study& study) {
 std::string run_t6_significance(const Study& study) {
   std::string out = wave_header(study);
   out += "\nAll 2011→2024 shifts, Holm-adjusted within one family\n";
-  // Every per-option count below comes from the two cached fused scans —
-  // the direct compare_option path would have re-scanned both waves once
-  // per indicator (29 scans each).
+  // Every per-option count below comes from the two cached fused scans.
   std::vector<trend::ShareTrend> all;
   // Validated pairing: the share vectors come from per-wave engine scans,
   // so the labels are checked pairwise instead of trusting raw indices.
@@ -196,13 +221,8 @@ std::string run_t6_significance(const Study& study) {
   collect(a2011.languages, a2024.languages);
   collect(a2011.parallel_resources, a2024.parallel_resources);
   collect(a2011.se_practices, a2024.se_practices);
-  const auto gpu_of = [](const std::vector<data::OptionShare>& shares) {
-    for (const auto& s : shares)
-      if (s.label == "Regularly") return s;
-    throw Error("gpu_usage category 'Regularly' missing");
-  };
-  const auto g2011 = gpu_of(a2011.gpu_usage);
-  const auto g2024 = gpu_of(a2024.gpu_usage);
+  const auto& g2011 = share_labelled(a2011.gpu_usage, "Regularly");
+  const auto& g2024 = share_labelled(a2024.gpu_usage, "Regularly");
   all.push_back(trend::trend_from_counts("Regularly", g2011.count,
                                          g2011.total, g2024.count,
                                          g2024.total));
@@ -224,35 +244,71 @@ std::string run_t6_significance(const Study& study) {
   return out;
 }
 
+namespace {
+struct FieldGpu {
+  std::size_t rows = 0;
+  double answered = 0.0, gpu = 0.0;
+};
+
+// Per field of synth::fields(), in that order, from one pass over a wave:
+// the field's rows, those answering parallel_resources, and the GPU rows
+// among them.
+std::vector<FieldGpu> gpu_by_field(const data::Table& wave) {
+  const auto& field = wave.categorical(synth::col::kField);
+  const auto& res = wave.multiselect(synth::col::kParallelResources);
+  const std::int32_t gpu = res.find_option("GPU");
+  RCR_CHECK_MSG(gpu >= 0, "unknown option 'GPU'");
+  std::vector<FieldGpu> by_code(field.category_count());
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    if (field.is_missing(i)) continue;
+    FieldGpu& f = by_code[static_cast<std::size_t>(field.code_at(i))];
+    ++f.rows;
+    if (res.is_missing(i)) continue;
+    f.answered += 1.0;
+    if (res.has(i, static_cast<std::size_t>(gpu))) f.gpu += 1.0;
+  }
+  std::vector<FieldGpu> out;
+  for (const auto& label : synth::fields()) {
+    const std::int32_t code = field.find_code(label);
+    RCR_CHECK_MSG(code != data::kMissingCode, "unknown field '" + label + "'");
+    out.push_back(by_code[static_cast<std::size_t>(code)]);
+  }
+  return out;
+}
+}  // namespace
+
 std::string run_t7_gpu_adoption(const Study& study) {
   std::string out = wave_header(study);
   out += "\nGPU adoption by field with fitted logistic adoption curves\n";
   report::TextTable t({"Field", "2011 share", "2024 share", "Slope/yr",
                        "Midpoint year"});
   const auto& fields = synth::fields();
-  for (const auto& field : fields) {
-    const data::Table f2011 =
-        study.wave(0).filter_equals(synth::col::kField, field);
-    const data::Table f2024 =
-        study.wave(1).filter_equals(synth::col::kField, field);
-    if (f2011.row_count() < 5 || f2024.row_count() < 5) continue;
-    const auto tr = trend::compare_option(
-        f2011, f2024, synth::col::kParallelResources, "GPU");
-    const auto curve = trend::fit_adoption_curve(
-        f2011, 2011.0, f2024, 2024.0, synth::col::kParallelResources, "GPU");
+  const auto t2011 = gpu_by_field(study.wave(0));
+  const auto t2024 = gpu_by_field(study.wave(1));
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    const FieldGpu& a = t2011[f];
+    const FieldGpu& b = t2024[f];
+    if (a.rows < 5 || b.rows < 5) continue;
+    const auto tr =
+        trend::trend_from_counts("GPU", a.gpu, a.answered, b.gpu, b.answered);
+    const auto curve = trend::fit_adoption_curve(a.gpu, a.answered, 2011.0,
+                                                 b.gpu, b.answered, 2024.0);
     const bool midpoint_sane =
         std::isfinite(curve.midpoint_year) && curve.slope_per_year > 0.0 &&
         curve.midpoint_year > 1990.0 && curve.midpoint_year < 2060.0;
-    t.add_row({field, format_percent(tr.share1.estimate, 0),
+    t.add_row({fields[f], format_percent(tr.share1.estimate, 0),
                format_percent(tr.share2.estimate, 0),
                format_double(curve.slope_per_year, 3),
                midpoint_sane ? format_double(curve.midpoint_year, 1) : "n/a"});
   }
   out += t.render();
-  // Pooled curve.
+  // Pooled curve, from the GPU share of each wave's fused scan.
+  const auto& g2011 =
+      share_labelled(study.aggregates(0).parallel_resources, "GPU");
+  const auto& g2024 =
+      share_labelled(study.aggregates(1).parallel_resources, "GPU");
   const auto curve = trend::fit_adoption_curve(
-      study.wave(0), 2011.0, study.wave(1), 2024.0,
-      synth::col::kParallelResources, "GPU");
+      g2011.count, g2011.total, 2011.0, g2024.count, g2024.total, 2024.0);
   out += "\nPooled logistic fit: P(GPU) = sigmoid(" +
          format_double(curve.intercept, 2) + " + " +
          format_double(curve.slope_per_year, 3) + " * (year - 2011)), " +

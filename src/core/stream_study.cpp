@@ -128,6 +128,9 @@ StreamStudyResult run_stream_study(const StreamStudyConfig& config) {
     data::for_each_csv_block_file(config.csv_path, walk.schema, block_rows,
                                   fold_next);
   } else if (config.nonresponse_strength > 0.0) {
+    // The biased walk generates its candidate chunks on the pool; the
+    // random-access sources run one task per block and a pool-free gen.
+    gen.pool = config.pool;
     synth::generate_blocks(gen, block_rows, fold_next);
   } else {
     fold_random_access(walk, config.respondents, block_rows, config.pool,

@@ -8,7 +8,8 @@
 // own stream::TableSketch shard, and blocks fold — append, then shard
 // merge — in index order. Random-access sources (the unbiased generator, a
 // snapshot) build and sketch their blocks on the pool, one task per block;
-// sequential sources (CSV, the biased generator) fold on the caller. The
+// sequential sources (CSV, the biased generator) fold on the caller, and
+// the biased generator draws its candidates on the pool. The
 // partition and the fold order depend only on the rows and block_rows, so
 // the result is the same bits for any pool, including none, and for any
 // source holding the same rows. Peak memory is O(block_rows * threads)
@@ -43,8 +44,8 @@ struct StreamStudyConfig {
   // Rows per block: it alone — not the pool — fixes the shard partition.
   std::size_t block_rows = 8192;
   rcr::parallel::ThreadPool* pool = nullptr;
-  // Nonresponse bias > 0 forces the generator's sequential rejection walk:
-  // still deterministic, but folded on the caller (no parallel speedup).
+  // Nonresponse bias > 0 streams the generator's rejection walk: its
+  // candidates are drawn on the pool, its blocks folded on the caller.
   double nonresponse_strength = 0.0;
   stream::TableSketchOptions sketch = default_stream_options();
 

@@ -170,24 +170,28 @@ const char* rung_label(ParallelRung r) {
   return "?";
 }
 
-ParallelRung parallel_rung(const data::Table& table, std::size_t row) {
+RungCounts rung_counts(const data::Table& table) {
   const auto& res = table.multiselect(synth::col::kParallelResources);
-  RCR_CHECK_MSG(!res.is_missing(row), "resources answer missing");
-  const auto idx_of = [&](const char* label) {
+  const auto bit = [&](const char* label) {
     const std::int32_t i = res.find_option(label);
     RCR_CHECK_MSG(i >= 0, "resource option missing from schema");
-    return static_cast<std::size_t>(i);
+    return std::uint64_t{1} << i;
   };
-  if (res.has(row, idx_of("GPU"))) return ParallelRung::kGpu;
-  if (res.has(row, idx_of("Cluster")) || res.has(row, idx_of("Cloud")))
-    return ParallelRung::kCluster;
-  if (res.has(row, idx_of("Multicore node"))) return ParallelRung::kMulticore;
-  return ParallelRung::kSerialOnly;
-}
-
-bool is_parallel_user(const data::Table& table, std::size_t row) {
-  const auto& res = table.multiselect(synth::col::kParallelResources);
-  return !res.is_missing(row) && res.mask_at(row) != 0;
+  const std::uint64_t gpu = bit("GPU");
+  const std::uint64_t cluster_class = bit("Cluster") | bit("Cloud");
+  const std::uint64_t multicore = bit("Multicore node");
+  RungCounts counts;
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    if (res.is_missing(i)) continue;
+    const std::uint64_t m = res.mask_at(i);
+    const ParallelRung rung = (m & gpu)             ? ParallelRung::kGpu
+                              : (m & cluster_class) ? ParallelRung::kCluster
+                              : (m & multicore)     ? ParallelRung::kMulticore
+                                                    : ParallelRung::kSerialOnly;
+    counts.answered += 1.0;
+    counts.at_rung[static_cast<std::size_t>(rung)] += 1.0;
+  }
+  return counts;
 }
 
 }  // namespace rcr::core

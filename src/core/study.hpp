@@ -9,6 +9,7 @@
 // code (same generator streams, same seeds, same fused aggregate scans).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -130,12 +131,14 @@ class Study {
 enum class ParallelRung { kSerialOnly, kMulticore, kCluster, kGpu };
 const char* rung_label(ParallelRung r);
 
-// Highest rung a respondent reaches, from the parallel_resources answer.
+// One pass over a wave's parallel_resources answers: the rows answering it
+// and, indexed by ParallelRung, how many reach each rung as their highest.
 // GPU outranks cluster (the 2024-defining capability); cloud counts as
 // cluster-class capacity.
-ParallelRung parallel_rung(const data::Table& table, std::size_t row);
-
-// True if the respondent uses any parallel resource.
-bool is_parallel_user(const data::Table& table, std::size_t row);
+struct RungCounts {
+  double answered = 0.0;
+  std::array<double, 4> at_rung{};
+};
+RungCounts rung_counts(const data::Table& table);
 
 }  // namespace rcr::core

@@ -554,7 +554,7 @@ void write_csv(std::ostream& out, const Table& table,
               joined += col.option(o);
             }
             // Distinguish "answered, nothing selected" from missing.
-            if (joined.empty()) joined = "-";
+            if (joined.empty()) joined.push_back('-');
             out << escape_field(joined, options.delimiter);
           }
           break;

@@ -245,42 +245,6 @@ void Table::clear_rows() {
     std::visit([](auto& col) { col.clear(); }, cp->column);
 }
 
-Table Table::filter(const std::function<bool(std::size_t)>& pred) const {
-  validate_rectangular();
-  Table out = clone_empty();
-  const std::size_t n = row_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!pred(i)) continue;
-    for (const auto& cp : columns_) {
-      const auto& c = *cp;
-      if (const auto* num = std::get_if<NumericColumn>(&c.column)) {
-        out.numeric(c.name).push(num->at(i));
-      } else if (const auto* cat = std::get_if<CategoricalColumn>(&c.column)) {
-        out.categorical(c.name).push_code(cat->code_at(i));
-      } else {
-        const auto& ms = std::get<MultiSelectColumn>(c.column);
-        if (ms.is_missing(i)) {
-          out.multiselect(c.name).push_missing();
-        } else {
-          out.multiselect(c.name).push_mask(ms.mask_at(i));
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Table Table::filter_equals(const std::string& column,
-                           const std::string& label) const {
-  const auto& col = categorical(column);
-  const std::int32_t code = col.find_code(label);
-  RCR_CHECK_MSG(code != kMissingCode,
-                "filter_equals: unknown label '" + label + "'");
-  return filter([&col, code](std::size_t i) {
-    return !col.is_missing(i) && col.code_at(i) == code;
-  });
-}
-
 std::vector<std::vector<std::size_t>> Table::group_rows(
     const std::string& categorical_column) const {
   const auto& col = categorical(categorical_column);

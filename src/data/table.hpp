@@ -2,12 +2,10 @@
 //
 // Columns are stored by name in insertion order. All mutation goes through
 // append-style builders; analysis functions never modify a table, they
-// produce new ones (filter/select) or read-only views (spans).
+// produce new ones (slice) or read-only views (spans).
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -53,8 +51,8 @@ class Table {
   void validate_rectangular() const;
 
   // A table with the same schema (column names, kinds, category/option
-  // sets, frozen state) and zero rows — the starting point for CSV ingest,
-  // filtered copies, and block-reassembly in the streaming engine.
+  // sets, frozen state) and zero rows — the starting point for CSV ingest
+  // and block-reassembly in the streaming engine.
   Table clone_empty() const;
 
   // Drops every row but keeps the full schema. Reused scratch tables (the
@@ -81,12 +79,6 @@ class Table {
   Table slice(std::size_t lo, std::size_t hi) const;
 
   // --- relational operations -------------------------------------------------
-  // Rows for which `pred(row_index)` is true, copied into a new table.
-  Table filter(const std::function<bool(std::size_t)>& pred) const;
-
-  // Convenience filter on a categorical column value.
-  Table filter_equals(const std::string& column, const std::string& label) const;
-
   // Row indices grouped by the code of a categorical column; missing rows
   // are dropped. Group g corresponds to category code g.
   std::vector<std::vector<std::size_t>> group_rows(

@@ -23,8 +23,10 @@ std::string render_series_csv(const std::string& x_label,
     for (const auto& s : series)
       RCR_CHECK_MSG(s.points[i].first == x, "series x values differ");
     out += rcr::format_double(x, 6);
-    for (const auto& s : series)
-      out += "," + rcr::format_double(s.points[i].second, 6);
+    for (const auto& s : series) {
+      out += ',';
+      out += rcr::format_double(s.points[i].second, 6);
+    }
     out += '\n';
   }
   return out;

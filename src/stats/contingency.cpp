@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "stats/descriptive.hpp"
 #include "stats/special.hpp"
 #include "util/error.hpp"
 
@@ -170,15 +169,39 @@ double odds_ratio(double a, double b, double c, double d) {
 MannWhitneyResult mann_whitney_u(std::span<const double> x,
                                  std::span<const double> y) {
   RCR_CHECK_MSG(!x.empty() && !y.empty(), "mann_whitney_u needs both samples");
+  const auto sorted_copy = [](std::span<const double> v) {
+    std::vector<double> s(v.begin(), v.end());
+    for (double d : s)
+      RCR_CHECK_MSG(!std::isnan(d), "mann_whitney_u: NaN in a sample");
+    if (!std::is_sorted(s.begin(), s.end())) std::sort(s.begin(), s.end());
+    return s;
+  };
+  const std::vector<double> xs = sorted_copy(x);
+  const std::vector<double> ys = sorted_copy(y);
   const double nx = static_cast<double>(x.size());
   const double ny = static_cast<double>(y.size());
-  std::vector<double> pooled;
-  pooled.reserve(x.size() + y.size());
-  pooled.insert(pooled.end(), x.begin(), x.end());
-  pooled.insert(pooled.end(), y.begin(), y.end());
-  const auto r = ranks(pooled);
+
+  // One merge walk over the pooled sample's tie groups, ascending. A group
+  // at pooled positions [first, last] holds the midrank (first+last)/2 + 1
+  // (1-based, ties averaged). Ranks are half-integers and their sum stays
+  // far below 2^53, so rank_sum_x is exact in any summation order.
   double rank_sum_x = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) rank_sum_x += r[i];
+  double tie_term = 0.0;
+  std::size_t i = 0, j = 0;
+  while (i < xs.size() || j < ys.size()) {
+    const double v =
+        j == ys.size() || (i < xs.size() && xs[i] < ys[j]) ? xs[i] : ys[j];
+    const std::size_t first = i + j;
+    const std::size_t x_first = i;
+    while (i < xs.size() && xs[i] == v) ++i;
+    while (j < ys.size() && ys[j] == v) ++j;
+    const std::size_t in_x = i - x_first;
+    const std::size_t last = i + j - 1;
+    rank_sum_x += static_cast<double>(in_x) *
+                  (0.5 * static_cast<double>(first + last) + 1.0);
+    const double t = static_cast<double>(last - first + 1);
+    tie_term += t * t * t - t;
+  }
 
   MannWhitneyResult out;
   out.u = rank_sum_x - nx * (nx + 1.0) / 2.0;
@@ -186,19 +209,6 @@ MannWhitneyResult mann_whitney_u(std::span<const double> x,
 
   // Tie-corrected normal approximation.
   const double n = nx + ny;
-  double tie_term = 0.0;
-  {
-    std::vector<double> sorted(pooled);
-    std::sort(sorted.begin(), sorted.end());
-    std::size_t i = 0;
-    while (i < sorted.size()) {
-      std::size_t j = i;
-      while (j + 1 < sorted.size() && sorted[j + 1] == sorted[i]) ++j;
-      const double t = static_cast<double>(j - i + 1);
-      tie_term += t * t * t - t;
-      i = j + 1;
-    }
-  }
   const double mu = nx * ny / 2.0;
   const double sigma2 =
       nx * ny / 12.0 * ((n + 1.0) - tie_term / (n * (n - 1.0)));

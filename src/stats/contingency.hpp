@@ -78,6 +78,9 @@ struct MannWhitneyResult {
   double effect_size = 0.5;
 };
 
+// Sorts a copy of each sample (unless already sorted) and ranks the pooled
+// sample in one merge walk (midranks for ties). Throws on an empty sample
+// or a NaN.
 MannWhitneyResult mann_whitney_u(std::span<const double> x,
                                  std::span<const double> y);
 

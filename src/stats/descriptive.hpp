@@ -26,7 +26,7 @@ double quantile(std::span<const double> x, double q);
 double quantile_sorted(std::span<const double> sorted_x, double q);
 double median(std::span<const double> x);
 
-// Midranks (1-based, ties averaged) — shared by Mann–Whitney and Wilcoxon.
+// Midranks (1-based, ties averaged), as the Wilcoxon signed-rank test uses.
 std::vector<double> ranks(std::span<const double> x);
 
 // One-pass summary used by report tables.

@@ -35,9 +35,7 @@ std::uint64_t respondent_seed(std::uint64_t master, std::size_t index) {
 // Candidate c's response coin: one draw from simd::Philox substream c of
 // the coin-masked master seed — counter-based splitting in place of a
 // per-candidate hash reseed. Same degenerate-p contract as Rng::bernoulli
-// (propensities at the clamp rails consume no draw). generate_wave and
-// generate_blocks flip coins through this one helper, so their row
-// sequences stay byte-identical.
+// (propensities at the clamp rails consume no draw).
 bool responds(std::uint64_t master, std::size_t candidate, double propensity) {
   if (propensity <= 0.0) return false;
   if (propensity >= 1.0) return true;
@@ -279,22 +277,14 @@ data::Table table_from_raws(const std::vector<Raw>& raws) {
   return table;
 }
 
-// Respondents [first, first + count) of the unbiased sequence, optionally
-// in parallel. Respondent i depends only on hash(seed, i), never on the
-// range bounds, so shards concatenate into the one-shot sequence.
-std::vector<Raw> fill_raws(const WaveParams& p, std::uint64_t seed,
-                           std::size_t first, std::size_t count,
-                           rcr::parallel::ThreadPool* pool) {
-  std::vector<Raw> raws(count);
-  const auto fill = [&](std::size_t i) {
-    raws[i] = generate_one(p, respondent_seed(seed, first + i));
-  };
+// fn(i) for each i in [0, n), on the pool when there is one.
+template <typename Fn>
+void for_each_index(rcr::parallel::ThreadPool* pool, std::size_t n, Fn&& fn) {
   if (pool != nullptr) {
-    rcr::parallel::parallel_for(*pool, 0, raws.size(), fill);
+    rcr::parallel::parallel_for(*pool, 0, n, fn);
   } else {
-    for (std::size_t i = 0; i < raws.size(); ++i) fill(i);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
   }
-  return raws;
 }
 
 void check_config(const GeneratorConfig& config) {
@@ -310,32 +300,66 @@ const WaveParams& resolved_params(const GeneratorConfig& config) {
   return config.params != nullptr ? *config.params : params_for(config.wave);
 }
 
+// Most candidates a pooled biased draw generates at once (~9 MB of Raws).
+constexpr std::size_t kMaxCandidateChunk = 65536;
+
+// The nonresponse-biased sample: candidate c = 0, 1, ... answers with a
+// propensity rising with its programming intensity, and the first
+// `respondents` candidates that answer, in candidate order, are the sample,
+// emitted block_rows at a time as emit(block, first_row). Candidate c's
+// traits and coin derive from hash(seed, c) alone, so on config.pool a
+// chunk of candidates is drawn in parallel and the sample is byte-identical
+// on any pool. A chunk holds 1.5 candidates per missing respondent plus 64,
+// at most kMaxCandidateChunk; without a pool it is one candidate.
+void walk_biased(
+    const GeneratorConfig& config, std::size_t block_rows,
+    const std::function<void(std::vector<Raw>& block, std::size_t first_row)>&
+        emit) {
+  const WaveParams& p = resolved_params(config);
+  const std::size_t n = config.respondents;
+  const std::size_t cap = 200 * n + 1000;
+  std::vector<Raw> block, chunk;
+  block.reserve(std::min(block_rows, n));
+  std::vector<char> answered;
+  std::size_t accepted = 0, size = 0;
+  for (std::size_t c = 0; accepted < n; c += size) {
+    RCR_CHECK_MSG(c < cap, "nonresponse rejection loop did not terminate");
+    const std::size_t need = n - accepted;
+    size = config.pool == nullptr
+               ? 1
+               : std::min({kMaxCandidateChunk, need + need / 2 + 64, cap - c});
+    chunk.resize(size);
+    answered.resize(size);
+    for_each_index(config.pool, size, [&](std::size_t i) {
+      chunk[i] = generate_one(p, respondent_seed(config.seed, c + i));
+      const double propensity = clamp01(
+          0.6 + config.nonresponse_strength * 1.6 * (chunk[i].intensity - 0.5));
+      answered[i] = responds(config.seed, c + i, propensity);
+    });
+    for (std::size_t i = 0; i < size && accepted < n; ++i) {
+      if (!answered[i]) continue;
+      block.push_back(chunk[i]);
+      if (++accepted == n || block.size() == block_rows) {
+        emit(block, accepted - block.size());
+        block.clear();
+      }
+    }
+  }
+}
+
 }  // namespace
 
 data::Table generate_wave(const GeneratorConfig& config) {
   check_config(config);
-  const WaveParams& p = resolved_params(config);
-
+  if (config.nonresponse_strength == 0.0)
+    return generate_range(config, 0, config.respondents);
+  // The table is built after the walk has freed its candidate chunk, so
+  // the chunk and the table are never resident together (peak RSS).
   std::vector<Raw> raws;
-  if (config.nonresponse_strength == 0.0) {
-    raws = fill_raws(p, config.seed, 0, config.respondents, config.pool);
-  } else {
-    // Draw candidates from the population and keep each with a propensity
-    // that rises with programming intensity. Deterministic: candidate c's
-    // traits and response coin both derive from hash(seed, c).
-    raws.reserve(config.respondents);
-    const std::size_t cap = 200 * config.respondents + 1000;
-    for (std::size_t c = 0; raws.size() < config.respondents; ++c) {
-      RCR_CHECK_MSG(c < cap, "nonresponse rejection loop did not terminate");
-      Raw candidate = generate_one(p, respondent_seed(config.seed, c));
-      const double propensity =
-          clamp01(0.6 + config.nonresponse_strength *
-                            1.6 * (candidate.intensity - 0.5));
-      if (responds(config.seed, c, propensity))
-        raws.push_back(std::move(candidate));
-    }
-  }
-
+  walk_biased(config, config.respondents,
+              [&raws](std::vector<Raw>& block, std::size_t) {
+                raws.swap(block);
+              });
   return table_from_raws(raws);
 }
 
@@ -347,9 +371,14 @@ data::Table generate_range(const GeneratorConfig& config, std::size_t first,
                 "sequence; use generate_blocks for biased sampling");
   RCR_CHECK_MSG(first + count <= config.respondents,
                 "generate_range beyond the configured population");
+  // Respondent i depends only on hash(seed, i), never on the range bounds,
+  // so shards concatenate into the one-shot sequence.
   const WaveParams& p = resolved_params(config);
-  return table_from_raws(
-      fill_raws(p, config.seed, first, count, config.pool));
+  std::vector<Raw> raws(count);
+  for_each_index(config.pool, count, [&](std::size_t i) {
+    raws[i] = generate_one(p, respondent_seed(config.seed, first + i));
+  });
+  return table_from_raws(raws);
 }
 
 void generate_blocks(
@@ -368,27 +397,10 @@ void generate_blocks(
     }
     return;
   }
-
-  // Biased sampling: the same sequential rejection walk generate_wave runs
-  // (same candidate order, same cap), emitting every block_rows acceptances.
-  const WaveParams& p = resolved_params(config);
-  std::vector<Raw> raws;
-  raws.reserve(std::min(block_rows, config.respondents));
-  const std::size_t cap = 200 * config.respondents + 1000;
-  std::size_t accepted = 0;
-  for (std::size_t c = 0; accepted < config.respondents; ++c) {
-    RCR_CHECK_MSG(c < cap, "nonresponse rejection loop did not terminate");
-    Raw candidate = generate_one(p, respondent_seed(config.seed, c));
-    const double propensity = clamp01(
-        0.6 + config.nonresponse_strength * 1.6 * (candidate.intensity - 0.5));
-    if (!responds(config.seed, c, propensity)) continue;
-    raws.push_back(std::move(candidate));
-    ++accepted;
-    if (raws.size() == block_rows || accepted == config.respondents) {
-      emit(table_from_raws(raws), accepted - raws.size());
-      raws.clear();
-    }
-  }
+  walk_biased(config, block_rows,
+              [&emit](std::vector<Raw>& block, std::size_t first_row) {
+                emit(table_from_raws(block), first_row);
+              });
 }
 
 namespace {
@@ -406,13 +418,16 @@ std::uint64_t thin_mask(Rng& rng, std::uint64_t mask, double keep_p) {
 
 }  // namespace
 
-Panel generate_panel(std::size_t n, std::uint64_t seed) {
+Panel generate_panel(std::size_t n, std::uint64_t seed,
+                     rcr::parallel::ThreadPool* pool) {
   RCR_CHECK_MSG(n > 0, "cannot generate an empty panel");
   const WaveParams& p11 = params_for(Wave::k2011);
   const WaveParams& p24 = params_for(Wave::k2024);
 
+  // Person i draws only from streams seeded by (seed, i), so persons can be
+  // generated in any order: the panel is byte-identical on any pool.
   std::vector<Raw> raws11(n), raws24(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto person = [&](std::size_t i) {
     const std::uint64_t s = respondent_seed(seed, i);
     Raw r11 = generate_one(p11, s);
     // The same person's 2024-era tendencies: an independent draw that the
@@ -504,7 +519,8 @@ Panel generate_panel(std::size_t n, std::uint64_t seed) {
 
     raws11[i] = std::move(r11);
     raws24[i] = std::move(r24);
-  }
+  };
+  for_each_index(pool, n, person);
   Panel panel;
   panel.wave2011 = table_from_raws(raws11);
   panel.wave2024 = table_from_raws(raws24);

@@ -66,7 +66,8 @@ data::Table generate_wave(const GeneratorConfig& config);
 // being resident. `emit(block, first_row)` receives each block in order
 // together with the global index of its first row; the block is a fresh
 // table the callback may keep or move from. config.pool parallelizes
-// generation *within* each zero-nonresponse block.
+// generation within each unbiased block and, with nonresponse, the biased
+// draw's candidate chunks; the blocks are the same on any pool.
 void generate_blocks(
     const GeneratorConfig& config, std::size_t block_rows,
     const std::function<void(data::Table block, std::size_t first_row)>& emit);
@@ -75,8 +76,9 @@ void generate_blocks(
 // config — the random-access form generate_blocks and the streaming engine
 // shard on. Respondent i draws from hash(seed, i) regardless of the range
 // it is generated in, so any partition of [0, n) concatenates to exactly
-// generate_wave's table. Requires config.nonresponse_strength == 0 (the
-// rejection-sampled sequence is inherently serial; use generate_blocks).
+// generate_wave's table. Requires config.nonresponse_strength == 0 (a
+// biased row is the i-th candidate that answered, which only a walk over
+// the candidates finds; use generate_blocks).
 data::Table generate_range(const GeneratorConfig& config, std::size_t first,
                            std::size_t count);
 
@@ -96,10 +98,13 @@ data::Table generate_2024(std::size_t n = 650, std::uint64_t seed = 7,
 //     MATLAB attrition channel);
 //   * parallel resources ratchet upward; models stay gated (MPI needs a
 //     cluster, CUDA a GPU); all generator invariants hold in both waves.
+// When `pool` is non-null, persons are generated in parallel; the panel is
+// byte-identical on any pool.
 struct Panel {
   data::Table wave2011;
   data::Table wave2024;
 };
-Panel generate_panel(std::size_t n, std::uint64_t seed = 7);
+Panel generate_panel(std::size_t n, std::uint64_t seed = 7,
+                     rcr::parallel::ThreadPool* pool = nullptr);
 
 }  // namespace rcr::synth

@@ -15,14 +15,13 @@ const char* direction_label(Direction d) {
   return "?";
 }
 
-namespace {
-
-ShareTrend build_trend(const std::string& name, double count1, double n1,
-                       double count2, double n2, double confidence) {
+ShareTrend trend_from_counts(const std::string& indicator, double count1,
+                             double n1, double count2, double n2,
+                             double confidence) {
   RCR_CHECK_MSG(n1 > 0.0 && n2 > 0.0,
-                "trend '" + name + "': both waves need answered rows");
+                "trend '" + indicator + "': both waves need answered rows");
   ShareTrend t;
-  t.indicator = name;
+  t.indicator = indicator;
   t.count1 = count1;
   t.n1 = n1;
   t.count2 = count2;
@@ -34,30 +33,6 @@ ShareTrend build_trend(const std::string& name, double count1, double n1,
   t.odds_ratio =
       stats::odds_ratio(count2, n2 - count2, count1, n1 - count1);
   return t;
-}
-
-// Counts (selected, answered) for a multi-select option in one table.
-std::pair<double, double> option_counts(const data::Table& table,
-                                        const std::string& column,
-                                        const std::string& option) {
-  const auto& col = table.multiselect(column);
-  const std::int32_t o = col.find_option(option);
-  RCR_CHECK_MSG(o >= 0, "unknown option '" + option + "'");
-  double count = 0.0, n = 0.0;
-  for (std::size_t i = 0; i < col.size(); ++i) {
-    if (col.is_missing(i)) continue;
-    n += 1.0;
-    if (col.has(i, static_cast<std::size_t>(o))) count += 1.0;
-  }
-  return {count, n};
-}
-
-}  // namespace
-
-ShareTrend trend_from_counts(const std::string& indicator, double count1,
-                             double n1, double count2, double n2,
-                             double confidence) {
-  return build_trend(indicator, count1, n1, count2, n2, confidence);
 }
 
 void append_share_trends(std::vector<ShareTrend>& out,
@@ -88,35 +63,6 @@ std::vector<ShareTrend> option_battery_from_shares(
   append_share_trends(trends, wave1, wave2, confidence);
   adjust_and_classify(trends, alpha);
   return trends;
-}
-
-ShareTrend compare_option(const data::Table& wave1, const data::Table& wave2,
-                          const std::string& column, const std::string& option,
-                          double confidence) {
-  const auto [c1, n1] = option_counts(wave1, column, option);
-  const auto [c2, n2] = option_counts(wave2, column, option);
-  return build_trend(option, c1, n1, c2, n2, confidence);
-}
-
-ShareTrend compare_predicate(
-    const data::Table& wave1, const data::Table& wave2,
-    const std::string& indicator_name,
-    const std::function<std::optional<bool>(const data::Table&, std::size_t)>&
-        predicate,
-    double confidence) {
-  const auto count_wave = [&](const data::Table& t) {
-    double count = 0.0, n = 0.0;
-    for (std::size_t i = 0; i < t.row_count(); ++i) {
-      const auto v = predicate(t, i);
-      if (!v) continue;
-      n += 1.0;
-      if (*v) count += 1.0;
-    }
-    return std::pair<double, double>{count, n};
-  };
-  const auto [c1, n1] = count_wave(wave1);
-  const auto [c2, n2] = count_wave(wave2);
-  return build_trend(indicator_name, c1, n1, c2, n2, confidence);
 }
 
 void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha) {
@@ -177,12 +123,10 @@ std::vector<ShareTrend> per_group_trend(const data::Table& wave1,
     const Tally& t1 = tallies1[code];
     const Tally& t2 = tallies2[code];
     if (t1.answered < min_group_n || t2.answered < min_group_n) continue;
-    auto t = build_trend(option, static_cast<double>(t1.selected),
-                         static_cast<double>(t1.answered),
-                         static_cast<double>(t2.selected),
-                         static_cast<double>(t2.answered), confidence);
-    t.indicator = label;
-    trends.push_back(std::move(t));
+    trends.push_back(trend_from_counts(
+        label, static_cast<double>(t1.selected),
+        static_cast<double>(t1.answered), static_cast<double>(t2.selected),
+        static_cast<double>(t2.answered), confidence));
   }
   adjust_and_classify(trends, alpha);
   return trends;
@@ -295,29 +239,24 @@ double AdoptionCurve::predict(double year) const {
   return stats::sigmoid(intercept + slope_per_year * (year - 2011.0));
 }
 
-AdoptionCurve fit_adoption_curve(const data::Table& wave1, double year1,
-                                 const data::Table& wave2, double year2,
-                                 const std::string& column,
-                                 const std::string& option) {
+AdoptionCurve fit_adoption_curve(double selected1, double answered1,
+                                 double year1, double selected2,
+                                 double answered2, double year2) {
   RCR_CHECK_MSG(year2 > year1, "waves must be time-ordered");
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  const auto append = [&](const data::Table& t, double year) {
-    const auto& col = t.multiselect(column);
-    const std::int32_t o = col.find_option(option);
-    RCR_CHECK_MSG(o >= 0, "unknown option '" + option + "'");
-    for (std::size_t i = 0; i < col.size(); ++i) {
-      if (col.is_missing(i)) continue;
-      xs.push_back({year - 2011.0});
-      ys.push_back(col.has(i, static_cast<std::size_t>(o)) ? 1.0 : 0.0);
-    }
-  };
-  append(wave1, year1);
-  append(wave2, year2);
-  RCR_CHECK_MSG(xs.size() >= 4, "adoption fit needs data in both waves");
-
+  RCR_CHECK_MSG(selected1 >= 0.0 && selected1 <= answered1 &&
+                    selected2 >= 0.0 && selected2 <= answered2,
+                "adoption fit needs 0 <= selected <= answered in each wave");
+  RCR_CHECK_MSG(answered1 + answered2 >= 4.0,
+                "adoption fit needs data in both waves");
+  // The one regressor takes two values, so the respondent-level likelihood
+  // is four (year, adopted) rows weighted by their counts.
+  const std::vector<std::vector<double>> xs = {
+      {year1 - 2011.0}, {year1 - 2011.0}, {year2 - 2011.0}, {year2 - 2011.0}};
+  const std::vector<double> ys = {1.0, 0.0, 1.0, 0.0};
+  const std::vector<double> weights = {selected1, answered1 - selected1,
+                                       selected2, answered2 - selected2};
   // Mild ridge keeps the fit finite when adoption is 0% or 100% in a wave.
-  const auto fit = stats::logistic_fit(xs, ys, {}, /*ridge_lambda=*/1e-4);
+  const auto fit = stats::logistic_fit(xs, ys, weights, /*ridge_lambda=*/1e-4);
   AdoptionCurve c;
   c.intercept = fit.coefficients[0];
   c.slope_per_year = fit.coefficients[1];

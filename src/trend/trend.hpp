@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,31 +31,15 @@ struct ShareTrend {
   Direction direction = Direction::kStable;
 };
 
-// Indicator = "respondent selected `option` of multi-select `column`".
-// Missing answers are excluded from the denominator.
-ShareTrend compare_option(const data::Table& wave1, const data::Table& wave2,
-                          const std::string& column, const std::string& option,
-                          double confidence = 0.95);
-
-// Indicator = arbitrary per-row predicate (missing handled by caller
-// returning nullopt).
-ShareTrend compare_predicate(
-    const data::Table& wave1, const data::Table& wave2,
-    const std::string& indicator_name,
-    const std::function<std::optional<bool>(const data::Table&, std::size_t)>&
-        predicate,
-    double confidence = 0.95);
-
 // Applies the Holm family-wise adjustment across a battery of trends and
 // classifies each: significant increase / decrease at `alpha` (on adjusted
 // p), else stable.
 void adjust_and_classify(std::vector<ShareTrend>& trends, double alpha = 0.05);
 
-// One indicator's trend from precomputed counts (count = selected/labelled
-// rows, n = answered rows). Produces exactly compare_option's result when
-// fed the same counts — the building block for callers that already hold
-// per-option tallies from a fused query::QueryEngine scan instead of
-// re-scanning the tables per option.
+// One indicator's trend from counts (count = selected/labelled rows, n =
+// answered rows; missing answers excluded from n). Every two-wave trend is
+// built here: callers tally each wave once, in a fused query::QueryEngine
+// scan or one pass of their own, and never re-scan a table per option.
 ShareTrend trend_from_counts(const std::string& indicator, double count1,
                              double n1, double count2, double n2,
                              double confidence = 0.95);
@@ -159,8 +141,8 @@ std::vector<MultiWaveTrend> multi_wave_option_battery(
 void adjust_and_classify_multi(std::vector<MultiWaveTrend>& trends,
                                double alpha = 0.05);
 
-// Logistic adoption curve fitted on respondent-level data pooled over both
-// waves: P(adopt | year) = sigmoid(b0 + b1 * (year - 2011)).
+// Logistic adoption curve fitted to the respondents of both waves:
+// P(adopt | year) = sigmoid(b0 + b1 * (year - 2011)).
 struct AdoptionCurve {
   double intercept = 0.0;       // b0 at year 2011
   double slope_per_year = 0.0;  // b1
@@ -172,11 +154,14 @@ struct AdoptionCurve {
   double predict(double year) const;
 };
 
-// Fits the curve for one multi-select option observed in both waves.
-AdoptionCurve fit_adoption_curve(const data::Table& wave1, double year1,
-                                 const data::Table& wave2, double year2,
-                                 const std::string& column,
-                                 const std::string& option);
+// Fits the curve from each wave's counts: `selected` of the `answered`
+// respondents adopted in that wave's year. The year is the only regressor,
+// so these four counts carry the whole respondent-level likelihood: the fit
+// is a ridge-penalized (1e-4) IRLS on four count-weighted rows. Requires
+// year2 > year1, 0 <= selected <= answered and >= 4 answered in total.
+AdoptionCurve fit_adoption_curve(double selected1, double answered1,
+                                 double year1, double selected2,
+                                 double answered2, double year2);
 
 // --- Panel (paired) analysis ------------------------------------------------
 

@@ -46,18 +46,36 @@ TEST(StudyTest, DeterministicAcrossInstances) {
 }
 
 TEST(ParallelRungTest, LadderOrdering) {
-  const auto& t = small_study().wave(1);
-  const auto& res = t.multiselect(synth::col::kParallelResources);
-  for (std::size_t i = 0; i < t.row_count(); ++i) {
-    if (res.is_missing(i)) continue;
-    const ParallelRung rung = parallel_rung(t, i);
-    if (res.mask_at(i) == 0) {
-      EXPECT_EQ(rung, ParallelRung::kSerialOnly);
-      EXPECT_FALSE(is_parallel_user(t, i));
-    } else {
-      EXPECT_NE(rung, ParallelRung::kSerialOnly);
-      EXPECT_TRUE(is_parallel_user(t, i));
-    }
+  // Each answered row counts once, at its highest rung: GPU over cluster
+  // and cloud, those over a multicore node; no resource is serial only.
+  data::Table t = synth::instrument().make_table();
+  auto& res = t.multiselect(synth::col::kParallelResources);
+  res.push_labels({});
+  res.push_labels({"Multicore node"});
+  res.push_labels({"Multicore node", "Cloud"});
+  res.push_labels({"Cluster"});
+  res.push_labels({"GPU", "Cluster", "Multicore node"});
+  res.push_labels({"GPU"});
+  res.push_missing();
+  const RungCounts c = rung_counts(t);
+  EXPECT_EQ(c.answered, 6.0);
+  EXPECT_EQ(c.at_rung, (std::array<double, 4>{1.0, 1.0, 2.0, 2.0}));
+}
+
+TEST(ParallelRungTest, StudyWavesCountEveryAnsweredRowOnce) {
+  for (std::size_t w = 0; w < 2; ++w) {
+    const auto& t = small_study().wave(w);
+    const auto& res = t.multiselect(synth::col::kParallelResources);
+    double serial = 0.0;
+    for (std::size_t i = 0; i < t.row_count(); ++i)
+      if (!res.is_missing(i) && res.mask_at(i) == 0) serial += 1.0;
+    const RungCounts c = rung_counts(t);
+    EXPECT_EQ(c.answered,
+              small_study().aggregates(w).parallel_resources[0].total);
+    EXPECT_EQ(c.at_rung[0] + c.at_rung[1] + c.at_rung[2] + c.at_rung[3],
+              c.answered);
+    EXPECT_EQ(c.at_rung[static_cast<std::size_t>(ParallelRung::kSerialOnly)],
+              serial);
   }
 }
 
@@ -109,17 +127,19 @@ TEST(ExperimentTest, HeadlineTrendsPointTheRightWay) {
   // The substance check: the reconstructed study reproduces the known
   // directional findings even at this small n.
   const auto& s = small_study();
-  const auto py = trend::compare_option(s.wave(0), s.wave(1),
-                                        synth::col::kLanguages, "Python");
-  EXPECT_GT(py.share2.estimate, py.share1.estimate);
-  const auto vcs =
-      trend::compare_option(s.wave(0), s.wave(1),
-                            synth::col::kSePractices, "Version control");
-  EXPECT_GT(vcs.share2.estimate, vcs.share1.estimate);
-  const auto gpu =
-      trend::compare_option(s.wave(0), s.wave(1),
-                            synth::col::kParallelResources, "GPU");
-  EXPECT_GT(gpu.share2.estimate, gpu.share1.estimate);
+  const auto rose = [](const std::vector<data::OptionShare>& s2011,
+                       const std::vector<data::OptionShare>& s2024,
+                       const std::string& option) {
+    for (const auto& t : trend::option_battery_from_shares(s2011, s2024))
+      if (t.indicator == option) return t.share2.estimate > t.share1.estimate;
+    ADD_FAILURE() << "no option " << option;
+    return false;
+  };
+  const auto& a = s.aggregates(0);
+  const auto& b = s.aggregates(1);
+  EXPECT_TRUE(rose(a.languages, b.languages, "Python"));
+  EXPECT_TRUE(rose(a.se_practices, b.se_practices, "Version control"));
+  EXPECT_TRUE(rose(a.parallel_resources, b.parallel_resources, "GPU"));
 }
 
 }  // namespace

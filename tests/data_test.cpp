@@ -117,26 +117,16 @@ TEST(TableTest, RaggedTableDetected) {
   EXPECT_THROW(t.validate_rectangular(), rcr::Error);
 }
 
-TEST(TableTest, FilterKeepsSchemaAndRows) {
+TEST(TableTest, SliceKeepsSchemaRowsAndMissing) {
   const Table t = make_sample_table();
-  const Table phys = t.filter_equals("field", "phys");
-  EXPECT_EQ(phys.row_count(), 2u);
-  EXPECT_EQ(phys.categorical("field").categories().size(), 2u);
-  EXPECT_DOUBLE_EQ(phys.numeric("score").at(1), 3.0);
-  EXPECT_TRUE(phys.multiselect("langs").has(0, 0));
-}
-
-TEST(TableTest, FilterPreservesMissing) {
-  const Table t = make_sample_table();
-  const Table bio = t.filter_equals("field", "bio");
-  EXPECT_EQ(bio.row_count(), 2u);
-  EXPECT_TRUE(NumericColumn::is_missing(bio.numeric("score").at(1)));
-  EXPECT_TRUE(bio.multiselect("langs").is_missing(1));
-}
-
-TEST(TableTest, FilterUnknownLabelThrows) {
-  const Table t = make_sample_table();
-  EXPECT_THROW(t.filter_equals("field", "chem"), rcr::Error);
+  const Table tail = t.slice(2, 4);
+  EXPECT_EQ(tail.row_count(), 2u);
+  EXPECT_EQ(tail.categorical("field").categories().size(), 2u);
+  EXPECT_EQ(tail.categorical("field").label_at(0), "phys");
+  EXPECT_DOUBLE_EQ(tail.numeric("score").at(0), 3.0);
+  EXPECT_TRUE(tail.multiselect("langs").has(0, 1));
+  EXPECT_TRUE(NumericColumn::is_missing(tail.numeric("score").at(1)));
+  EXPECT_TRUE(tail.multiselect("langs").is_missing(1));
 }
 
 TEST(TableTest, GroupRows) {
@@ -203,7 +193,8 @@ TEST(CrosstabTest, MultiselectMatchesPerOptionProbing) {
   Table t;
   auto& g = t.add_categorical("g", {"a", "b", "c"});
   std::vector<std::string> opts;
-  for (int o = 0; o < 11; ++o) opts.push_back("o" + std::to_string(o));
+  for (int o = 0; o < 11; ++o)
+    opts.push_back(std::string("o").append(std::to_string(o)));
   auto& ms = t.add_multiselect("m", opts);
   std::uint64_t state = 42;
   const auto next = [&state] {  // splitmix64, enough for masks

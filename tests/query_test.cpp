@@ -48,7 +48,8 @@ data::Table make_big_table(const BigTableOptions& opt) {
   const std::vector<std::string> fields = {"f0", "f1", "f2", "f3", "f4"};
   const std::vector<std::string> careers = {"c0", "c1", "c2", "c3"};
   std::vector<std::string> langs;
-  for (int o = 0; o < 10; ++o) langs.push_back("L" + std::to_string(o));
+  for (int o = 0; o < 10; ++o)
+    langs.push_back(std::string("L").append(std::to_string(o)));
 
   data::Table t;
   auto& field = opt.grown_dictionaries

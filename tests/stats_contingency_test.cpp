@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "stats/contingency.hpp"
+#include "stats/descriptive.hpp"
+#include "stats/special.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace rcr::stats {
 namespace {
@@ -129,6 +134,97 @@ TEST(MannWhitneyTest, HandlesTies) {
   EXPECT_GT(r.p_value, 0.0);
   EXPECT_LE(r.p_value, 1.0);
   EXPECT_LT(r.effect_size, 0.5);
+}
+
+// mann_whitney_u as its definition reads: midranks of the pooled sample
+// (stats::ranks), the x rank sum, and the tie term over the sorted pooled
+// sample's tie groups.
+MannWhitneyResult mann_whitney_reference(const std::vector<double>& x,
+                                         const std::vector<double>& y) {
+  std::vector<double> pooled(x);
+  pooled.insert(pooled.end(), y.begin(), y.end());
+  const auto r = ranks(pooled);
+  double rank_sum_x = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) rank_sum_x += r[i];
+  const double nx = static_cast<double>(x.size());
+  const double ny = static_cast<double>(y.size());
+  const double n = nx + ny;
+  MannWhitneyResult out;
+  out.u = rank_sum_x - nx * (nx + 1.0) / 2.0;
+  out.effect_size = out.u / (nx * ny);
+  std::sort(pooled.begin(), pooled.end());
+  double tie_term = 0.0;
+  for (std::size_t i = 0; i < pooled.size();) {
+    std::size_t j = i;
+    while (j + 1 < pooled.size() && pooled[j + 1] == pooled[i]) ++j;
+    const double t = static_cast<double>(j - i + 1);
+    tie_term += t * t * t - t;
+    i = j + 1;
+  }
+  const double sigma2 =
+      nx * ny / 12.0 * ((n + 1.0) - tie_term / (n * (n - 1.0)));
+  if (sigma2 > 0.0) {
+    const double num = out.u - nx * ny / 2.0;
+    const double corrected =
+        num > 0.5 ? num - 0.5 : (num < -0.5 ? num + 0.5 : 0.0);
+    out.z = corrected / std::sqrt(sigma2);
+    out.p_value = 2.0 * normal_sf(std::fabs(out.z));
+  }
+  return out;
+}
+
+void expect_matches_reference(const std::vector<double>& x,
+                              const std::vector<double>& y) {
+  const auto got = mann_whitney_u(x, y);
+  const auto want = mann_whitney_reference(x, y);
+  EXPECT_EQ(got.u, want.u);
+  EXPECT_EQ(got.z, want.z);
+  EXPECT_EQ(got.p_value, want.p_value);
+  EXPECT_EQ(got.effect_size, want.effect_size);
+}
+
+TEST(MannWhitneyTest, MatchesPooledRanksOnTiedLikertData) {
+  Rng rng(41);
+  std::vector<double> x(5000), y(25000);
+  for (double& v : x) v = static_cast<double>(rng.uniform_int(1, 5));
+  for (double& v : y) v = static_cast<double>(rng.uniform_int(2, 5));
+  expect_matches_reference(x, y);
+  expect_matches_reference(y, x);
+  // Already-sorted input takes the same walk.
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  expect_matches_reference(x, y);
+}
+
+TEST(MannWhitneyTest, MatchesPooledRanksWithoutTies) {
+  Rng rng(43);
+  std::vector<double> x(3000), y(4000);
+  for (double& v : x) v = rng.next_double();
+  for (double& v : y) v = 0.1 + rng.next_double();
+  expect_matches_reference(x, y);
+  expect_matches_reference(y, x);
+}
+
+TEST(MannWhitneyTest, MatchesPooledRanksOnTinySamples) {
+  expect_matches_reference({3.0}, {1.0, 3.0, 5.0});
+  expect_matches_reference({1.0, 3.0, 5.0}, {3.0});
+  expect_matches_reference({2.0}, {7.0});
+  expect_matches_reference({2.0}, {2.0});
+  // Signed zeros compare equal, so they share one tie group.
+  expect_matches_reference({0.0, -0.0, 1.0}, {-0.0, 2.0});
+}
+
+TEST(MannWhitneyTest, RejectsNaNAndEmptySamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(mann_whitney_u(std::vector<double>{1.0, nan},
+                              std::vector<double>{2.0}),
+               rcr::Error);
+  EXPECT_THROW(mann_whitney_u(std::vector<double>{1.0},
+                              std::vector<double>{nan, 2.0}),
+               rcr::Error);
+  EXPECT_THROW(mann_whitney_u(std::vector<double>{},
+                              std::vector<double>{2.0}),
+               rcr::Error);
 }
 
 TEST(HolmTest, KnownAdjustment) {

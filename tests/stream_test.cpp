@@ -229,7 +229,8 @@ TEST(SpaceSaving, ShardMergeExactWhenDomainsFit) {
   const std::size_t n = 4000;
   rcr::Rng keys(13);
   std::vector<std::string> stream(n);
-  for (auto& s : stream) s = "k" + std::to_string(keys.next_below(24));
+  for (auto& s : stream)
+    s = std::string("k").append(std::to_string(keys.next_below(24)));
 
   SpaceSaving single(32);
   for (const auto& s : stream) single.add(s);
@@ -373,8 +374,7 @@ TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
     bool first = true;
     for (const auto& [lo, hi] : random_shards(full.row_count(), 7, rng)) {
       TableSketch shard(full, opts);
-      shard.ingest(
-          full.filter([&](std::size_t i) { return i >= lo && i < hi; }), lo);
+      shard.ingest(full.slice(lo, hi), lo);
       if (first) {
         merged = std::move(shard);
         first = false;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <sstream>
+#include <string>
 
+#include "data/csv.hpp"
+#include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "survey/schema.hpp"
 #include "synth/domain.hpp"
@@ -79,6 +83,31 @@ TEST(NonresponseTest, BiasSkewsTowardIntensiveRespondents) {
     return s / static_cast<double>(v.size());
   };
   EXPECT_GT(mean_expertise(biased), mean_expertise(unbiased) + 0.05);
+}
+
+std::string to_csv(const data::Table& t) {
+  std::ostringstream out;
+  data::write_csv(out, t);
+  return out.str();
+}
+
+// The pooled draw generates candidates a chunk at a time and keeps the
+// first n that answer, in candidate order: the serial walk's sample, byte
+// for byte, at any size and pool.
+TEST(NonresponseTest, PooledDrawEqualsSerialBytes) {
+  parallel::ThreadPool pool1(1), pool2(2), pool4(4);
+  for (std::size_t n : {1u, 650u, 20000u}) {
+    for (std::uint64_t seed : {3u, 17u, 0xF9F9F9u}) {
+      GeneratorConfig config{Wave::k2024, n, seed, nullptr, 0.9};
+      const std::string serial = to_csv(generate_wave(config));
+      for (parallel::ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+        config.pool = pool;
+        EXPECT_EQ(to_csv(generate_wave(config)), serial)
+            << "n=" << n << " seed=" << seed
+            << " threads=" << pool->thread_count();
+      }
+    }
+  }
 }
 
 TEST(NonresponseTest, RejectsOutOfRangeStrength) {

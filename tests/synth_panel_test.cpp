@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
+#include "data/csv.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/contingency.hpp"
 #include "survey/schema.hpp"
 #include "synth/domain.hpp"
@@ -142,6 +146,30 @@ TEST(PanelTest, RatchetsPointTheRightWay) {
       panel.wave2011, panel.wave2024, synth::col::kSePractices,
       "Version control");
   EXPECT_GT(vcs.share_after(), 0.9);
+}
+
+std::string to_csv(const data::Table& t) {
+  std::ostringstream out;
+  data::write_csv(out, t);
+  return out.str();
+}
+
+// Each person draws only from (seed, i), so a pooled panel is the serial
+// panel byte for byte.
+TEST(PanelTest, PooledPanelEqualsSerialBytes) {
+  parallel::ThreadPool pool2(2), pool4(4);
+  for (std::size_t n : {1u, 150u, 5000u}) {
+    const auto serial = synth::generate_panel(n, 31);
+    const std::string serial2011 = to_csv(serial.wave2011);
+    const std::string serial2024 = to_csv(serial.wave2024);
+    for (parallel::ThreadPool* pool : {&pool2, &pool4}) {
+      const auto pooled = synth::generate_panel(n, 31, pool);
+      EXPECT_EQ(to_csv(pooled.wave2011), serial2011)
+          << "n=" << n << " threads=" << pool->thread_count();
+      EXPECT_EQ(to_csv(pooled.wave2024), serial2024)
+          << "n=" << n << " threads=" << pool->thread_count();
+    }
+  }
 }
 
 TEST(PanelTest, RejectsEmptyPanel) {

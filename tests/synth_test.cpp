@@ -15,13 +15,19 @@
 namespace rcr::synth {
 namespace {
 
+// Share of the rows answering `column` that select `option`; with `field`,
+// only that field's rows count.
 double option_share(const data::Table& t, const char* column,
-                    const char* option) {
+                    const char* option, const char* field = nullptr) {
   const auto& col = t.multiselect(column);
   const auto o = static_cast<std::size_t>(col.find_option(option));
+  const auto& fields = t.categorical(col::kField);
+  const std::int32_t code =
+      field != nullptr ? fields.find_code(field) : data::kMissingCode;
   double hit = 0.0, n = 0.0;
   for (std::size_t i = 0; i < col.size(); ++i) {
     if (col.is_missing(i)) continue;
+    if (field != nullptr && fields.code_at(i) != code) continue;
     n += 1.0;
     if (col.has(i, o)) hit += 1.0;
   }
@@ -184,13 +190,13 @@ TEST(GeneratorCalibrationTest, FieldMixMatchesTargets) {
 
 TEST(GeneratorCalibrationTest, FieldLeansAreVisible) {
   const auto t = generate_wave({Wave::k2024, 12000, 19, nullptr});
-  const auto cs = t.filter_equals(col::kField, "Computer Sci");
-  const auto social = t.filter_equals(col::kField, "Social Sci");
+  const char* cs = "Computer Sci";
+  const char* social = "Social Sci";
   // CS leans C++; Social Science leans R.
-  EXPECT_GT(option_share(cs, col::kLanguages, "C++"),
-            option_share(social, col::kLanguages, "C++") + 0.1);
-  EXPECT_GT(option_share(social, col::kLanguages, "R"),
-            option_share(cs, col::kLanguages, "R") + 0.1);
+  EXPECT_GT(option_share(t, col::kLanguages, "C++", cs),
+            option_share(t, col::kLanguages, "C++", social) + 0.1);
+  EXPECT_GT(option_share(t, col::kLanguages, "R", social),
+            option_share(t, col::kLanguages, "R", cs) + 0.1);
 }
 
 TEST(GeneratorTest, RejectsEmptyWave) {
@@ -204,25 +210,32 @@ std::string to_csv(const data::Table& t) {
 }
 
 // The chunked-emission contract: generate_blocks reassembles to a table
-// byte-identical (via CSV serialization) to the one-shot generate_wave, for
-// any block size, with and without nonresponse bias.
+// byte-identical (via CSV serialization) to the one-shot serial
+// generate_wave, for any block size, with and without nonresponse bias,
+// serially and on a pool.
 TEST(GeneratorBlocksTest, BlocksConcatenateByteIdenticalToWave) {
+  rcr::parallel::ThreadPool four(4);
+  rcr::parallel::ThreadPool* const pools[] = {nullptr, &four};
   for (double nonresponse : {0.0, 0.4}) {
     GeneratorConfig config{Wave::k2024, 503, 23, nullptr, nonresponse};
     const auto whole = generate_wave(config);
-    for (std::size_t block_rows : {64u, 100u, 503u, 1000u}) {
-      auto assembled = whole.clone_empty();
-      std::size_t expected_first = 0;
-      generate_blocks(config, block_rows,
-                      [&](data::Table block, std::size_t first_row) {
-                        EXPECT_EQ(first_row, expected_first);
-                        EXPECT_LE(block.row_count(), block_rows);
-                        expected_first += block.row_count();
-                        assembled.append_rows(block);
-                      });
-      EXPECT_EQ(assembled.row_count(), whole.row_count());
-      EXPECT_EQ(to_csv(assembled), to_csv(whole))
-          << "block_rows=" << block_rows << " nonresponse=" << nonresponse;
+    for (rcr::parallel::ThreadPool* pool : pools) {
+      config.pool = pool;
+      for (std::size_t block_rows : {64u, 100u, 503u, 1000u}) {
+        auto assembled = whole.clone_empty();
+        std::size_t expected_first = 0;
+        generate_blocks(config, block_rows,
+                        [&](data::Table block, std::size_t first_row) {
+                          EXPECT_EQ(first_row, expected_first);
+                          EXPECT_LE(block.row_count(), block_rows);
+                          expected_first += block.row_count();
+                          assembled.append_rows(block);
+                        });
+        EXPECT_EQ(assembled.row_count(), whole.row_count());
+        EXPECT_EQ(to_csv(assembled), to_csv(whole))
+            << "block_rows=" << block_rows << " nonresponse=" << nonresponse
+            << " pooled=" << (pool != nullptr);
+      }
     }
   }
 }

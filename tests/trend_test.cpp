@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "query/engine.hpp"
+#include "stats/regression.hpp"
 #include "trend/trend.hpp"
 #include "util/error.hpp"
 
@@ -25,10 +26,10 @@ data::Table make_wave(std::size_t hits, std::size_t n) {
   return t;
 }
 
-TEST(CompareOptionTest, CountsAndDirection) {
-  const auto w1 = make_wave(10, 100);   // 10%
-  const auto w2 = make_wave(300, 600);  // 50%
-  auto t = compare_option(w1, w2, "m", "x");
+TEST(TrendFromCountsTest, CountsAndDirection) {
+  // 10 of 100 selected in wave 1 (10%), 300 of 600 in wave 2 (50%).
+  auto t = trend_from_counts("x", 10, 100, 300, 600);
+  EXPECT_EQ(t.indicator, "x");
   EXPECT_DOUBLE_EQ(t.count1, 10.0);
   EXPECT_DOUBLE_EQ(t.n1, 100.0);
   EXPECT_DOUBLE_EQ(t.count2, 300.0);
@@ -43,31 +44,9 @@ TEST(CompareOptionTest, CountsAndDirection) {
   EXPECT_EQ(battery[0].direction, Direction::kIncrease);
 }
 
-TEST(CompareOptionTest, MissingRowsExcluded) {
-  auto w1 = make_wave(5, 10);
-  w1.multiselect("m").push_missing();
-  w1.categorical("c").push_missing();
-  const auto w2 = make_wave(5, 10);
-  const auto t = compare_option(w1, w2, "m", "x");
-  EXPECT_DOUBLE_EQ(t.n1, 10.0);  // the missing row does not count
-}
-
-TEST(ComparePredicateTest, NulloptExcludes) {
-  const auto w1 = make_wave(4, 10);
-  const auto w2 = make_wave(6, 10);
-  const auto t = compare_predicate(
-      w1, w2, "custom",
-      [](const data::Table& table, std::size_t i) -> std::optional<bool> {
-        if (i % 2 == 1) return std::nullopt;  // half the rows abstain
-        return table.categorical("c").code_at(i) == 0;
-      });
-  EXPECT_DOUBLE_EQ(t.n1, 5.0);
-  EXPECT_DOUBLE_EQ(t.n2, 5.0);
-}
-
-TEST(CompareOptionTest, UnknownOptionThrows) {
-  const auto w1 = make_wave(1, 10);
-  EXPECT_THROW(compare_option(w1, w1, "m", "zzz"), rcr::Error);
+TEST(TrendFromCountsTest, RejectsAWaveWithNoAnsweredRows) {
+  EXPECT_THROW(trend_from_counts("x", 0, 0, 3, 10), rcr::Error);
+  EXPECT_THROW(trend_from_counts("x", 3, 10, 0, 0), rcr::Error);
 }
 
 // Every option's (selected, answered) tally from one fused-engine scan.
@@ -98,9 +77,8 @@ TEST(AdjustClassifyTest, EmptyBatteryIsFine) {
 }
 
 TEST(AdoptionCurveTest, RisingAdoptionHasPositiveSlope) {
-  const auto w1 = make_wave(10, 200);   // 5% in 2011
-  const auto w2 = make_wave(240, 400);  // 60% in 2024
-  const auto c = fit_adoption_curve(w1, 2011, w2, 2024, "m", "x");
+  // 10 of 200 adopted in 2011 (5%), 240 of 400 in 2024 (60%).
+  const auto c = fit_adoption_curve(10, 200, 2011, 240, 400, 2024);
   EXPECT_TRUE(c.converged);
   EXPECT_GT(c.slope_per_year, 0.0);
   // Fitted shares reproduce the observed ones (two points, two params).
@@ -113,15 +91,48 @@ TEST(AdoptionCurveTest, RisingAdoptionHasPositiveSlope) {
 }
 
 TEST(AdoptionCurveTest, DecliningAdoptionHasNegativeSlope) {
-  const auto w1 = make_wave(150, 200);
-  const auto w2 = make_wave(40, 400);
-  const auto c = fit_adoption_curve(w1, 2011, w2, 2024, "m", "x");
+  const auto c = fit_adoption_curve(150, 200, 2011, 40, 400, 2024);
   EXPECT_LT(c.slope_per_year, 0.0);
 }
 
-TEST(AdoptionCurveTest, RejectsUnorderedWaves) {
-  const auto w = make_wave(5, 10);
-  EXPECT_THROW(fit_adoption_curve(w, 2024, w, 2011, "m", "x"), rcr::Error);
+// The counts form is the respondent-level fit: one (year - 2011, adopted)
+// row per respondent, fitted with the same ridge.
+TEST(AdoptionCurveTest, CountsMatchTheRowLevelFit) {
+  struct Case {
+    double s1, n1, y1, s2, n2, y2;
+  };
+  const Case cases[] = {
+      {10, 200, 2011, 240, 400, 2024},  // rising
+      {150, 200, 2011, 40, 400, 2024},  // falling
+      {0, 37, 2011, 12, 90, 2024},      // none in the first wave
+      {55, 55, 2015, 3, 61, 2020},      // all in the first wave
+      {7, 9, 2011, 1201, 2500, 2024},   // unequal waves
+  };
+  for (const Case& k : cases) {
+    std::vector<std::vector<double>> xs;
+    std::vector<double> ys;
+    const auto expand = [&](double selected, double answered, double year) {
+      for (double i = 0; i < answered; ++i) {
+        xs.push_back({year - 2011.0});
+        ys.push_back(i < selected ? 1.0 : 0.0);
+      }
+    };
+    expand(k.s1, k.n1, k.y1);
+    expand(k.s2, k.n2, k.y2);
+    const auto rows = stats::logistic_fit(xs, ys, {}, /*ridge_lambda=*/1e-4);
+    const auto c = fit_adoption_curve(k.s1, k.n1, k.y1, k.s2, k.n2, k.y2);
+    SCOPED_TRACE("case " + std::to_string(k.s1) + "/" + std::to_string(k.n1));
+    EXPECT_EQ(c.converged, rows.converged);
+    EXPECT_NEAR(c.intercept, rows.coefficients[0], 1e-9);
+    EXPECT_NEAR(c.slope_per_year, rows.coefficients[1], 1e-9);
+  }
+}
+
+TEST(AdoptionCurveTest, RejectsBadCounts) {
+  EXPECT_THROW(fit_adoption_curve(5, 10, 2024, 5, 10, 2011), rcr::Error);
+  EXPECT_THROW(fit_adoption_curve(11, 10, 2011, 5, 10, 2024), rcr::Error);
+  EXPECT_THROW(fit_adoption_curve(-1, 10, 2011, 5, 10, 2024), rcr::Error);
+  EXPECT_THROW(fit_adoption_curve(1, 1, 2011, 1, 2, 2024), rcr::Error);
 }
 
 TEST(DistributionShiftTest, DetectsShift) {
@@ -167,27 +178,34 @@ data::Table make_grouped_wave(std::size_t b_answered, std::size_t b_missing,
   return t;
 }
 
-// per_group_trend's definition, spelled out: copy each group's rows out of
-// both waves, gate on answered rows, compare the option, adjust.
+// per_group_trend's definition, spelled out: count each group's answered
+// and selected rows by hand, gate on answered rows, build each trend from
+// its counts, adjust.
 std::vector<ShareTrend> per_group_reference(const data::Table& w1,
                                             const data::Table& w2,
                                             const std::string& option,
                                             std::size_t min_group_n) {
-  const auto answered = [](const data::Table& g) {
-    const auto& col = g.multiselect("m");
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < col.size(); ++i)
-      if (!col.is_missing(i)) ++n;
-    return n;
+  const auto counts = [&](const data::Table& w, const std::string& label) {
+    const auto& g = w.categorical("g");
+    const auto& m = w.multiselect("m");
+    const auto o = static_cast<std::size_t>(m.find_option(option));
+    std::size_t selected = 0, answered = 0;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      if (g.is_missing(i) || g.label_at(i) != label || m.is_missing(i))
+        continue;
+      ++answered;
+      if (m.has(i, o)) ++selected;
+    }
+    return std::pair<std::size_t, std::size_t>{selected, answered};
   };
   std::vector<ShareTrend> trends;
   for (const auto& label : w1.categorical("g").categories()) {
-    const data::Table g1 = w1.filter_equals("g", label);
-    const data::Table g2 = w2.filter_equals("g", label);
-    if (answered(g1) < min_group_n || answered(g2) < min_group_n) continue;
-    auto t = compare_option(g1, g2, "m", option);
-    t.indicator = label;
-    trends.push_back(std::move(t));
+    const auto [s1, n1] = counts(w1, label);
+    const auto [s2, n2] = counts(w2, label);
+    if (n1 < min_group_n || n2 < min_group_n) continue;
+    trends.push_back(trend_from_counts(
+        label, static_cast<double>(s1), static_cast<double>(n1),
+        static_cast<double>(s2), static_cast<double>(n2)));
   }
   adjust_and_classify(trends);
   return trends;
@@ -214,7 +232,7 @@ TEST(PerGroupTrendTest, GateCountsAnsweredRowsNotGroupSize) {
   EXPECT_EQ(both[1].indicator, "B");
 }
 
-TEST(PerGroupTrendTest, SinglePassMatchesFilteredReference) {
+TEST(PerGroupTrendTest, SinglePassMatchesHandCountedReference) {
   struct Case {
     data::Table w1, w2;
     std::size_t min_group_n;
