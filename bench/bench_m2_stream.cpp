@@ -85,7 +85,7 @@ std::uint64_t fingerprint(const StreamStudyResult& result) {
     fp.mix(e.key);
     fp.mix(e.count);
   }
-  if (!sketch.options().reservoir_column.empty()) {
+  if (!sketch.reservoir_column().empty()) {
     for (const auto& item : sketch.reservoir().items()) {
       fp.mix(item.index);
       fp.mix(item.value);
@@ -154,7 +154,7 @@ std::vector<ErrorRow> validate(const StreamStudyResult& result,
   rows.push_back({"moments.mean.rel_err", mean_err, 1e-9});
   rows.push_back(
       {"quantile.rank_err_frac", quantile_err,
-       2.0 * sketch.options().quantile_eps});
+       2.0 * TableSketch::kQuantileEps});
 
   // CountMin overestimate across every (column, label) cell, as a fraction
   // of the sketch's total weight, against the materialized table's counts.
@@ -195,7 +195,7 @@ std::vector<ErrorRow> validate(const StreamStudyResult& result,
   const double hll_bound =
       5.0 * 1.04 /
       std::sqrt(static_cast<double>(
-          std::size_t{1} << sketch.options().hll_precision));
+          std::size_t{1} << TableSketch::kHllPrecision));
   rows.push_back({"hll.rel_err", hll_err, hll_bound});
 
   // The appended crosstabs must equal the serial reference builders
@@ -281,7 +281,7 @@ int main(int argc, char** argv) try {
   const bool run_exact = force_exact || config.respondents <= 1000000;
   if (run_exact) {
     rcr::synth::GeneratorConfig gen;
-    gen.wave = config.wave;
+    gen.wave = rcr::synth::Wave::k2024;
     gen.respondents = config.respondents;
     gen.seed = config.seed;
     errors = validate(result, gen);

@@ -2,7 +2,7 @@
 // roads into memory:
 //   * serial.read_csv — the text interchange path (parse every byte);
 //   * snapshot.write -> snapshot.read — the binary columnar path (mmap,
-//     validate checksums, alias or memcpy the pages). read_verified is the
+//     validate checksums, alias the pages). read_verified is the
 //     only read there is: every page hashed, codes/masks/flags
 //     range-checked.
 // Emits a JSON report (stdout, or --out FILE); BENCH_snapshot.json keeps

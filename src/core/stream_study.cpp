@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <utility>
 
-#include "data/csv.hpp"
-#include "data/snapshot.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "report/table.hpp"
 #include "synth/domain.hpp"
+#include "synth/generator.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -21,23 +19,22 @@ namespace rcr::core {
 
 namespace {
 
-// What every source feeds: the engine holding the exact tables and the
-// merged sketch, advanced one block at a time in block order.
+// The engine holding the exact tables and the merged sketch, advanced one
+// block at a time in block order.
 //
 // A block's shard is created before its rows are built, and the rows are
 // released before the shard merges: of the allocation orders tried, that
 // one gives the lowest peak heap (EXPERIMENTS.md, M2).
 struct BlockFold {
-  explicit BlockFold(const stream::TableSketchOptions& sketch_options)
+  BlockFold()
       : schema(synth::instrument().make_table()),
-        options(sketch_options),
         engine(schema),
-        sketch(schema, options) {
+        sketch(empty_shard()) {
     register_wave_aggregates(engine);
   }
 
   stream::TableSketch empty_shard() const {
-    return stream::TableSketch(schema, options);
+    return stream::TableSketch(schema, synth::col::kDatasetGb);
   }
 
   // Folds the block after the last one folded.
@@ -48,19 +45,24 @@ struct BlockFold {
   }
 
   data::Table schema;  // the instrument's columns, no rows: engine's table
-  stream::TableSketchOptions options;
   query::QueryEngine engine;
   stream::TableSketch sketch;
 };
 
-// Folds every block of a random-access source, where read(lo, hi) returns
-// rows [lo, hi). On a pool each block is its own task: a finished block
-// waits in `ready` until its predecessor has folded, and whichever thread
-// completes the next index folds it, so no task waits for another.
-void fold_random_access(
-    BlockFold& walk, std::size_t rows, std::size_t block_rows,
-    parallel::ThreadPool* pool,
-    const std::function<data::Table(std::size_t, std::size_t)>& read) {
+}  // namespace
+
+StreamStudyResult run_stream_study(const StreamStudyConfig& config) {
+  BlockFold walk;
+  const std::size_t rows = config.respondents;
+  const std::size_t block_rows = std::max<std::size_t>(1, config.block_rows);
+  synth::GeneratorConfig gen;
+  gen.wave = synth::Wave::k2024;
+  gen.respondents = rows;
+  gen.seed = config.seed;
+
+  // On a pool each block is its own task: a finished block waits in
+  // `ready` until its predecessor has folded, and whichever thread
+  // completes the next index folds it, so no task waits for another.
   std::mutex mutex;
   std::map<std::size_t, std::pair<data::Table, stream::TableSketch>> ready;
   std::size_t next = 0;
@@ -70,7 +72,8 @@ void fold_random_access(
     try {
       const std::size_t lo = k * block_rows;
       stream::TableSketch shard = walk.empty_shard();
-      data::Table part = read(lo, std::min(lo + block_rows, rows));
+      data::Table part = synth::generate_range(
+          gen, lo, std::min(lo + block_rows, rows) - lo);
       shard.ingest(part, lo);
       std::lock_guard<std::mutex> lock(mutex);
       ready.emplace(k, std::make_pair(std::move(part), std::move(shard)));
@@ -85,58 +88,12 @@ void fold_random_access(
     }
   };
   const std::size_t blocks = (rows + block_rows - 1) / block_rows;
-  if (pool == nullptr) {
+  if (config.pool == nullptr) {
     for (std::size_t k = 0; k < blocks; ++k) build(k);
-    return;
-  }
-  parallel::ForOptions options;
-  options.grain = 1;
-  parallel::parallel_for(*pool, 0, blocks, build, options);
-}
-
-}  // namespace
-
-stream::TableSketchOptions StreamStudyConfig::default_stream_options() {
-  stream::TableSketchOptions opts;
-  opts.reservoir_column = synth::col::kDatasetGb;
-  return opts;
-}
-
-StreamStudyResult run_stream_study(const StreamStudyConfig& config) {
-  BlockFold walk(config.sketch);
-  const std::size_t block_rows = std::max<std::size_t>(1, config.block_rows);
-  // Sequential sources deliver their blocks in order, on the caller.
-  const auto fold_next = [&walk](const data::Table& rows,
-                                 std::size_t first_row) {
-    stream::TableSketch shard = walk.empty_shard();
-    shard.ingest(rows, first_row);
-    walk.fold(rows, shard);
-  };
-  synth::GeneratorConfig gen;
-  gen.wave = config.wave;
-  gen.respondents = config.respondents;
-  gen.seed = config.seed;
-  gen.nonresponse_strength = config.nonresponse_strength;
-
-  if (!config.snapshot_path.empty()) {
-    const data::Table table = data::read_snapshot(config.snapshot_path);
-    fold_random_access(walk, table.row_count(), block_rows, config.pool,
-                       [&table](std::size_t lo, std::size_t hi) {
-                         return table.slice(lo, hi);
-                       });
-  } else if (!config.csv_path.empty()) {
-    data::for_each_csv_block_file(config.csv_path, walk.schema, block_rows,
-                                  fold_next);
-  } else if (config.nonresponse_strength > 0.0) {
-    // The biased walk generates its candidate chunks on the pool; the
-    // random-access sources run one task per block and a pool-free gen.
-    gen.pool = config.pool;
-    synth::generate_blocks(gen, block_rows, fold_next);
   } else {
-    fold_random_access(walk, config.respondents, block_rows, config.pool,
-                       [&gen](std::size_t lo, std::size_t hi) {
-                         return synth::generate_range(gen, lo, hi - lo);
-                       });
+    parallel::ForOptions options;
+    options.grain = 1;
+    parallel::parallel_for(*config.pool, 0, blocks, build, options);
   }
   if (walk.engine.row_count() == 0)
     throw InvalidInputError("stream study: the source holds no rows");
@@ -225,12 +182,12 @@ std::string render_stream_report(const StreamStudyResult& result) {
   }
 
   // Reservoir sample of dataset sizes.
-  if (!sketch.options().reservoir_column.empty()) {
+  if (!sketch.reservoir_column().empty()) {
     const auto& res = sketch.reservoir();
     double mean = 0.0;
     for (const auto& item : res.items()) mean += item.value;
     if (!res.items().empty()) mean /= static_cast<double>(res.items().size());
-    out += "\nReservoir sample (" + sketch.options().reservoir_column +
+    out += "\nReservoir sample (" + sketch.reservoir_column() +
            "): " + std::to_string(res.items().size()) + " of " +
            std::to_string(res.offered()) +
            " offered, sample mean = " + format_double(mean, 2) + "\n";

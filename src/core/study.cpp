@@ -32,10 +32,8 @@ std::uint64_t default_salt(std::size_t index, double year) {
 std::vector<WaveSpec> resolve_specs(const StudyConfig& config) {
   std::vector<WaveSpec> specs = config.waves;
   if (specs.empty()) {
-    specs.push_back(
-        {synth::kYear2011, config.n_2011, config.snapshot_2011, false, 0});
-    specs.push_back(
-        {synth::kYear2024, config.n_2024, config.snapshot_2024, true, 0});
+    specs.push_back({synth::kYear2011, config.n_2011, config.snapshot_2011, 0});
+    specs.push_back({synth::kYear2024, config.n_2024, config.snapshot_2024, 0});
   }
   RCR_CHECK_MSG(specs.size() >= 2, "a study needs at least two waves");
   for (std::size_t w = 0; w < specs.size(); ++w) {

@@ -3,7 +3,7 @@
 // all start here.
 //
 // A study holds N >= 2 time-ordered waves described by WaveSpec entries
-// (calendar year, size or snapshot path, per-wave raking). The historical
+// (calendar year, size or snapshot path, seed salt). The historical
 // two-wave 2011→2024 shape is the default configuration: its waves are
 // indices 0 and 1, and their outputs are byte-identical to the pre-N-wave
 // code (same generator streams, same seeds, same fused aggregate scans).
@@ -37,10 +37,6 @@ struct WaveSpec {
   // written from a generated wave reloads it bitwise, so every downstream
   // aggregate is byte-identical to the synthesized run.
   std::string snapshot;
-  // Whether this wave's estimates should be raked against the calibrated
-  // population margins (weights(w) computes lazily either way; the flag
-  // records the study design, e.g. "the 2024 revisit is raked").
-  bool rake = false;
   // Seed salt XORed into StudyConfig.seed for this wave's generator
   // stream. 0 applies the default rule, which reproduces the legacy
   // streams exactly: wave 0 draws from the seed itself, wave 1 from
@@ -60,7 +56,7 @@ struct StudyConfig {
   // N-wave form: when non-empty these specs define the study and the
   // legacy fields above are ignored. Empty (the default) maps to the
   // classic pair {2011, n_2011, snapshot_2011} / {2024, n_2024,
-  // snapshot_2024, rake}. Waves at the anchor years synthesize from the
+  // snapshot_2024}. Waves at the anchor years synthesize from the
   // calibrated anchor parameters; intermediate years interpolate
   // (synth::interpolated_params), so a 3+-wave study tracks the same
   // secular drift the two anchors pin down.

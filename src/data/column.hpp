@@ -34,10 +34,6 @@ class NumericColumn {
   void push(double v) { values_.push_back(v); }
   void push_missing() { values_.push_back(missing()); }
 
-  // Drops all rows (schema-less for this kind). Capacity is kept so a
-  // reused scratch column does not reallocate per row batch.
-  void clear() { values_.clear(); }
-
   // Overwrites an existing cell.
   void set(std::size_t i, double v) {
     RCR_DCHECK(i < values_.size());
@@ -55,7 +51,7 @@ class NumericColumn {
   }
 
   // Replaces all rows with `values` — the snapshot reader's entry point for
-  // columns that alias a mapped page (or were materialized page-wise).
+  // columns that alias a mapped page.
   void adopt(PageVec<double> values) { values_ = std::move(values); }
 
   std::size_t size() const { return values_.size(); }
@@ -141,12 +137,6 @@ class MultiSelectColumn {
   void push_mask(std::uint64_t mask);
   void push_labels(const std::vector<std::string>& labels);
   void push_missing();  // recorded as an all-zero mask with a missing flag
-
-  // Drops all rows but keeps the option set.
-  void clear() {
-    masks_.clear();
-    missing_.clear();
-  }
 
   // Overwrites an existing cell and clears its missing flag.
   void set_mask(std::size_t i, std::uint64_t mask);

@@ -26,6 +26,10 @@ IngestMetrics& metrics() {
   return m;
 }
 
+// The one dialect: comma-separated fields, '|' between multi-select labels.
+constexpr char kDelimiter = ',';
+constexpr char kMultiselectSeparator = '|';
+
 [[noreturn]] void parse_fail(std::size_t line, const std::string& msg) {
   throw rcr::InvalidInputError("CSV line " + std::to_string(line) + ": " +
                                msg);
@@ -45,8 +49,6 @@ IngestMetrics& metrics() {
 // field outgrows every field seen before it.
 class RecordScanner {
  public:
-  explicit RecordScanner(char delimiter) : delimiter_(delimiter) {}
-
   // Fields of the record being delivered; valid only inside a sink call.
   std::size_t field_count() const { return field_count_; }
   const std::string& field(std::size_t i) const { return fields_[i]; }
@@ -101,7 +103,7 @@ class RecordScanner {
   };
 
   bool is_special(char c) const {
-    return c == delimiter_ || c == '"' || c == '\n' || c == '\r';
+    return c == kDelimiter || c == '"' || c == '\n' || c == '\r';
   }
 
   void open_field() {
@@ -153,7 +155,7 @@ class RecordScanner {
         if (c == '"') {
           quoted_[field_count_] = 1;
           state_ = State::kQuoted;
-        } else if (c == delimiter_) {
+        } else if (c == kDelimiter) {
           next_field();
         } else if (c == '\n') {
           ++line_;
@@ -168,7 +170,7 @@ class RecordScanner {
       case State::kUnquoted:
         if (c == '"') {
           parse_fail(record_line_, "quote inside unquoted field");
-        } else if (c == delimiter_) {
+        } else if (c == kDelimiter) {
           next_field();
         } else if (c == '\n') {
           ++line_;
@@ -191,7 +193,7 @@ class RecordScanner {
         if (c == '"') {  // escaped quote
           fields_[field_count_] += '"';
           state_ = State::kQuoted;
-        } else if (c == delimiter_) {
+        } else if (c == kDelimiter) {
           next_field();
         } else if (c == '\n') {
           ++line_;
@@ -209,7 +211,6 @@ class RecordScanner {
     }
   }
 
-  char delimiter_;
   State state_ = State::kFieldStart;
   bool pending_cr_ = false;
   bool in_record_ = false;
@@ -276,10 +277,9 @@ std::vector<BoundColumn> bind_columns(Table& out,
   return bound;
 }
 
-// Parses one cell into its typed column — the single point the
-// materializing and streaming readers all push values through.
+// Parses one cell into its typed column.
 void append_cell(const BoundColumn& col, std::string_view cell,
-                 const CsvOptions& options, std::size_t line_no) {
+                 std::size_t line_no) {
   switch (col.kind) {
     case ColumnKind::kNumeric: {
       if (cell.empty()) {
@@ -322,7 +322,7 @@ void append_cell(const BoundColumn& col, std::string_view cell,
         break;
       }
       std::uint64_t mask = 0;
-      for (const auto& part : split(cell, options.multiselect_separator)) {
+      for (const auto& part : split(cell, kMultiselectSeparator)) {
         // Quoted cells arrive verbatim, so an option label that itself
         // carries padding (" b ") matches verbatim first; otherwise the
         // part is trimmed, which keeps human-typed "a | b" working.
@@ -347,8 +347,7 @@ void append_cell(const BoundColumn& col, std::string_view cell,
 // push. Quoted cells keep their bytes verbatim — that is the round-trip
 // contract for whitespace-padded labels.
 void append_record(const RecordScanner& rec,
-                   const std::vector<BoundColumn>& bound,
-                   const CsvOptions& options) {
+                   const std::vector<BoundColumn>& bound) {
   if (rec.field_count() != bound.size())
     parse_fail(rec.record_line(),
                "expected " + std::to_string(bound.size()) + " fields, got " +
@@ -357,7 +356,7 @@ void append_record(const RecordScanner& rec,
     const std::string_view cell = rec.quoted(f)
                                       ? std::string_view(rec.field(f))
                                       : trim(rec.field(f));
-    append_cell(bound[f], cell, options, rec.record_line());
+    append_cell(bound[f], cell, rec.record_line());
   }
 }
 
@@ -365,8 +364,8 @@ inline constexpr std::size_t kIoChunkBytes = 64 * 1024;
 
 // Streams `in` through a scanner in fixed-size chunks; returns total bytes.
 template <typename Sink>
-std::uint64_t scan_istream(std::istream& in, char delimiter, Sink&& sink) {
-  RecordScanner scanner(delimiter);
+std::uint64_t scan_istream(std::istream& in, Sink&& sink) {
+  RecordScanner scanner;
   std::vector<char> buf(kIoChunkBytes);
   std::uint64_t bytes = 0;
   for (;;) {
@@ -382,48 +381,16 @@ std::uint64_t scan_istream(std::istream& in, char delimiter, Sink&& sink) {
   return bytes;
 }
 
-// Shared parse loop: header record first, then every data record pushed
-// into `out` with `on_row` fired per completed row (streaming callers clear
-// `out` there). Returns rows parsed.
-std::uint64_t parse_records(std::istream& in, const Table& schema,
-                            const CsvOptions& options, Table& out,
-                            const std::function<void()>& on_row) {
-  obs::ScopedTimer timer(metrics().parse_ms);
-  bool have_header = false;
-  std::vector<std::string> header;
-  std::vector<BoundColumn> bound;
-  std::uint64_t rows = 0;
-  const auto on_record = [&](const RecordScanner& rec) {
-    if (!have_header) {
-      header = header_from(rec, schema);
-      bound = bind_columns(out, header);
-      have_header = true;
-      return;
-    }
-    if (blank_record(rec) && header.size() > 1 && options.skip_blank_lines)
-      return;
-    append_record(rec, bound, options);
-    ++rows;
-    if (on_row) on_row();
-  };
-  const std::uint64_t bytes = scan_istream(in, options.delimiter, on_record);
-  if (!have_header)
-    throw rcr::InvalidInputError("CSV input is empty (no header row)");
-  metrics().rows.add(rows);
-  metrics().bytes.add(bytes);
-  return rows;
-}
-
 // --- Writing -----------------------------------------------------------------
 
-std::string escape_field(const std::string& field, char delimiter) {
+std::string escape_field(const std::string& field) {
   const auto is_space = [](char c) {
     return std::isspace(static_cast<unsigned char>(c)) != 0;
   };
   // Leading/trailing whitespace must be quoted: the reader trims unquoted
   // cells, so an unquoted padded label would silently mutate on ingest.
   const bool needs_quotes =
-      field.find(delimiter) != std::string::npos ||
+      field.find(kDelimiter) != std::string::npos ||
       field.find('"') != std::string::npos ||
       field.find('\n') != std::string::npos ||
       field.find('\r') != std::string::npos ||
@@ -440,92 +407,52 @@ std::string escape_field(const std::string& field, char delimiter) {
 
 }  // namespace
 
-Table read_csv(std::istream& in, const Table& schema,
-               const CsvOptions& options) {
+// The header record first, then every data record pushed into the table.
+Table read_csv(std::istream& in, const Table& schema) {
+  obs::ScopedTimer timer(metrics().parse_ms);
   Table out = schema.clone_empty();
-  parse_records(in, schema, options, out, nullptr);
+  bool have_header = false;
+  std::vector<std::string> header;
+  std::vector<BoundColumn> bound;
+  std::uint64_t rows = 0;
+  const auto on_record = [&](const RecordScanner& rec) {
+    if (!have_header) {
+      header = header_from(rec, schema);
+      bound = bind_columns(out, header);
+      have_header = true;
+      return;
+    }
+    if (blank_record(rec) && header.size() > 1) return;
+    append_record(rec, bound);
+    ++rows;
+  };
+  const std::uint64_t bytes = scan_istream(in, on_record);
+  if (!have_header)
+    throw rcr::InvalidInputError("CSV input is empty (no header row)");
+  metrics().rows.add(rows);
+  metrics().bytes.add(bytes);
   out.validate_rectangular();
   return out;
 }
 
-Table read_csv_file(const std::string& path, const Table& schema,
-                    const CsvOptions& options) {
+Table read_csv_file(const std::string& path, const Table& schema) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw rcr::InvalidInputError("cannot open CSV file: " + path);
-  return read_csv(in, schema, options);
+  return read_csv(in, schema);
 }
 
-std::size_t for_each_csv_row(
-    std::istream& in, const Table& schema,
-    const std::function<void(const Table& row, std::size_t index)>& visit,
-    const CsvOptions& options) {
-  Table row = schema.clone_empty();
-  std::size_t index = 0;
-  parse_records(in, schema, options, row, [&] {
-    visit(row, index);
-    ++index;
-    row.clear_rows();
-  });
-  return index;
-}
-
-std::size_t for_each_csv_row_file(
-    const std::string& path, const Table& schema,
-    const std::function<void(const Table& row, std::size_t index)>& visit,
-    const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw rcr::InvalidInputError("cannot open CSV file: " + path);
-  return for_each_csv_row(in, schema, visit, options);
-}
-
-std::size_t for_each_csv_block(
-    std::istream& in, const Table& schema, std::size_t block_rows,
-    const std::function<void(const Table& block, std::size_t first_row)>&
-        visit,
-    const CsvOptions& options) {
-  if (block_rows == 0)
-    throw rcr::InvalidInputError("for_each_csv_block: block_rows must be > 0");
-  Table block = schema.clone_empty();
-  std::size_t delivered = 0;
-  std::size_t in_block = 0;
-  parse_records(in, schema, options, block, [&] {
-    if (++in_block == block_rows) {
-      visit(block, delivered);
-      delivered += in_block;
-      in_block = 0;
-      block.clear_rows();
-    }
-  });
-  if (in_block > 0) {
-    visit(block, delivered);
-    delivered += in_block;
-  }
-  return delivered;
-}
-
-std::size_t for_each_csv_block_file(
-    const std::string& path, const Table& schema, std::size_t block_rows,
-    const std::function<void(const Table& block, std::size_t first_row)>&
-        visit,
-    const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw rcr::InvalidInputError("cannot open CSV file: " + path);
-  return for_each_csv_block(in, schema, block_rows, visit, options);
-}
-
-void write_csv(std::ostream& out, const Table& table,
-               const CsvOptions& options) {
+void write_csv(std::ostream& out, const Table& table) {
   table.validate_rectangular();
   const auto& names = table.column_names();
   for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i) out << options.delimiter;
-    out << escape_field(names[i], options.delimiter);
+    if (i) out << kDelimiter;
+    out << escape_field(names[i]);
   }
   out << '\n';
   const std::size_t n = table.row_count();
   for (std::size_t row = 0; row < n; ++row) {
     for (std::size_t i = 0; i < names.size(); ++i) {
-      if (i) out << options.delimiter;
+      if (i) out << kDelimiter;
       const auto& name = names[i];
       switch (table.kind(name)) {
         case ColumnKind::kNumeric: {
@@ -541,7 +468,7 @@ void write_csv(std::ostream& out, const Table& table,
         case ColumnKind::kCategorical: {
           const auto& col = table.categorical(name);
           if (!col.is_missing(row))
-            out << escape_field(col.label_at(row), options.delimiter);
+            out << escape_field(col.label_at(row));
           break;
         }
         case ColumnKind::kMultiSelect: {
@@ -550,12 +477,12 @@ void write_csv(std::ostream& out, const Table& table,
             std::string joined;
             for (std::size_t o = 0; o < col.option_count(); ++o) {
               if (!col.has(row, o)) continue;
-              if (!joined.empty()) joined += options.multiselect_separator;
+              if (!joined.empty()) joined += kMultiselectSeparator;
               joined += col.option(o);
             }
             // Distinguish "answered, nothing selected" from missing.
             if (joined.empty()) joined.push_back('-');
-            out << escape_field(joined, options.delimiter);
+            out << escape_field(joined);
           }
           break;
         }
@@ -565,11 +492,10 @@ void write_csv(std::ostream& out, const Table& table,
   }
 }
 
-void write_csv_file(const std::string& path, const Table& table,
-                    const CsvOptions& options) {
+void write_csv_file(const std::string& path, const Table& table) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw rcr::InvalidInputError("cannot write CSV file: " + path);
-  write_csv(out, table, options);
+  write_csv(out, table);
 }
 
 }  // namespace rcr::data

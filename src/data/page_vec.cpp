@@ -66,11 +66,6 @@ void PageRef::reallocate(std::size_t capacity) {
   capacity_ = capacity;
 }
 
-void PageRef::reserve(std::size_t bytes) {
-  if (bytes <= size_ || (bytes <= capacity_ && sole_owner())) return;
-  reallocate(bytes);
-}
-
 void PageRef::clear() {
   if (capacity_ > 0 && sole_owner()) {
     block_->tail.store(0, std::memory_order_relaxed);

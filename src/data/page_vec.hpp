@@ -110,7 +110,6 @@ class PageRef {
     return writable_rows();
   }
 
-  void reserve(std::size_t bytes);
   void clear();
 
  private:
@@ -169,11 +168,9 @@ class PageVec {
   const_iterator begin() const { return data(); }
   const_iterator end() const { return data() + size(); }
 
-  // Drops all elements. A sole holder of a heap buffer keeps its capacity
-  // (reused scratch columns rely on that); a shared view lets go of it.
+  // Drops all elements. A sole holder of a heap buffer keeps its capacity;
+  // a shared view lets go of it.
   void clear() { rows_.clear(); }
-
-  void reserve(std::size_t n) { rows_.reserve(n * sizeof(T)); }
 
   void push_back(const T& v) {
     std::memcpy(rows_.extend(sizeof(T)), &v, sizeof(T));
@@ -193,13 +190,6 @@ class PageVec {
     // Read the source only now: a self-append that took the copy path has
     // moved this vector's rows.
     std::memcpy(dst, other.data() + lo, bytes);
-  }
-
-  // Appends n rows read byte-wise from `rows`, which need not be aligned
-  // for T (the snapshot reader's page copies).
-  void append_raw(const void* rows, std::size_t n) {
-    if (n == 0) return;
-    std::memcpy(rows_.extend(n * sizeof(T)), rows, n * sizeof(T));
   }
 
   friend bool operator==(const PageVec& a, const PageVec& b) {

@@ -1,9 +1,9 @@
 #include "data/snapshot.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <optional>
 #include <memory>
 #include <utility>
 
@@ -40,6 +40,7 @@ constexpr std::uint32_t kPageF64 = 0;      // numeric values
 constexpr std::uint32_t kPageCodes = 1;    // categorical i32 codes
 constexpr std::uint32_t kPageMasks = 2;    // multi-select u64 bitsets
 constexpr std::uint32_t kPageMissing = 3;  // multi-select u8 missing flags
+constexpr std::size_t kPageKinds = 4;
 
 std::size_t page_elem_size(std::uint32_t kind) {
   switch (kind) {
@@ -136,7 +137,9 @@ struct ColumnMeta {
   std::vector<std::string> labels;  // categories or options
 };
 
-struct PageEntryView {
+// One page index entry: the rows [first_row, first_row + rows) of one
+// (column, page kind) array, stored at [offset, offset + bytes).
+struct PageEntry {
   std::uint32_t column = 0;
   std::uint32_t kind = 0;
   std::uint64_t first_row = 0;
@@ -146,142 +149,63 @@ struct PageEntryView {
   std::uint64_t hash = 0;
 };
 
-bool aligned_for(std::uint64_t offset, std::size_t alignment) {
-  return offset % alignment == 0;
-}
-
 }  // namespace
 
 // --- Writer ------------------------------------------------------------------
 
-SnapshotWriter::SnapshotWriter(const Table& schema, const std::string& path)
-    : path_(path), staging_(schema.clone_empty()) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr)
-    throw rcr::InvalidInputError("cannot write snapshot file: " + path);
-  file_ = f;
-  // Provisional header; finish() patches the real one over it.
-  const char zeros[kHeaderBytes] = {};
-  if (std::fwrite(zeros, 1, kHeaderBytes, f) != kHeaderBytes)
-    throw rcr::InvalidInputError("cannot write snapshot file: " + path);
-  offset_ = kHeaderBytes;
-}
+void write_snapshot(const Table& table, const std::string& path) {
+  obs::ScopedTimer timer(metrics().write_ms);
+  table.validate_rectangular();
+  const std::uint64_t rows = table.row_count();
+  const auto& names = table.column_names();
 
-SnapshotWriter::~SnapshotWriter() {
-  try {
-    finish();
-  } catch (...) {
-    // Destructors must not throw; an unsealed file fails validation loudly
-    // on read, which is the intended failure mode here.
-    if (file_ != nullptr) {
-      std::fclose(static_cast<std::FILE*>(file_));
-      file_ = nullptr;
-    }
-  }
-}
-
-void SnapshotWriter::write_page(std::uint32_t column, std::uint32_t kind,
-                                const void* data, std::size_t rows,
-                                std::size_t elem_size) {
-  std::FILE* f = static_cast<std::FILE*>(file_);
-  // Pad to the page alignment so readers can alias typed arrays directly.
-  const std::uint64_t aligned =
-      (offset_ + (kPageAlign - 1)) / kPageAlign * kPageAlign;
-  if (aligned > offset_) {
-    const char zeros[kPageAlign] = {};
-    if (std::fwrite(zeros, 1, aligned - offset_, f) != aligned - offset_)
-      throw rcr::InvalidInputError("cannot write snapshot file: " + path_);
-    offset_ = aligned;
-  }
-  const std::size_t bytes = rows * elem_size;
-  PageEntry e;
-  e.column = column;
-  e.kind = kind;
-  e.first_row = rows_;
-  e.rows = rows;
-  e.offset = offset_;
-  e.bytes = bytes;
-  e.hash = xxhash64(data, bytes);
-  if (bytes > 0 && std::fwrite(data, 1, bytes, f) != bytes)
-    throw rcr::InvalidInputError("cannot write snapshot file: " + path_);
-  offset_ += bytes;
-  pages_.push_back(e);
-}
-
-void SnapshotWriter::append(const Table& block) {
-  RCR_CHECK_MSG(!finished_, "SnapshotWriter::append after finish");
-  block.validate_rectangular();
-  const std::size_t n = block.row_count();
-  if (n == 0) return;
-
-  // Fast path: when the block's dictionaries already match the writer's,
-  // pages stream straight from the block's storage. Otherwise the block is
-  // re-interned label-wise into the staging table first (the parallel-shard
-  // case, where each shard built its own code space).
-  bool direct = staging_.column_names() == block.column_names();
-  if (direct) {
-    for (const auto& name : staging_.column_names()) {
-      if (staging_.kind(name) != block.kind(name) ||
-          (staging_.kind(name) == ColumnKind::kCategorical &&
-           staging_.categorical(name).categories() !=
-               block.categorical(name).categories())) {
-        direct = false;
-        break;
-      }
-    }
-  }
-  const Table* src = &block;
-  if (!direct) {
-    staging_.append_rows_labelwise(block);
-    src = &staging_;
-  }
-
-  const auto& names = src->column_names();
-  for (std::size_t c = 0; c < names.size(); ++c) {
-    switch (src->kind(names[c])) {
+  // Lay the pages out first, so the header can be written before them: one
+  // page per column array, each padded to the page alignment so readers can
+  // alias typed arrays directly.
+  std::vector<PageEntry> pages;
+  std::vector<const void*> page_data;
+  std::uint64_t offset = kHeaderBytes;
+  const auto add_page = [&](std::size_t column, std::uint32_t kind,
+                            const void* data) {
+    offset = (offset + (kPageAlign - 1)) / kPageAlign * kPageAlign;
+    const std::uint64_t bytes = rows * page_elem_size(kind);
+    pages.push_back({static_cast<std::uint32_t>(column), kind, 0, rows, offset,
+                     bytes, xxhash64(data, bytes)});
+    page_data.push_back(data);
+    offset += bytes;
+  };
+  // A table with no rows has no pages.
+  for (std::size_t c = 0; rows > 0 && c < names.size(); ++c) {
+    switch (table.kind(names[c])) {
       case ColumnKind::kNumeric:
-        write_page(static_cast<std::uint32_t>(c), kPageF64,
-                   src->numeric(names[c]).values().data(), n, sizeof(double));
+        add_page(c, kPageF64, table.numeric(names[c]).values().data());
         break;
       case ColumnKind::kCategorical:
-        write_page(static_cast<std::uint32_t>(c), kPageCodes,
-                   src->categorical(names[c]).codes().data(), n,
-                   sizeof(std::int32_t));
+        add_page(c, kPageCodes, table.categorical(names[c]).codes().data());
         break;
       case ColumnKind::kMultiSelect: {
-        const auto& col = src->multiselect(names[c]);
-        write_page(static_cast<std::uint32_t>(c), kPageMasks,
-                   col.masks().data(), n, sizeof(std::uint64_t));
-        write_page(static_cast<std::uint32_t>(c), kPageMissing,
-                   col.missing_flags().data(), n, sizeof(std::uint8_t));
+        const auto& col = table.multiselect(names[c]);
+        add_page(c, kPageMasks, col.masks().data());
+        add_page(c, kPageMissing, col.missing_flags().data());
         break;
       }
     }
   }
-  rows_ += n;
-  if (!direct) staging_.clear_rows();
-}
-
-void SnapshotWriter::finish() {
-  if (finished_) return;
-  std::FILE* f = static_cast<std::FILE*>(file_);
-  RCR_CHECK_MSG(f != nullptr, "SnapshotWriter has no open file");
-  const std::uint64_t data_end = offset_;
+  const std::uint64_t data_end = offset;
 
   // Dictionary section: the full schema, including dictionary order and
   // frozen state, so a reload is interning-order identical.
   std::string dict;
-  const auto& names = staging_.column_names();
   for (const auto& name : names) {
     put_string(dict, name);
-    switch (staging_.kind(name)) {
+    switch (table.kind(name)) {
       case ColumnKind::kNumeric:
         dict += '\0';
         dict += '\0';
         put<std::uint32_t>(dict, 0);
         break;
       case ColumnKind::kCategorical: {
-        const auto& col = staging_.categorical(name);
+        const auto& col = table.categorical(name);
         dict += '\1';
         dict += static_cast<char>(col.frozen() ? 1 : 0);
         put<std::uint32_t>(dict,
@@ -290,7 +214,7 @@ void SnapshotWriter::finish() {
         break;
       }
       case ColumnKind::kMultiSelect: {
-        const auto& col = staging_.multiselect(name);
+        const auto& col = table.multiselect(name);
         dict += '\2';
         dict += '\0';
         put<std::uint32_t>(dict,
@@ -303,7 +227,7 @@ void SnapshotWriter::finish() {
 
   // Page index section.
   std::string index;
-  for (const PageEntry& e : pages_) {
+  for (const PageEntry& e : pages) {
     put<std::uint32_t>(index, e.column);
     put<std::uint32_t>(index, e.kind);
     put<std::uint64_t>(index, e.first_row);
@@ -328,48 +252,36 @@ void SnapshotWriter::finish() {
   for (char c : kMagic) trailer += c;
   RCR_CHECK(trailer.size() == kTrailerBytes);
 
-  if (std::fwrite(footer.data(), 1, footer.size(), f) != footer.size() ||
-      std::fwrite(trailer.data(), 1, trailer.size(), f) != trailer.size())
-    throw rcr::InvalidInputError("cannot write snapshot file: " + path_);
-
-  // Patch the real header in place now that the counts are known.
   std::string header;
   for (char c : kMagic) header += c;
   put<std::uint32_t>(header, kSnapshotVersion);
   put<std::uint32_t>(header, kEndianTag);
-  put<std::uint64_t>(header, rows_);
+  put<std::uint64_t>(header, rows);
   put<std::uint64_t>(header, names.size());
-  put<std::uint64_t>(header, pages_.size());
+  put<std::uint64_t>(header, pages.size());
   put<std::uint64_t>(header, data_end);
   put<std::uint64_t>(header, 0);  // reserved
   put<std::uint64_t>(header, xxhash64(header.data(), header.size()));
   RCR_CHECK(header.size() == kHeaderBytes);
-  if (std::fseek(f, 0, SEEK_SET) != 0 ||
-      std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
-      std::fclose(f) != 0) {
-    file_ = nullptr;
-    throw rcr::InvalidInputError("cannot write snapshot file: " + path_);
-  }
-  file_ = nullptr;
-  finished_ = true;
 
-  metrics().write_rows.add(rows_);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw rcr::InvalidInputError("cannot write snapshot file: " + path);
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  std::uint64_t at = kHeaderBytes;
+  const char zeros[kPageAlign] = {};
+  for (std::size_t p = 0; p < pages.size(); ++p) {
+    out.write(zeros, static_cast<std::streamsize>(pages[p].offset - at));
+    out.write(static_cast<const char*>(page_data[p]),
+              static_cast<std::streamsize>(pages[p].bytes));
+    at = pages[p].offset + pages[p].bytes;
+  }
+  out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
+  out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
+  out.close();
+  if (!out) throw rcr::InvalidInputError("cannot write snapshot file: " + path);
+
+  metrics().write_rows.add(rows);
   metrics().write_bytes.add(data_end + footer.size() + trailer.size());
-}
-
-void write_snapshot(const Table& table, const std::string& path,
-                    const SnapshotWriteOptions& options) {
-  obs::ScopedTimer timer(metrics().write_ms);
-  table.validate_rectangular();
-  SnapshotWriter writer(table, path);
-  const std::size_t n = table.row_count();
-  if (options.page_rows == 0 || n <= options.page_rows) {
-    writer.append(table);
-  } else {
-    for (std::size_t lo = 0; lo < n; lo += options.page_rows)
-      writer.append(table.slice(lo, std::min(lo + options.page_rows, n)));
-  }
-  writer.finish();
 }
 
 // --- Reader ------------------------------------------------------------------
@@ -381,7 +293,10 @@ struct SnapshotView {
   std::uint64_t row_count = 0;
   std::uint64_t data_end = 0;
   std::vector<ColumnMeta> columns;
-  std::vector<PageEntryView> pages;
+  // The page of each (column, page kind) array, at column * kPageKinds +
+  // kind; none only when the table has no rows.
+  std::vector<std::optional<PageEntry>> arrays;
+  std::uint64_t page_count = 0;
 };
 
 SnapshotView parse_and_validate(const std::string& path) {
@@ -406,7 +321,7 @@ SnapshotView parse_and_validate(const std::string& path) {
                             "incompatible platform)");
   v.row_count = h.get<std::uint64_t>();
   const auto column_count = h.get<std::uint64_t>();
-  const auto page_count = h.get<std::uint64_t>();
+  v.page_count = h.get<std::uint64_t>();
   v.data_end = h.get<std::uint64_t>();
   h.get<std::uint64_t>();  // reserved
   const auto header_hash = h.get<std::uint64_t>();
@@ -463,13 +378,14 @@ SnapshotView parse_and_validate(const std::string& path) {
   }
   if (!dc.exhausted()) snapshot_fail("dictionary", "trailing bytes");
 
-  // Page index: typed, bounds-checked descriptors of every page.
-  if (index_bytes != page_count * kIndexEntryBytes)
+  // Page index: typed, bounds-checked descriptors of every page, in the
+  // layout write_snapshot writes.
+  if (index_bytes != v.page_count * kIndexEntryBytes)
     snapshot_fail("page index", "entry count does not match the header");
   Cursor ic(index, index_bytes, "page index");
-  v.pages.reserve(page_count);
-  for (std::uint64_t p = 0; p < page_count; ++p) {
-    PageEntryView e;
+  v.arrays.resize(v.columns.size() * kPageKinds);
+  for (std::uint64_t p = 0; p < v.page_count; ++p) {
+    PageEntry e;
     e.column = ic.get<std::uint32_t>();
     e.kind = ic.get<std::uint32_t>();
     e.first_row = ic.get<std::uint64_t>();
@@ -481,9 +397,15 @@ SnapshotView parse_and_validate(const std::string& path) {
     if (e.column >= v.columns.size() || elem == 0)
       snapshot_fail("page index", "page " + std::to_string(p) +
                                       ": bad column or page kind");
-    if (e.rows > v.row_count || e.first_row > v.row_count - e.rows)
-      snapshot_fail("page index", "page " + std::to_string(p) +
-                                      ": row range out of bounds");
+    // Only the writer's layout: one page per array over every row.
+    const auto layout_fail = [&](const std::string& what) {
+      snapshot_fail("page index",
+                    "column '" + v.columns[e.column].name + "' " + what);
+    };
+    if (e.first_row != 0 || e.rows != v.row_count)
+      layout_fail("has a page over rows [" + std::to_string(e.first_row) +
+                  ", " + std::to_string(e.first_row + e.rows) + ") of " +
+                  std::to_string(v.row_count));
     if (e.bytes != e.rows * elem)
       snapshot_fail("page index", "page " + std::to_string(p) +
                                       ": size does not match row count");
@@ -501,66 +423,33 @@ SnapshotView parse_and_validate(const std::string& path) {
       snapshot_fail("page index",
                     "page " + std::to_string(p) + ": page kind does not "
                     "match column '" + v.columns[e.column].name + "'");
-    v.pages.push_back(e);
+    if (e.offset % elem != 0)
+      layout_fail("has a page misaligned for its element type");
+    auto& slot = v.arrays[e.column * kPageKinds + e.kind];
+    if (slot) layout_fail("has two pages of one kind");
+    slot = e;
   }
   return v;
 }
 
-// The pages of one (column, page-kind) array, sorted by row range; they
-// must tile [0, row_count) exactly.
-std::vector<PageEntryView> column_pages(const SnapshotView& v,
-                                        std::size_t column,
-                                        std::uint32_t kind) {
-  std::vector<PageEntryView> pages;
-  for (const auto& e : v.pages)
-    if (e.column == column && e.kind == kind) pages.push_back(e);
-  std::stable_sort(pages.begin(), pages.end(),
-                   [](const PageEntryView& a, const PageEntryView& b) {
-                     return a.first_row < b.first_row;
-                   });
-  std::uint64_t next = 0;
-  for (const auto& e : pages) {
-    if (e.first_row != next)
-      snapshot_fail("page index", "column '" + v.columns[column].name +
-                                      "' pages do not tile the rows");
-    next += e.rows;
-  }
-  if (next != v.row_count)
-    snapshot_fail("page index", "column '" + v.columns[column].name +
-                                    "' pages cover " + std::to_string(next) +
-                                    " of " + std::to_string(v.row_count) +
-                                    " rows");
-  return pages;
-}
-
-void verify_page(const SnapshotView& v, const PageEntryView& e) {
-  if (xxhash64(v.map->data() + e.offset, e.bytes) != e.hash)
-    snapshot_fail("page", "column '" + v.columns[e.column].name +
-                              "' rows [" + std::to_string(e.first_row) +
-                              ", " + std::to_string(e.first_row + e.rows) +
-                              "): checksum mismatch");
-}
-
-// Materializes one typed array: a single aligned page aliases the mapping
-// (zero-copy), anything else assembles by page-wise memcpy.
+// One column array, aliasing its page in the mapping after the page's
+// checksum has been verified.
 template <typename T>
 PageVec<T> load_array(const SnapshotView& v, std::size_t column,
-                      std::uint32_t kind, bool* borrowed) {
-  const auto pages = column_pages(v, column, kind);
-  const unsigned char* base = v.map->data();
-  for (const auto& e : pages) verify_page(v, e);
-  if (pages.size() == 1 && aligned_for(pages[0].offset, alignof(T))) {
-    if (borrowed) *borrowed = true;
-    return PageVec<T>::borrowed(
-        reinterpret_cast<const T*>(base + pages[0].offset), pages[0].rows,
-        v.map);
+                      std::uint32_t kind) {
+  const auto& page = v.arrays[column * kPageKinds + kind];
+  if (!page) {
+    if (v.row_count > 0)
+      snapshot_fail("page index",
+                    "column '" + v.columns[column].name + "' has no page");
+    return {};
   }
-  if (borrowed) *borrowed = false;
-  PageVec<T> out;
-  out.reserve(v.row_count);
-  for (const PageEntryView& e : pages)  // sorted and tiling the rows
-    out.append_raw(v.map->data() + e.offset, e.rows);
-  return out;
+  const unsigned char* data = v.map->data() + page->offset;
+  if (xxhash64(data, page->bytes) != page->hash)
+    snapshot_fail("page", "column '" + v.columns[column].name +
+                              "': checksum mismatch");
+  return PageVec<T>::borrowed(reinterpret_cast<const T*>(data), page->rows,
+                              v.map);
 }
 
 }  // namespace
@@ -572,11 +461,10 @@ Table read_snapshot(const std::string& path) {
   Table out;
   for (std::size_t c = 0; c < v.columns.size(); ++c) {
     const ColumnMeta& meta = v.columns[c];
-    bool borrowed = false;
     switch (meta.kind) {
       case ColumnKind::kNumeric: {
         auto& col = out.add_numeric(meta.name);
-        col.adopt(load_array<double>(v, c, kPageF64, &borrowed));
+        col.adopt(load_array<double>(v, c, kPageF64));
         break;
       }
       case ColumnKind::kCategorical: {
@@ -590,7 +478,7 @@ Table read_snapshot(const std::string& path) {
           for (const auto& label : meta.labels) col.push(label);
           col.clear();
         }
-        auto codes = load_array<std::int32_t>(v, c, kPageCodes, &borrowed);
+        auto codes = load_array<std::int32_t>(v, c, kPageCodes);
         const auto limit = static_cast<std::int32_t>(meta.labels.size());
         for (const std::int32_t code : codes)
           if (code != kMissingCode && (code < 0 || code >= limit))
@@ -601,8 +489,8 @@ Table read_snapshot(const std::string& path) {
       }
       case ColumnKind::kMultiSelect: {
         auto& col = out.add_multiselect(meta.name, meta.labels);
-        auto masks = load_array<std::uint64_t>(v, c, kPageMasks, &borrowed);
-        auto missing = load_array<std::uint8_t>(v, c, kPageMissing, nullptr);
+        auto masks = load_array<std::uint64_t>(v, c, kPageMasks);
+        auto missing = load_array<std::uint8_t>(v, c, kPageMissing);
         for (const std::uint64_t mask : masks)
           if (meta.labels.size() < MultiSelectColumn::kMaxOptions &&
               (mask >> meta.labels.size()) != 0)
@@ -617,13 +505,14 @@ Table read_snapshot(const std::string& path) {
         break;
       }
     }
-    if (borrowed) metrics().zero_copy_cols.add(1);
   }
   out.validate_rectangular();
 
+  // Every column of a table with rows aliases the mapping.
+  if (v.row_count > 0) metrics().zero_copy_cols.add(v.columns.size());
   metrics().read_rows.add(v.row_count);
   metrics().read_bytes.add(v.map->size());
-  metrics().read_pages.add(v.pages.size());
+  metrics().read_pages.add(v.page_count);
   return out;
 }
 

@@ -23,10 +23,8 @@
 //     (or copy of one) lives.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "data/table.hpp"
 
@@ -34,78 +32,18 @@ namespace rcr::data {
 
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-struct SnapshotWriteOptions {
-  // Rows per page. 0 writes one page per column (the layout read_snapshot
-  // can alias zero-copy); a positive value splits columns into row-range
-  // pages, the shape SnapshotWriter::append produces per ingest block.
-  std::size_t page_rows = 0;
-};
-
-// Streaming snapshot writer: one page set per appended block, so a larger-
-// than-RAM ingest (CSV block reader, parallel-shard partials, synth block
-// generator) can stream to disk without materializing the full table.
-// Categorical blocks re-intern by label against the writer's dictionary
-// (independent shard interning is fine); the dictionary written at
-// finish() is the final one, and earlier pages stay valid because
-// interning only appends. finish() (or the destructor) seals the file —
-// no append may follow it.
-class SnapshotWriter {
- public:
-  // Creates `path` and writes the provisional header. `schema` fixes the
-  // column names, kinds, and option sets; category sets may still grow
-  // while appending if unfrozen.
-  SnapshotWriter(const Table& schema, const std::string& path);
-  ~SnapshotWriter();
-
-  SnapshotWriter(const SnapshotWriter&) = delete;
-  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
-
-  // Appends one block of rows: one page per column array, checksummed and
-  // 64-byte aligned.
-  void append(const Table& block);
-
-  // Writes dictionaries, page index, and trailer, patches the header, and
-  // closes the file. Idempotent.
-  void finish();
-
-  std::size_t rows_written() const { return rows_; }
-
- private:
-  struct PageEntry {
-    std::uint32_t column = 0;
-    std::uint32_t kind = 0;
-    std::uint64_t first_row = 0;
-    std::uint64_t rows = 0;
-    std::uint64_t offset = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t hash = 0;
-  };
-
-  void write_page(std::uint32_t column, std::uint32_t kind, const void* data,
-                  std::size_t rows, std::size_t elem_size);
-
-  std::string path_;
-  Table staging_;  // schema + live dictionaries; rows cleared per append
-  std::vector<PageEntry> pages_;
-  std::uint64_t offset_ = 0;
-  std::size_t rows_ = 0;
-  bool finished_ = false;
-  void* file_ = nullptr;  // std::FILE*, kept out of the header
-};
-
-// Writes `table` to `path` in one shot. With options.page_rows == 0 every
-// column is a single page, which is the layout read_snapshot aliases
-// zero-copy.
-void write_snapshot(const Table& table, const std::string& path,
-                    const SnapshotWriteOptions& options = {});
+// Writes `table` to `path`: one page per column array (a table with no rows
+// has no pages), each 64-byte aligned, which is the layout read_snapshot
+// aliases zero-copy.
+void write_snapshot(const Table& table, const std::string& path);
 
 // Memory-maps `path`, validates it (header magic/version/endianness,
 // dictionary, page index, every page checksum, and every code/mask/flag
-// range; one memory-bandwidth pass over the file), and materializes the
-// Table: single-page columns whose pages are aligned for their element
-// type alias the mapping zero-copy; multi-page or misaligned columns
-// assemble by page-wise memcpy. Throws rcr::InvalidInputError naming the
-// offending region on any validation failure.
+// range; one memory-bandwidth pass over the file), and returns a Table
+// whose columns alias the mapping zero-copy. The page index must be the
+// layout write_snapshot writes: each column array one page over every row,
+// at an offset aligned for its element type. Throws rcr::InvalidInputError
+// naming the offending region on any validation failure.
 Table read_snapshot(const std::string& path);
 
 }  // namespace rcr::data

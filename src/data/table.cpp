@@ -161,45 +161,6 @@ void Table::append_rows(const Table& other) {
   }
 }
 
-void Table::append_rows_labelwise(const Table& other) {
-  other.validate_rectangular();
-  RCR_CHECK_MSG(order_ == other.order_,
-                "append_rows_labelwise: column sets differ");
-  for (const auto& name : order_) {
-    RCR_CHECK_MSG(kind(name) == other.kind(name),
-                  "append_rows_labelwise: column '" + name + "' kind differs");
-    switch (kind(name)) {
-      case ColumnKind::kNumeric:
-        numeric(name).append_column(other.numeric(name));
-        break;
-      case ColumnKind::kCategorical: {
-        auto& dst = categorical(name);
-        const auto& src = other.categorical(name);
-        if (dst.categories() == src.categories()) {
-          dst.append_codes(src);  // identical code spaces: bulk copy
-          break;
-        }
-        for (std::size_t i = 0; i < src.size(); ++i) {
-          if (src.is_missing(i))
-            dst.push_missing();
-          else
-            dst.push(src.label_at(i));
-        }
-        break;
-      }
-      case ColumnKind::kMultiSelect: {
-        auto& dst = multiselect(name);
-        const auto& src = other.multiselect(name);
-        RCR_CHECK_MSG(dst.options() == src.options(),
-                      "append_rows_labelwise: options of '" + name +
-                          "' differ");
-        dst.append_column(src);
-        break;
-      }
-    }
-  }
-}
-
 Table Table::slice(std::size_t lo, std::size_t hi) const {
   RCR_CHECK_MSG(lo <= hi && hi <= row_count(), "slice range out of bounds");
   Table out = clone_empty();
@@ -238,11 +199,6 @@ Table Table::clone_empty() const {
     }
   }
   return out;
-}
-
-void Table::clear_rows() {
-  for (auto& cp : columns_)
-    std::visit([](auto& col) { col.clear(); }, cp->column);
 }
 
 std::vector<std::vector<std::size_t>> Table::group_rows(

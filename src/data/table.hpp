@@ -52,30 +52,16 @@ class Table {
 
   // A table with the same schema (column names, kinds, category/option
   // sets, frozen state) and zero rows — the starting point for CSV ingest
-  // and block-reassembly in the streaming engine.
+  // and the schema copy the query engine and sketches keep.
   Table clone_empty() const;
 
-  // Drops every row but keeps the full schema. Reused scratch tables (the
-  // streaming CSV reader's row buffer) keep their column capacity.
-  void clear_rows();
-
   // Appends all rows of `other`, whose schema (column names, kinds, and
-  // category/option sets) must match exactly. Used to pool waves or merge
-  // partial CSV ingests.
+  // category/option sets) must match exactly. Used to pool waves and to
+  // grow a table by appended blocks.
   void append_rows(const Table& other);
 
-  // Appends all rows of `other` by label for categorical columns: codes are
-  // re-interned against this table's dictionaries, reproducing the build
-  // order a serial ingest would produce even when `other` interned labels
-  // independently (a snapshot writer block). Columns
-  // whose category sets already match take the bulk append_rows path.
-  // Numeric and multi-select columns (whose option sets must match) always
-  // append in bulk.
-  void append_rows_labelwise(const Table& other);
-
   // Rows [lo, hi) copied into a new table with this table's exact schema
-  // (dictionaries shared code-for-code) — the block-slicing primitive for
-  // streaming snapshot-backed tables through the sketch pipeline.
+  // (dictionaries shared code-for-code).
   Table slice(std::size_t lo, std::size_t hi) const;
 
   // --- relational operations -------------------------------------------------

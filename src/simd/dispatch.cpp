@@ -1,8 +1,6 @@
 #include "simd/dispatch.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 #include "util/error.hpp"
 
@@ -59,27 +57,12 @@ bool cpu_supports(Isa isa) {
 #endif
 }
 
-// Widest available ISA with lane count <= max_lanes.
-Isa widest_within(std::size_t max_lanes) {
+// The widest available ISA.
+Isa resolve() {
   for (const Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kSse2}) {
-    if (isa_lanes(isa) <= max_lanes && isa_available(isa)) return isa;
+    if (isa_available(isa)) return isa;
   }
   return Isa::kScalar;
-}
-
-Isa resolve() {
-  if (const char* env = std::getenv("RCR_SIMD_WIDTH")) {
-    char* end = nullptr;
-    const long lanes = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && lanes >= 1 && lanes <= 8) {
-      return widest_within(static_cast<std::size_t>(lanes));
-    }
-    std::fprintf(stderr,
-                 "rcr::simd: ignoring invalid RCR_SIMD_WIDTH='%s' "
-                 "(want 1, 2, 4 or 8)\n",
-                 env);
-  }
-  return widest_within(8);
 }
 
 }  // namespace

@@ -6,14 +6,11 @@
 // active_isa(). Selection is a cached switch rather than target_clones /
 // ifunc resolvers because the determinism suite must be able to force the
 // scalar path at runtime (ifunc binds once at load, before main, and
-// misbehaves under TSan — the same reason RCR_RNG_KERNEL is gated off for
-// sanitized builds in util/rng.cpp).
+// misbehaves under TSan).
 //
-// Resolution order, widest wins within each source:
+// Resolution order:
 //   1. force_isa() override (tests; cleared with clear_isa_override());
-//   2. the RCR_SIMD_WIDTH environment variable — lane count 1, 2, 4 or 8,
-//      clamped down to the widest compiled-and-supported width <= request;
-//   3. CPU detection over the compiled-in widths.
+//   2. CPU detection: the widest compiled-in width the CPU supports.
 // Building with -DRCR_SIMD_WIDTH=1 compiles only the scalar kernels, so
 // every route collapses to kScalar.
 #pragma once

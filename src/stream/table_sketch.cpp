@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -39,17 +41,18 @@ std::string TableSketch::label_key(const std::string& column,
   return column + '\x1F' + label;
 }
 
-TableSketch::TableSketch(const data::Table& schema, TableSketchOptions options)
-    : options_(std::move(options)),
+TableSketch::TableSketch(const data::Table& schema,
+                         std::string reservoir_column)
+    : reservoir_column_(std::move(reservoir_column)),
       schema_(schema.clone_empty()),
-      label_cms_(options_.cms_depth, options_.cms_width, options_.seed),
-      heavy_hitters_(options_.heavy_hitter_capacity),
-      distinct_(options_.hll_precision, options_.seed),
-      reservoir_(options_.reservoir_capacity, options_.seed) {
+      label_cms_(kCmsDepth, kCmsWidth, kSketchSeed),
+      heavy_hitters_(kHeavyHitterCapacity),
+      distinct_(kHllPrecision, kSketchSeed),
+      reservoir_(kReservoirCapacity, kSketchSeed) {
   for (const std::string& name : schema_.column_names()) {
     switch (schema_.kind(name)) {
       case data::ColumnKind::kNumeric:
-        numeric_.emplace(name, NumericState(options_.quantile_eps));
+        numeric_.try_emplace(name);
         break;
       case data::ColumnKind::kCategorical:
         categorical_.insert(name);
@@ -59,25 +62,18 @@ TableSketch::TableSketch(const data::Table& schema, TableSketchOptions options)
         break;
     }
   }
-  if (options_.distinct_columns.empty()) {
-    options_.distinct_columns = schema_.column_names();
-  }
-  for (const std::string& name : options_.distinct_columns) {
-    RCR_CHECK_MSG(schema_.has_column(name),
-                  "distinct column '" + name + "' not in schema");
-  }
-  if (!options_.reservoir_column.empty()) {
-    RCR_CHECK_MSG(numeric_.count(options_.reservoir_column) > 0,
+  if (!reservoir_column_.empty()) {
+    RCR_CHECK_MSG(numeric_.count(reservoir_column_) > 0,
                   "reservoir column must be numeric");
   }
 }
 
-// Composite hash of one row over the distinct-key columns. Missing cells
-// hash a per-kind sentinel, so "missing" is a distinct value, not a skip.
+// Composite hash of one row over every column. Missing cells hash a
+// per-kind sentinel, so "missing" is a distinct value, not a skip.
 std::uint64_t TableSketch::row_key(const data::Table& block,
                                    std::size_t row) const {
-  std::uint64_t h = mix64(options_.seed);
-  for (const std::string& name : options_.distinct_columns) {
+  std::uint64_t h = mix64(kSketchSeed);
+  for (const std::string& name : schema_.column_names()) {
     std::uint64_t cell = 0;
     switch (schema_.kind(name)) {
       case data::ColumnKind::kNumeric: {
@@ -135,7 +131,7 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
     key_hashes.clear();
     for (std::size_t c = 0; c < labels; ++c) {
       keys.push_back(label_key(name, col.category(c)));
-      key_hashes.push_back(hash_bytes(keys.back(), options_.seed));
+      key_hashes.push_back(hash_bytes(keys.back(), kSketchSeed));
     }
     cms_batch.clear();
     for (std::size_t i = 0; i < n; ++i) {
@@ -155,7 +151,7 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
     key_hashes.clear();
     for (std::size_t o = 0; o < labels; ++o) {
       keys.push_back(label_key(name, col.option(o)));
-      key_hashes.push_back(hash_bytes(keys.back(), options_.seed));
+      key_hashes.push_back(hash_bytes(keys.back(), kSketchSeed));
     }
     cms_batch.clear();
     for (std::size_t i = 0; i < n; ++i) {
@@ -175,9 +171,9 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
   // — the same function of the same inputs per row as row_key(), which
   // stays as the one-row reference the tests pin this path against.
   {
-    std::vector<std::uint64_t> row_keys(n, mix64(options_.seed));
+    std::vector<std::uint64_t> row_keys(n, mix64(kSketchSeed));
     std::vector<std::uint64_t> cell(n);
-    for (const std::string& name : options_.distinct_columns) {
+    for (const std::string& name : schema_.column_names()) {
       switch (schema_.kind(name)) {
         case data::ColumnKind::kNumeric: {
           const auto& col = block.numeric(name);
@@ -211,8 +207,8 @@ void TableSketch::ingest(const data::Table& block, std::size_t first_row) {
     distinct_.add_batch(row_keys);
   }
 
-  if (!options_.reservoir_column.empty()) {
-    const auto& col = block.numeric(options_.reservoir_column);
+  if (!reservoir_column_.empty()) {
+    const auto& col = block.numeric(reservoir_column_);
     for (std::size_t i = 0; i < n; ++i) {
       const double v = col.at(i);
       if (data::NumericColumn::is_missing(v)) continue;
@@ -254,8 +250,7 @@ const GKQuantile& TableSketch::quantile_sketch(
 }
 
 const WeightedReservoir& TableSketch::reservoir() const {
-  RCR_CHECK_MSG(!options_.reservoir_column.empty(),
-                "reservoir was not configured");
+  RCR_CHECK_MSG(!reservoir_column_.empty(), "reservoir was not configured");
   return reservoir_;
 }
 

@@ -8,8 +8,11 @@
 //                           exact per-label counts would take at larger
 //                           domains)
 //   whole rows           -> HyperLogLog distinct count of the composite
-//                           key over `distinct_columns`
+//                           key over every column
 //   one numeric column   -> WeightedReservoir sample (optional)
+//
+// The constants below size every sketch; the one choice left to the caller
+// is which numeric column, if any, the reservoir samples.
 //
 // Every sketch here is approximate or order-free; exact tables over the
 // same stream come from query::QueryEngine::append (the streaming study,
@@ -26,33 +29,28 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "data/table.hpp"
 #include "stream/sketch.hpp"
 
 namespace rcr::stream {
 
-struct TableSketchOptions {
-  double quantile_eps = 0.005;
-  std::size_t cms_depth = 4;
-  std::size_t cms_width = 2048;
-  std::uint8_t hll_precision = 12;
-  // Default sized above the survey's full (column, label) domain (~72
-  // cells), so SpaceSaving stays exact on the standard instrument.
-  std::size_t heavy_hitter_capacity = 128;
-  std::size_t reservoir_capacity = 64;
-  std::uint64_t seed = 0x5EED5EEDULL;
-  // Columns forming the distinct-count key; empty = all schema columns.
-  std::vector<std::string> distinct_columns;
-  // Numeric column to reservoir-sample; empty disables the reservoir.
-  std::string reservoir_column;
-};
-
 class TableSketch {
  public:
+  static constexpr double kQuantileEps = 0.005;
+  static constexpr std::size_t kCmsDepth = 4;
+  static constexpr std::size_t kCmsWidth = 2048;
+  static constexpr std::uint8_t kHllPrecision = 12;
+  // Above the survey's full (column, label) domain (~72 cells), so
+  // SpaceSaving stays exact on the standard instrument.
+  static constexpr std::size_t kHeavyHitterCapacity = 128;
+  static constexpr std::size_t kReservoirCapacity = 64;
+  static constexpr std::uint64_t kSketchSeed = 0x5EED5EEDULL;
+
+  // `reservoir_column` names the numeric column to reservoir-sample; empty
+  // disables the reservoir.
   explicit TableSketch(const data::Table& schema,
-                       TableSketchOptions options = {});
+                       std::string reservoir_column = {});
 
   // Folds `block` in; `first_row` is the global stream index of its first
   // row. Blocks must arrive with disjoint index ranges (any order — the
@@ -65,7 +63,7 @@ class TableSketch {
 
   std::uint64_t rows() const { return rows_; }
   std::uint64_t blocks() const { return blocks_; }
-  const TableSketchOptions& options() const { return options_; }
+  const std::string& reservoir_column() const { return reservoir_column_; }
   const data::Table& schema() const { return schema_; }
 
   const Moments& moments(const std::string& column) const;
@@ -92,12 +90,10 @@ class TableSketch {
  private:
   struct NumericState {
     Moments moments;
-    GKQuantile quantile;
-    NumericState() : quantile(0.01) {}
-    explicit NumericState(double eps) : quantile(eps) {}
+    GKQuantile quantile{kQuantileEps};
   };
 
-  TableSketchOptions options_;
+  std::string reservoir_column_;
   data::Table schema_;
   std::uint64_t rows_ = 0;
   std::uint64_t blocks_ = 0;

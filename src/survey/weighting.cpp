@@ -9,6 +9,12 @@ namespace rcr::survey {
 
 namespace {
 
+constexpr std::size_t kMaxIterations = 100;
+constexpr double kTolerance = 1e-8;  // max |weighted share - target| to stop
+// Trimming bounds, as multiples of the mean weight.
+constexpr double kMinWeight = 0.05;
+constexpr double kMaxWeight = 20.0;
+
 struct PreparedTarget {
   const data::CategoricalColumn* column = nullptr;
   std::vector<double> target_share;  // by category code, normalized
@@ -50,8 +56,7 @@ std::vector<PreparedTarget> prepare_targets(
 }  // namespace
 
 RakingResult rake_weights(const data::Table& table,
-                          const std::vector<MarginTarget>& targets,
-                          const RakingOptions& options) {
+                          const std::vector<MarginTarget>& targets) {
   table.validate_rectangular();
   const std::size_t n = table.row_count();
   RCR_CHECK_MSG(n > 0, "raking needs data");
@@ -72,7 +77,7 @@ RakingResult rake_weights(const data::Table& table,
   result.weights.assign(n, 1.0);
 
   const double calibrated_total = static_cast<double>(calibrated.size());
-  for (std::size_t iter = 1; iter <= options.max_iterations; ++iter) {
+  for (std::size_t iter = 1; iter <= kMaxIterations; ++iter) {
     double max_residual = 0.0;
     for (const auto& p : prepared) {
       // Current weighted distribution over this margin.
@@ -108,7 +113,7 @@ RakingResult rake_weights(const data::Table& table,
     }
     result.iterations = iter;
     result.max_residual = max_residual;
-    if (max_residual < options.tolerance) {
+    if (max_residual < kTolerance) {
       result.converged = true;
       break;
     }
@@ -120,7 +125,7 @@ RakingResult rake_weights(const data::Table& table,
   const double mean_w = wsum / calibrated_total;
   for (std::size_t row : calibrated) {
     double w = result.weights[row] / mean_w;
-    w = std::clamp(w, options.min_weight, options.max_weight);
+    w = std::clamp(w, kMinWeight, kMaxWeight);
     result.weights[row] = w;
   }
 

@@ -22,13 +22,6 @@ struct MarginTarget {
   std::map<std::string, double> shares;
 };
 
-struct RakingOptions {
-  std::size_t max_iterations = 100;
-  double tolerance = 1e-8;  // max |weighted share - target| to stop
-  double min_weight = 0.05; // trimming bounds, as multiples of the mean
-  double max_weight = 20.0;
-};
-
 struct RakingResult {
   std::vector<double> weights;   // one per table row, mean 1.0
   std::size_t iterations = 0;
@@ -39,10 +32,11 @@ struct RakingResult {
 };
 
 // Computes raking weights so that the weighted marginals of every target
-// column match the given shares. Rows with a missing value in any target
+// column match the given shares: at most 100 passes, stopping once every
+// marginal is within 1e-8 of its target, then weights trimmed to
+// [0.05, 20] times the mean. Rows with a missing value in any target
 // column receive weight 1 and are excluded from calibration.
 RakingResult rake_weights(const data::Table& table,
-                          const std::vector<MarginTarget>& targets,
-                          const RakingOptions& options = {});
+                          const std::vector<MarginTarget>& targets);
 
 }  // namespace rcr::survey

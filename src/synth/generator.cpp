@@ -305,26 +305,23 @@ constexpr std::size_t kMaxCandidateChunk = 65536;
 
 // The nonresponse-biased sample: candidate c = 0, 1, ... answers with a
 // propensity rising with its programming intensity, and the first
-// `respondents` candidates that answer, in candidate order, are the sample,
-// emitted block_rows at a time as emit(block, first_row). Candidate c's
-// traits and coin derive from hash(seed, c) alone, so on config.pool a
-// chunk of candidates is drawn in parallel and the sample is byte-identical
-// on any pool. A chunk holds 1.5 candidates per missing respondent plus 64,
-// at most kMaxCandidateChunk; without a pool it is one candidate.
-void walk_biased(
-    const GeneratorConfig& config, std::size_t block_rows,
-    const std::function<void(std::vector<Raw>& block, std::size_t first_row)>&
-        emit) {
+// `respondents` candidates that answer, in candidate order, are the sample.
+// Candidate c's traits and coin derive from hash(seed, c) alone, so on
+// config.pool a chunk of candidates is drawn in parallel and the sample is
+// byte-identical on any pool. A chunk holds 1.5 candidates per missing
+// respondent plus 64, at most kMaxCandidateChunk; without a pool it is one
+// candidate.
+std::vector<Raw> walk_biased(const GeneratorConfig& config) {
   const WaveParams& p = resolved_params(config);
   const std::size_t n = config.respondents;
   const std::size_t cap = 200 * n + 1000;
-  std::vector<Raw> block, chunk;
-  block.reserve(std::min(block_rows, n));
+  std::vector<Raw> sample, chunk;
+  sample.reserve(n);
   std::vector<char> answered;
-  std::size_t accepted = 0, size = 0;
-  for (std::size_t c = 0; accepted < n; c += size) {
+  std::size_t size = 0;
+  for (std::size_t c = 0; sample.size() < n; c += size) {
     RCR_CHECK_MSG(c < cap, "nonresponse rejection loop did not terminate");
-    const std::size_t need = n - accepted;
+    const std::size_t need = n - sample.size();
     size = config.pool == nullptr
                ? 1
                : std::min({kMaxCandidateChunk, need + need / 2 + 64, cap - c});
@@ -336,15 +333,10 @@ void walk_biased(
           0.6 + config.nonresponse_strength * 1.6 * (chunk[i].intensity - 0.5));
       answered[i] = responds(config.seed, c + i, propensity);
     });
-    for (std::size_t i = 0; i < size && accepted < n; ++i) {
-      if (!answered[i]) continue;
-      block.push_back(chunk[i]);
-      if (++accepted == n || block.size() == block_rows) {
-        emit(block, accepted - block.size());
-        block.clear();
-      }
-    }
+    for (std::size_t i = 0; i < size && sample.size() < n; ++i)
+      if (answered[i]) sample.push_back(chunk[i]);
   }
+  return sample;
 }
 
 }  // namespace
@@ -355,12 +347,7 @@ data::Table generate_wave(const GeneratorConfig& config) {
     return generate_range(config, 0, config.respondents);
   // The table is built after the walk has freed its candidate chunk, so
   // the chunk and the table are never resident together (peak RSS).
-  std::vector<Raw> raws;
-  walk_biased(config, config.respondents,
-              [&raws](std::vector<Raw>& block, std::size_t) {
-                raws.swap(block);
-              });
-  return table_from_raws(raws);
+  return table_from_raws(walk_biased(config));
 }
 
 data::Table generate_range(const GeneratorConfig& config, std::size_t first,
@@ -368,7 +355,7 @@ data::Table generate_range(const GeneratorConfig& config, std::size_t first,
   check_config(config);
   RCR_CHECK_MSG(config.nonresponse_strength == 0.0,
                 "generate_range requires the unbiased (nonresponse == 0) "
-                "sequence; use generate_blocks for biased sampling");
+                "sequence; use generate_wave for biased sampling");
   RCR_CHECK_MSG(first + count <= config.respondents,
                 "generate_range beyond the configured population");
   // Respondent i depends only on hash(seed, i), never on the range bounds,
@@ -379,28 +366,6 @@ data::Table generate_range(const GeneratorConfig& config, std::size_t first,
     raws[i] = generate_one(p, respondent_seed(config.seed, first + i));
   });
   return table_from_raws(raws);
-}
-
-void generate_blocks(
-    const GeneratorConfig& config, std::size_t block_rows,
-    const std::function<void(data::Table block, std::size_t first_row)>&
-        emit) {
-  check_config(config);
-  RCR_CHECK_MSG(block_rows > 0, "generate_blocks needs a positive block size");
-
-  if (config.nonresponse_strength == 0.0) {
-    for (std::size_t first = 0; first < config.respondents;
-         first += block_rows) {
-      const std::size_t count =
-          std::min(block_rows, config.respondents - first);
-      emit(generate_range(config, first, count), first);
-    }
-    return;
-  }
-  walk_biased(config, block_rows,
-              [&emit](std::vector<Raw>& block, std::size_t first_row) {
-                emit(table_from_raws(block), first_row);
-              });
 }
 
 namespace {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "data/table.hpp"
 #include "synth/calibration.hpp"
@@ -58,27 +57,13 @@ struct GeneratorConfig {
 // synth::instrument().
 data::Table generate_wave(const GeneratorConfig& config);
 
-// --- Chunked emission (streaming-scale populations) -------------------------
-//
-// generate_blocks emits the *same* row sequence generate_wave would build —
-// byte-identical, pinned by tests — as a series of tables of at most
-// `block_rows` rows, so a population of millions is analyzed without ever
-// being resident. `emit(block, first_row)` receives each block in order
-// together with the global index of its first row; the block is a fresh
-// table the callback may keep or move from. config.pool parallelizes
-// generation within each unbiased block and, with nonresponse, the biased
-// draw's candidate chunks; the blocks are the same on any pool.
-void generate_blocks(
-    const GeneratorConfig& config, std::size_t block_rows,
-    const std::function<void(data::Table block, std::size_t first_row)>& emit);
-
 // Rows [first, first + count) of the unbiased respondent sequence for this
-// config — the random-access form generate_blocks and the streaming engine
-// shard on. Respondent i draws from hash(seed, i) regardless of the range
-// it is generated in, so any partition of [0, n) concatenates to exactly
+// config — the random-access form the streaming study shards on.
+// Respondent i draws from hash(seed, i) regardless of the range it is
+// generated in, so any partition of [0, n) concatenates to exactly
 // generate_wave's table. Requires config.nonresponse_strength == 0 (a
 // biased row is the i-th candidate that answered, which only a walk over
-// the candidates finds; use generate_blocks).
+// the candidates finds; use generate_wave).
 data::Table generate_range(const GeneratorConfig& config, std::size_t first,
                            std::size_t count);
 

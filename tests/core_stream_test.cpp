@@ -1,13 +1,11 @@
 // Streaming study mode: the exact tables must equal Study's cold
 // aggregates, the sketches must agree with the materialized wave within
 // their documented bounds, and the whole result must be the same bits for
-// any pool (serial == 1 thread == 4 threads) and for any source holding the
-// same rows (generator, CSV, snapshot).
+// any pool (serial == 1 thread == 4 threads).
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -16,8 +14,6 @@
 
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
-#include "data/csv.hpp"
-#include "data/snapshot.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "stats/descriptive.hpp"
@@ -137,7 +133,7 @@ TEST(StreamStudy, SketchMatchesMaterializedWave) {
   const auto result = rcr::core::run_stream_study(config);
   const auto& sketch = result.sketch;
   const auto full = rcr::synth::generate_wave(
-      {config.wave, config.respondents, config.seed, nullptr});
+      {rcr::synth::Wave::k2024, config.respondents, config.seed, nullptr});
 
   EXPECT_EQ(sketch.rows(), full.row_count());
 
@@ -162,7 +158,7 @@ TEST(StreamStudy, SketchMatchesMaterializedWave) {
   // GK quantiles within the documented merged bound (2 * eps * n rank).
   auto sorted = years;
   std::sort(sorted.begin(), sorted.end());
-  const double eps = config.sketch.quantile_eps;
+  const double eps = TableSketch::kQuantileEps;
   for (double p : {0.1, 0.5, 0.9}) {
     const double est = sketch.quantile_sketch(col::kYearsProgramming)
                            .quantile(p);
@@ -184,8 +180,7 @@ TEST(StreamStudy, SketchMatchesMaterializedWave) {
               0.1 * static_cast<double>(config.respondents));
 
   // Reservoir filled to capacity.
-  EXPECT_EQ(sketch.reservoir().items().size(),
-            config.sketch.reservoir_capacity);
+  EXPECT_EQ(sketch.reservoir().items().size(), TableSketch::kReservoirCapacity);
 }
 
 // At any block size and on any pool, the exact tables are Study's cold
@@ -198,7 +193,6 @@ TEST(StreamStudy, ExactTablesEqualColdStudyAggregates) {
   const auto cold = table_bits(study.aggregates(1));
 
   StreamStudyConfig config;
-  config.wave = rcr::synth::Wave::k2024;
   config.respondents = 650;
   config.seed = 7 ^ 0xA5A5A5A5ULL;  // Study's wave-2024 seed derivation
   rcr::parallel::ThreadPool pool1(1), pool4(4);
@@ -253,65 +247,7 @@ TEST(StreamStudy, BlockSizeChangesOnlyFloatingPointDetail) {
               b.sketch.moments(col::kDatasetGb).mean(), 1e-9);
 }
 
-TEST(StreamStudy, CsvIngestMatchesGeneratedPopulation) {
-  // Write a generated wave to CSV and stream it back: shortest-round-trip
-  // decimal literals re-parse to the same doubles, and both sources are
-  // cut into the same blocks and folded in the same order, so every table
-  // and every sketch is bitwise equal.
-  auto config = small_config();
-  config.respondents = 1500;
-  const auto direct = rcr::core::run_stream_study(config);
-  const auto full = rcr::synth::generate_wave(
-      {config.wave, config.respondents, config.seed, nullptr});
-  const std::string path = ::testing::TempDir() + "rcr_stream_wave.csv";
-  rcr::data::write_csv_file(path, full);
-
-  auto csv_config = config;
-  csv_config.csv_path = path;
-  const auto from_csv = rcr::core::run_stream_study(csv_config);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(table_bits(from_csv.tables), table_bits(direct.tables));
-  EXPECT_EQ(sketch_bits(from_csv.sketch), sketch_bits(direct.sketch));
-}
-
-// The same rows streamed from a CSV export render the same report as the
-// generated run, serially and on a pool.
-TEST(StreamStudy, CsvBackedReportEqualsGenerated) {
-  auto config = small_config();
-  const std::string path = ::testing::TempDir() + "rcr_stream_report.csv";
-  rcr::data::write_csv_file(
-      path, rcr::synth::generate_wave(
-                {config.wave, config.respondents, config.seed, nullptr}));
-  rcr::parallel::ThreadPool pool(4);
-  for (rcr::parallel::ThreadPool* p :
-       {static_cast<rcr::parallel::ThreadPool*>(nullptr), &pool}) {
-    config.pool = p;
-    config.csv_path.clear();
-    const std::string generated =
-        rcr::core::render_stream_report(rcr::core::run_stream_study(config));
-    config.csv_path = path;
-    EXPECT_EQ(
-        rcr::core::render_stream_report(rcr::core::run_stream_study(config)),
-        generated)
-        << (p ? "pooled" : "serial");
-  }
-  std::remove(path.c_str());
-}
-
-TEST(StreamStudy, NonresponsePathStreamsSequentially) {
-  auto config = small_config();
-  config.respondents = 800;
-  config.nonresponse_strength = 0.3;
-  const auto result = rcr::core::run_stream_study(config);
-  const auto full = rcr::synth::generate_wave(
-      {config.wave, config.respondents, config.seed, nullptr,
-       config.nonresponse_strength});
-  EXPECT_EQ(result.sketch.rows(), full.row_count());
-  EXPECT_EQ(table_bits(result.tables), table_bits(cold_aggregates(full)));
-}
-
-// A source with no rows is an error, whichever source it is.
+// A population with no rows is an error, serially and on a pool.
 TEST(StreamStudy, EmptySourceThrows) {
   const auto expect_no_rows = [](const StreamStudyConfig& config) {
     try {
@@ -328,18 +264,6 @@ TEST(StreamStudy, EmptySourceThrows) {
   expect_no_rows(config);
   config.pool = &pool;
   expect_no_rows(config);
-
-  const auto empty = rcr::synth::instrument().make_table();
-  const std::string csv = ::testing::TempDir() + "rcr_stream_empty.csv";
-  const std::string snap = ::testing::TempDir() + "rcr_stream_empty.rcr";
-  rcr::data::write_csv_file(csv, empty);
-  rcr::data::write_snapshot(empty, snap);
-  config.csv_path = csv;
-  expect_no_rows(config);
-  config.snapshot_path = snap;
-  expect_no_rows(config);
-  std::remove(csv.c_str());
-  std::remove(snap.c_str());
 }
 
 TEST(StreamStudy, RenderReportSmoke) {

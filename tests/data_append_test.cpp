@@ -214,30 +214,6 @@ TEST(SharedStorageTest, SetOnASharedCopyLeavesItsSiblingsUnchanged) {
   EXPECT_EQ(storage(right), storage(base));
 }
 
-TEST(SharedStorageTest, ClearThenPushOnASharedCopy) {
-  const data::Table base = rows(0, 100);
-  data::Table copy = base;
-  copy.clear_rows();
-  EXPECT_EQ(copy.row_count(), 0u);
-  copy.categorical("field").push_code(1);
-  copy.multiselect("m").push_mask(3);
-  copy.numeric("v").push(42.0);
-  EXPECT_EQ(copy.row_count(), 1u);
-  EXPECT_EQ(copy.categorical("field").code_at(0), 1);
-  EXPECT_EQ(copy.multiselect("m").mask_at(0), 3u);
-  EXPECT_EQ(copy.numeric("v").at(0), 42.0);
-  expect_same_rows(base, rows(0, 100));
-
-  // A sole holder keeps its buffer across clear(), as reused scratch
-  // tables rely on.
-  data::Table scratch = rows(0, 100);
-  const auto kept = storage(scratch);
-  scratch.clear_rows();
-  scratch.append_rows(rows(200, 250));
-  EXPECT_EQ(storage(scratch), kept);
-  expect_same_rows(scratch, rows(200, 250));
-}
-
 TEST(SharedStorageTest, SelfAppendDoublesTheRows) {
   // 700 rows double past their capacity, so the sole holder's self-append
   // moves the rows it is reading from.

@@ -21,16 +21,15 @@
 namespace rcr::data {
 namespace {
 
-std::string to_csv(const Table& t, const CsvOptions& options = {}) {
+std::string to_csv(const Table& t) {
   std::ostringstream out;
-  write_csv(out, t, options);
+  write_csv(out, t);
   return out.str();
 }
 
-Table from_csv(const std::string& text, const Table& schema,
-               const CsvOptions& options = {}) {
+Table from_csv(const std::string& text, const Table& schema) {
   std::istringstream in(text);
-  return read_csv(in, schema, options);
+  return read_csv(in, schema);
 }
 
 // Every shape escape_field has to handle: delimiters, quotes, embedded LF,
@@ -154,37 +153,6 @@ TEST(CsvRoundTrip, NonFiniteNumericLiteralsRejected) {
 TEST(CsvRoundTrip, DashOptionLabelRejectedAtSchemaBuild) {
   Table t;
   EXPECT_THROW(t.add_multiselect("m", {"a", "-"}), rcr::InvalidInputError);
-}
-
-TEST(CsvRoundTrip, StreamingRowReaderHandlesEmbeddedNewlines) {
-  const Table t = make_gnarly_table();
-  const std::string text = to_csv(t);
-  std::istringstream in(text);
-  std::size_t rows = 0;
-  const std::size_t visited = for_each_csv_row(
-      in, t, [&](const Table& row, std::size_t index) {
-        ASSERT_EQ(row.row_count(), 1u);
-        EXPECT_EQ(index, rows);
-        ++rows;
-      });
-  EXPECT_EQ(visited, t.row_count());
-  EXPECT_EQ(rows, t.row_count());
-}
-
-TEST(CsvRoundTrip, BlockReaderReassemblesExactly) {
-  const Table t = make_gnarly_table();
-  const std::string text = to_csv(t);
-  std::istringstream in(text);
-  Table rebuilt = t.clone_empty();
-  std::size_t expected_first = 0;
-  const std::size_t rows = for_each_csv_block(
-      in, t, 7, [&](const Table& block, std::size_t first_row) {
-        EXPECT_EQ(first_row, expected_first);
-        expected_first += block.row_count();
-        rebuilt.append_rows(block);
-      });
-  EXPECT_EQ(rows, t.row_count());
-  EXPECT_EQ(to_csv(rebuilt), text);
 }
 
 // --- Reader edge cases ------------------------------------------------------

@@ -8,8 +8,9 @@
 //   * a flipped byte in any region (header, page, dictionary, page index,
 //     footer) raises InvalidInputError naming the region — never UB, never
 //     a silently wrong table (CI runs this suite under ASan/UBSan/TSan);
-//   * zero-copy and memcpy materialization are observationally identical,
-//     and a borrowed table is a full Table (copy-on-write on mutation);
+//   * a page index in any layout but the writer's (split or misaligned
+//     pages) is refused, even with every checksum resealed;
+//   * a borrowed table is a full Table (copy-on-write on mutation);
 //   * the checksum algorithm matches the published XXH64 vectors, so files
 //     are portable across builds.
 #include <gtest/gtest.h>
@@ -23,14 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "core/stream_study.hpp"
 #include "core/study.hpp"
 #include "data/csv.hpp"
 #include "data/snapshot.hpp"
 #include "data/table.hpp"
 #include "parallel/thread_pool.hpp"
 #include "query/engine.hpp"
-#include "synth/generator.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -232,27 +231,6 @@ TEST(Snapshot, CsvParsedTableRoundTripsAcrossThreadCounts) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, MultiPageAndCopyModesMatchZeroCopy) {
-  const Table t = make_gnarly_table();
-  const std::string single = temp_path("single.rcr");
-  const std::string paged = temp_path("paged.rcr");
-  write_snapshot(t, single);
-  SnapshotWriteOptions paged_opts;
-  paged_opts.page_rows = 7;  // non-divisor of the row count
-  write_snapshot(t, paged, paged_opts);
-
-  const Table zero_copy = read_snapshot(single);
-  EXPECT_TRUE(zero_copy.numeric("score").values().is_borrowed());
-
-  const Table multi_page = read_snapshot(paged);
-  EXPECT_FALSE(multi_page.numeric("score").values().is_borrowed());
-
-  expect_tables_bitwise_equal(t, zero_copy);
-  expect_tables_bitwise_equal(t, multi_page);
-  std::remove(single.c_str());
-  std::remove(paged.c_str());
-}
-
 TEST(Snapshot, BorrowedTableIsAFullTableViaCopyOnWrite) {
   const Table t = make_gnarly_table();
   const std::string path = temp_path("cow.rcr");
@@ -319,37 +297,6 @@ TEST(Snapshot, EmptyTableRoundTrips) {
   const Table back = read_snapshot(path);
   EXPECT_EQ(back.row_count(), 0u);
   expect_tables_bitwise_equal(t, back);
-  std::remove(path.c_str());
-}
-
-TEST(Snapshot, StreamingWriterMergesShardDictionariesLabelwise) {
-  // Two blocks interned independently (a parallel-shard shape): the writer
-  // re-interns label-wise, so the reload matches a serial labelwise merge.
-  Table shard_a;
-  auto& ca = shard_a.add_categorical("c");
-  for (const char* l : {"x", "y", "x"}) ca.push(l);
-  Table shard_b;
-  auto& cb = shard_b.add_categorical("c");
-  for (const char* l : {"y", "z", "x"}) cb.push(l);
-
-  Table schema;
-  schema.add_categorical("c");
-  const std::string path = temp_path("shards.rcr");
-  {
-    SnapshotWriter writer(schema, path);
-    writer.append(shard_a);
-    writer.append(shard_b);
-    writer.finish();
-    EXPECT_EQ(writer.rows_written(), 6u);
-  }
-  Table serial = schema.clone_empty();
-  serial.append_rows_labelwise(shard_a);
-  serial.append_rows_labelwise(shard_b);
-
-  const Table back = read_snapshot(path);
-  expect_tables_bitwise_equal(serial, back);
-  EXPECT_EQ(back.categorical("c").categories(),
-            (std::vector<std::string>{"x", "y", "z"}));
   std::remove(path.c_str());
 }
 
@@ -466,47 +413,175 @@ TEST(SnapshotCorruption, ForgedCodeRangeIsCaughtByVerification) {
   std::remove(path.c_str());
 }
 
-// --- End-to-end through core -------------------------------------------------
+// --- Layout ------------------------------------------------------------------
+//
+// Files whose page index describes another layout than the writer's, with
+// every checksum recomputed so that only the layout check can refuse them.
 
-TEST(SnapshotCore, StreamStudyMatchesCsvBackedRunExactly) {
-  // Same wave through both ingest formats, serially and on a pool: the
-  // reports must be byte-identical, because every source is cut into the
-  // same blocks and folded in block order.
-  synth::GeneratorConfig gen;
-  gen.wave = synth::Wave::k2024;
-  gen.respondents = 500;
-  gen.seed = 99;
-  const Table wave = synth::generate_wave(gen);
+// One 48-byte page index entry (DESIGN.md "Columnar snapshot format").
+struct IndexEntry {
+  std::uint32_t column = 0;
+  std::uint32_t kind = 0;
+  std::uint64_t first_row = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t hash = 0;
+};
 
-  const std::string csv_path = temp_path("stream.csv");
-  const std::string snap_path = temp_path("stream.rcr");
-  {
-    std::ofstream out(csv_path, std::ios::binary);
-    write_csv(out, wave);
-  }
-  write_snapshot(wave, snap_path);
-
-  core::StreamStudyConfig config;
-  config.block_rows = 64;
-  config.csv_path = csv_path;
-  const auto csv_report =
-      core::render_stream_report(core::run_stream_study(config));
-  config.csv_path.clear();
-  config.snapshot_path = snap_path;
-  const auto snap_report =
-      core::render_stream_report(core::run_stream_study(config));
-  EXPECT_EQ(csv_report, snap_report);
-  parallel::ThreadPool pool(4);
-  config.pool = &pool;
-  EXPECT_EQ(core::render_stream_report(core::run_stream_study(config)),
-            csv_report);
-  config.snapshot_path.clear();
-  config.csv_path = csv_path;
-  EXPECT_EQ(core::render_stream_report(core::run_stream_study(config)),
-            csv_report);
-  std::remove(csv_path.c_str());
-  std::remove(snap_path.c_str());
+template <typename T>
+void put_le(std::string& out, T v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out.append(buf, sizeof(T));
 }
+
+std::size_t footer_offset_of(const std::string& bytes) {
+  return static_cast<std::size_t>(read_u64(bytes, bytes.size() - 32));
+}
+
+std::vector<IndexEntry> read_index(const std::string& bytes) {
+  const std::size_t footer = footer_offset_of(bytes);
+  const std::size_t dict_bytes = read_u64(bytes, footer);
+  const std::size_t at = footer + 8 + dict_bytes + 8;
+  const std::size_t index_bytes = read_u64(bytes, at);
+  std::vector<IndexEntry> entries(index_bytes / 48);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const char* e = bytes.data() + at + 8 + 48 * i;
+    IndexEntry& x = entries[i];
+    std::memcpy(&x.column, e, 4);
+    std::memcpy(&x.kind, e + 4, 4);
+    std::memcpy(&x.first_row, e + 8, 8);
+    std::memcpy(&x.rows, e + 16, 8);
+    std::memcpy(&x.offset, e + 24, 8);
+    std::memcpy(&x.bytes, e + 32, 8);
+    std::memcpy(&x.hash, e + 40, 8);
+  }
+  return entries;
+}
+
+// `bytes` with its page index replaced by `entries`, resealed: the index
+// checksum, the footer length, the trailer checksum, and the header's page
+// count and checksum are recomputed.
+std::string with_index(const std::string& bytes,
+                       const std::vector<IndexEntry>& entries) {
+  const std::size_t footer = footer_offset_of(bytes);
+  const std::size_t dict_bytes = read_u64(bytes, footer);
+  std::string index;
+  for (const IndexEntry& e : entries) {
+    put_le(index, e.column);
+    put_le(index, e.kind);
+    put_le(index, e.first_row);
+    put_le(index, e.rows);
+    put_le(index, e.offset);
+    put_le(index, e.bytes);
+    put_le(index, e.hash);
+  }
+  // The dictionary section, its length prefix and its checksum, unchanged.
+  std::string out = bytes.substr(0, footer + 8 + dict_bytes + 8);
+  put_le<std::uint64_t>(out, index.size());
+  out += index;
+  put_le(out, xxhash64(index.data(), index.size()));
+  std::string trailer;
+  put_le<std::uint64_t>(trailer, footer);
+  put_le<std::uint64_t>(trailer, out.size() - footer);
+  put_le(trailer, xxhash64(trailer.data(), trailer.size()));
+  out += trailer;
+  out += bytes.substr(bytes.size() - 8);  // trailer magic
+  const std::uint64_t pages = entries.size();
+  std::memcpy(out.data() + 32, &pages, sizeof pages);
+  const std::uint64_t header_hash = xxhash64(out.data(), 56);
+  std::memcpy(out.data() + 56, &header_hash, sizeof header_hash);
+  return out;
+}
+
+// Writes `bytes` and expects read_snapshot to refuse them with a page index
+// error naming column `name`.
+void expect_page_index_error(const std::string& bytes,
+                             const std::string& name) {
+  const std::string path = temp_path("layout.rcr");
+  write_file(path, bytes);
+  try {
+    (void)read_snapshot(path);
+    ADD_FAILURE() << "accepted a page index the writer never writes";
+  } catch (const rcr::InvalidInputError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("page index"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + name + "'"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotLayout, ResealingAnUnchangedIndexIsTheIdentity) {
+  // The helpers themselves: rewriting the index unchanged reproduces the
+  // file byte for byte.
+  const Table t = make_gnarly_table();
+  const std::string path = temp_path("resealed.rcr");
+  write_snapshot(t, path);
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(with_index(bytes, read_index(bytes)), bytes);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotLayout, SplitPageIsRefusedNamingTheColumn) {
+  // One column's page becomes two entries over the same bytes, [0, k) and
+  // [k, n): a tiling of the rows, but not the one-page layout.
+  const Table t = make_gnarly_table();
+  const std::string path = temp_path("split.rcr");
+  write_snapshot(t, path);
+  const std::string bytes = read_file(path);
+  std::remove(path.c_str());
+
+  std::vector<IndexEntry> entries = read_index(bytes);
+  const std::uint32_t score = 1;  // "score": numeric, one f64 page
+  ASSERT_EQ(t.column_names()[score], "score");
+  std::vector<IndexEntry> split;
+  for (const IndexEntry& e : entries) {
+    if (e.column != score) {
+      split.push_back(e);
+      continue;
+    }
+    const std::uint64_t k = e.rows / 2;
+    IndexEntry head = e, tail = e;
+    head.rows = k;
+    head.bytes = 8 * k;
+    head.hash = xxhash64(bytes.data() + head.offset, head.bytes);
+    tail.first_row = k;
+    tail.rows = e.rows - k;
+    tail.offset = e.offset + 8 * k;
+    tail.bytes = 8 * tail.rows;
+    tail.hash = xxhash64(bytes.data() + tail.offset, tail.bytes);
+    split.push_back(head);
+    split.push_back(tail);
+  }
+  ASSERT_EQ(split.size(), entries.size() + 1);
+  expect_page_index_error(with_index(bytes, split), "score");
+}
+
+TEST(SnapshotLayout, MisalignedPageIsRefusedNamingTheColumn) {
+  // The numeric page moves one byte up, off its 8-byte alignment, with its
+  // bytes moved along and its checksum recomputed.
+  const Table t = make_gnarly_table();
+  const std::string path = temp_path("misaligned.rcr");
+  write_snapshot(t, path);
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+
+  std::vector<IndexEntry> entries = read_index(bytes);
+  const std::uint32_t score = 1;
+  ASSERT_EQ(t.column_names()[score], "score");
+  for (IndexEntry& e : entries) {
+    if (e.column != score) continue;
+    // The page's tail padding holds the shifted last byte.
+    ASSERT_NE((e.offset + e.bytes) % 64, 0u);
+    bytes.replace(e.offset + 1, e.bytes, bytes.substr(e.offset, e.bytes));
+    e.offset += 1;
+    e.hash = xxhash64(bytes.data() + e.offset, e.bytes);
+  }
+  expect_page_index_error(with_index(bytes, entries), "score");
+}
+
+// --- End-to-end through core -------------------------------------------------
 
 TEST(SnapshotCore, SnapshotBackedStudyReproducesSynthesizedWavesBitwise) {
   core::StudyConfig small;

@@ -312,14 +312,21 @@ TEST(CsvTest, BlankLineIsAMissingRowInSingleColumnFiles) {
   EXPECT_DOUBLE_EQ(t.numeric("x").at(2), 2.0);
 }
 
-TEST(CsvTest, BlankLineErrorsWhenSkippingDisabled) {
+TEST(CsvTest, ReorderedHeaderMapsColumnsByName) {
   Table schema;
-  schema.add_numeric("x");
-  schema.add_numeric("y");
-  CsvOptions options;
-  options.skip_blank_lines = false;
-  std::istringstream in("x,y\n1,2\n\n3,4\n");
-  EXPECT_THROW(read_csv(in, schema, options), rcr::InvalidInputError);
+  schema.add_numeric("score");
+  schema.add_categorical("field", {"Physics", "Biology", "CS"});
+  schema.add_multiselect("langs", {"Python", "C++", "R"});
+  std::istringstream in("langs,score,field\nPython|C++,2.5,CS\n,,\n");
+  const Table t = read_csv(in, schema);
+  ASSERT_EQ(t.row_count(), 2u);
+  EXPECT_EQ(t.column_names(), schema.column_names());
+  EXPECT_DOUBLE_EQ(t.numeric("score").at(0), 2.5);
+  EXPECT_EQ(t.categorical("field").label_at(0), "CS");
+  EXPECT_EQ(t.multiselect("langs").mask_at(0), 0b011u);
+  EXPECT_TRUE(NumericColumn::is_missing(t.numeric("score").at(1)));
+  EXPECT_TRUE(t.categorical("field").is_missing(1));
+  EXPECT_TRUE(t.multiselect("langs").is_missing(1));
 }
 
 struct BadCsvCase {

@@ -5,7 +5,7 @@
 //   * T1–T8 and F1–F10: the experiment bodies of one two-wave Study at the
 //     reference sizes (50,000 / 250,000 rows, seed 3).
 //   * L1: the longitudinal battery of a three-wave study (2011 / 2017 /
-//     2024 at 2,000 / 2,000 / 5,000 rows, seed 3, the 2024 wave raked).
+//     2024 at 2,000 / 2,000 / 5,000 rows, seed 3).
 //   * M2: render_stream_report of the streaming study (100,000 rows,
 //     seed 7, 65,536-row blocks).
 //   * A1 and A2: the ablation bodies (what bench_artifacts prints after
@@ -195,9 +195,9 @@ TEST_P(GoldenArtifactsTest, LongitudinalBattery) {
   StudyConfig config;
   config.seed = 3;
   config.pool = pool();
-  config.waves = {{synth::kYear2011, 2000, "", false, 0},
-                  {2017.0, 2000, "", false, 0},
-                  {synth::kYear2024, 5000, "", true, 0}};
+  config.waves = {{synth::kYear2011, 2000, "", 0},
+                  {2017.0, 2000, "", 0},
+                  {synth::kYear2024, 5000, "", 0}};
   const Study study(config);
   expect_pinned(experiment_hashes(study, "L1"), where("three-wave study"));
 }

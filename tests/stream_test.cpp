@@ -362,18 +362,15 @@ TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
   for (std::size_t i = 0; i < w.size(); ++i)
     w.set(i, vals.uniform(0.0, 100.0));
 
-  TableSketchOptions opts;
-  opts.reservoir_column = "w";
-
-  TableSketch single(full, opts);
+  TableSketch single(full, "w");
   single.ingest(full, 0);
 
   rcr::Rng rng(71);
   for (int trial = 0; trial < 3; ++trial) {
-    TableSketch merged(full, opts);
+    TableSketch merged(full, "w");
     bool first = true;
     for (const auto& [lo, hi] : random_shards(full.row_count(), 7, rng)) {
-      TableSketch shard(full, opts);
+      TableSketch shard(full, "w");
       shard.ingest(full.slice(lo, hi), lo);
       if (first) {
         merged = std::move(shard);
@@ -403,7 +400,7 @@ TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
                   single.quantile_sketch("w").quantile(p),
                   // both are within 2 eps n of the true rank; values at
                   // ranks that close differ by little on a smooth uniform
-                  4.0 * opts.quantile_eps * 100.0 + 1e-9)
+                  4.0 * TableSketch::kQuantileEps * 100.0 + 1e-9)
           << "p=" << p << " n=" << n;
     }
     EXPECT_TRUE(merged.heavy_hitters().exact());
@@ -412,9 +409,7 @@ TEST(TableSketch, RandomShardSplitsMergeToSingleStreamState) {
 
 TEST(TableSketch, ApproxBytesAndMetricsPublish) {
   const auto full = sketch_fixture(500, 5);
-  TableSketchOptions opts;
-  opts.reservoir_column = "w";
-  TableSketch sketch(full, opts);
+  TableSketch sketch(full, "w");
   sketch.ingest(full, 0);
   EXPECT_GT(sketch.approx_bytes(), 0u);
   EXPECT_LT(sketch.approx_bytes(), 4u << 20);

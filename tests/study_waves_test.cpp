@@ -46,8 +46,8 @@ TEST(StudyWavesTest, ExplicitTwoWaveSpecsMatchLegacyConfigByteForByte) {
 
   StudyConfig explicit_cfg;
   explicit_cfg.seed = 11;
-  explicit_cfg.waves = {{synth::kYear2011, 60, "", false, 0},
-                        {synth::kYear2024, 150, "", true, 0}};
+  explicit_cfg.waves = {{synth::kYear2011, 60, "", 0},
+                        {synth::kYear2024, 150, "", 0}};
 
   const Study a(legacy), b(explicit_cfg);
   ASSERT_EQ(a.wave_count(), 2u);
@@ -85,9 +85,9 @@ TEST(StudyWavesTest, WavesAndAggregatesArePoolSizeInvariant) {
 Study make_three_wave_study() {
   StudyConfig cfg;
   cfg.seed = 17;
-  cfg.waves = {{synth::kYear2011, 50, "", false, 0},
-               {2018.0, 90, "", false, 0},
-               {synth::kYear2024, 140, "", true, 0}};
+  cfg.waves = {{synth::kYear2011, 50, "", 0},
+               {2018.0, 90, "", 0},
+               {synth::kYear2024, 140, "", 0}};
   return Study(cfg);
 }
 

@@ -209,37 +209,6 @@ std::string to_csv(const data::Table& t) {
   return out.str();
 }
 
-// The chunked-emission contract: generate_blocks reassembles to a table
-// byte-identical (via CSV serialization) to the one-shot serial
-// generate_wave, for any block size, with and without nonresponse bias,
-// serially and on a pool.
-TEST(GeneratorBlocksTest, BlocksConcatenateByteIdenticalToWave) {
-  rcr::parallel::ThreadPool four(4);
-  rcr::parallel::ThreadPool* const pools[] = {nullptr, &four};
-  for (double nonresponse : {0.0, 0.4}) {
-    GeneratorConfig config{Wave::k2024, 503, 23, nullptr, nonresponse};
-    const auto whole = generate_wave(config);
-    for (rcr::parallel::ThreadPool* pool : pools) {
-      config.pool = pool;
-      for (std::size_t block_rows : {64u, 100u, 503u, 1000u}) {
-        auto assembled = whole.clone_empty();
-        std::size_t expected_first = 0;
-        generate_blocks(config, block_rows,
-                        [&](data::Table block, std::size_t first_row) {
-                          EXPECT_EQ(first_row, expected_first);
-                          EXPECT_LE(block.row_count(), block_rows);
-                          expected_first += block.row_count();
-                          assembled.append_rows(block);
-                        });
-        EXPECT_EQ(assembled.row_count(), whole.row_count());
-        EXPECT_EQ(to_csv(assembled), to_csv(whole))
-            << "block_rows=" << block_rows << " nonresponse=" << nonresponse
-            << " pooled=" << (pool != nullptr);
-      }
-    }
-  }
-}
-
 // Any partition of [0, n) via generate_range concatenates to generate_wave.
 TEST(GeneratorBlocksTest, RangeShardsConcatenateToWave) {
   GeneratorConfig config{Wave::k2011, 257, 31, nullptr};
