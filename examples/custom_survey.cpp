@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/rcr.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -43,7 +44,7 @@ constexpr const char* kDemoCsv =
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   rcr::CliParser cli(argc, argv);
   const auto csv_path = cli.get("csv");
   cli.finish();
@@ -112,4 +113,8 @@ int main(int argc, char** argv) {
   std::cout << "build minutes: median " << summary.median << ", p75 "
             << summary.p75 << ", max " << summary.max << "\n";
   return 0;
+} catch (const rcr::Error& e) {
+  // A missing or malformed --csv file lands here.
+  std::cerr << "custom_survey: " << e.what() << "\n";
+  return 1;
 }

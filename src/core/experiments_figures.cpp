@@ -2,7 +2,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <span>
 
 #include "core/experiments.hpp"
 #include "data/crosstab.hpp"
@@ -343,49 +342,58 @@ std::string run_f7_weighting(const Study& study) {
   const auto& langs = study.wave(1).multiselect(synth::col::kLanguages);
   const std::array<std::string, 4> names = {"Python", "MATLAB", "C++",
                                             "Fortran"};
-  struct Shares {
-    double unweighted_num = 0.0, unweighted_den = 0.0;
-    double weighted_num = 0.0, weighted_den = 0.0;
-  };
-  std::array<Shares, names.size()> shares;
-  std::array<std::vector<double>, names.size()> binary;
-  for (std::size_t l = 0; l < names.size(); ++l) {
-    const auto o = static_cast<std::size_t>(langs.find_option(names[l]));
-    Shares& sh = shares[l];
-    for (std::size_t i = 0; i < langs.size(); ++i) {
-      if (langs.is_missing(i)) continue;
-      const double hit = langs.has(i, o) ? 1.0 : 0.0;
-      sh.unweighted_num += hit;
-      sh.unweighted_den += 1.0;
-      sh.weighted_num += hit * raking.weights[i];
-      sh.weighted_den += raking.weights[i];
-      binary[l].push_back(hit);
+  std::array<std::size_t, names.size()> options{};
+  for (std::size_t l = 0; l < names.size(); ++l)
+    options[l] = static_cast<std::size_t>(langs.find_option(names[l]));
+  // One pass over the answered rows: the sums accumulate in row order, and
+  // each row's answer pattern (bit l = language l) is counted for the
+  // bootstrap.
+  double answered = 0.0, weight_total = 0.0;
+  std::array<double, names.size()> hits{}, weighted_hits{};
+  std::array<std::uint64_t, std::size_t{1} << names.size()> patterns{};
+  for (std::size_t i = 0; i < langs.size(); ++i) {
+    if (langs.is_missing(i)) continue;
+    answered += 1.0;
+    weight_total += raking.weights[i];
+    std::size_t pattern = 0;
+    for (std::size_t l = 0; l < names.size(); ++l) {
+      if (!langs.has(i, options[l])) continue;
+      hits[l] += 1.0;
+      weighted_hits[l] += raking.weights[i];
+      pattern |= std::size_t{1} << l;
     }
+    ++patterns[pattern];
   }
   stats::BootstrapOptions opts;
   opts.replicates = 1000;
   opts.seed = 17;
   // Deterministic under any pool: replicate streams are index-derived.
   opts.pool = study.config().pool;
-  // The languages share their rows (the answered ones), so one resample
-  // stream serves all four.
-  const std::vector<std::span<const double>> columns(binary.begin(),
-                                                     binary.end());
-  const auto boots = stats::bootstrap_proportions(columns, opts);
+  const auto boots = stats::bootstrap_proportions(patterns, opts);
+  double gap = 0.0, shift = 0.0;
   for (std::size_t l = 0; l < names.size(); ++l) {
-    const Shares& sh = shares[l];
-    const auto wilson = stats::wilson_ci(sh.unweighted_num, sh.unweighted_den);
+    const double unweighted = hits[l] / answered;
+    const double weighted = weighted_hits[l] / weight_total;
+    const auto wilson = stats::wilson_ci(hits[l], answered);
     const auto& boot = boots[l];
-    t.add_row({names[l], format_percent(sh.unweighted_num / sh.unweighted_den),
-               format_percent(sh.weighted_num / sh.weighted_den),
+    gap = std::max({gap, std::abs(wilson.lo - boot.percentile_ci.lo),
+                    std::abs(wilson.hi - boot.percentile_ci.hi)});
+    shift = std::max(shift, std::abs(weighted - unweighted));
+    t.add_row({names[l], format_percent(unweighted), format_percent(weighted),
                report::share_cell(wilson.estimate, wilson.lo, wilson.hi),
                report::share_cell(boot.estimate, boot.percentile_ci.lo,
                                   boot.percentile_ci.hi)});
   }
   out += t.render();
-  out += "\nWilson and bootstrap intervals agree to within a fraction of a "
-         "point at this n, and weighting moves shares by at most a couple "
-         "of points — the analysis is robust to the sample skew.\n";
+  out += "\nThe largest Wilson-bootstrap endpoint gap is ";
+  out += format_double(100.0 * gap, 2);
+  out += gap < 0.01 ? " pp: the intervals agree within a fraction of a point"
+                    : " pp: the intervals differ by a point or more";
+  out += ". The largest weighted-unweighted shift is ";
+  out += format_double(100.0 * shift, 2);
+  out += " pp. The 2024 wave is raked to the margins it was drawn from, so "
+         "weighting here corrects sampling noise only; F9 measures what "
+         "raking does to a skewed sample.\n";
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -33,9 +34,7 @@ constexpr std::size_t kDrawBlock = 1024;
 // rejected lanes redraw, in lane order, from a second cursor seeked to
 // position n. That consumes exactly the stream of one n-sized fill followed
 // by a scalar redraw pass, with no n-sized index buffer. `consume` receives
-// each block of reduced indices in order. Both replicate paths (generic and
-// proportions) draw through this one helper, so bootstrap(data, mean-lambda)
-// stays bit-identical to the proportions path.
+// each block of reduced indices in order.
 template <typename Consume>
 void for_each_index_block(std::uint64_t master, std::size_t replicate,
                           std::size_t n, Consume&& consume) {
@@ -73,27 +72,82 @@ double generic_replicate(std::span<const double> data,
   return statistic(resample);
 }
 
-// Fast path for up to 8 proportions over one resample: patterns[i] packs
-// row i's 0/1 values (bit c = column c), so one 256-bin histogram of the
-// drawn rows' patterns yields every column's count at once. A Neumaier sum
-// of 0/1 values is exact, so count / n is bit-identical to the generic
-// path's mean-lambda replicate value for that column.
-void proportions_replicate(std::span<const std::uint8_t> patterns,
-                           std::uint64_t master, std::size_t replicate,
-                           std::span<double> out) {
-  std::array<std::uint64_t, 256> hist{};
-  for_each_index_block(master, replicate, patterns.size(),
-                       [&](std::span<const std::uint64_t> idx) {
-                         for (std::uint64_t i : idx) ++hist[patterns[i]];
-                       });
-  const std::size_t used = std::size_t{1} << out.size();
-  const double n = static_cast<double>(patterns.size());
-  for (std::size_t c = 0; c < out.size(); ++c) {
-    std::uint64_t count = 0;
-    for (std::size_t p = 0; p < used; ++p)
-      if ((p >> c) & 1) count += hist[p];
-    out[c] = static_cast<double>(count) / n;
+// One Binomial(n, p) variate, 0 < p < 1, by inverting one uniform u in
+// [0, 1) for q = min(p, 1 - p), then reflecting. The search starts at 0
+// when n·q < 30, else at the mode floor((n + 1)·q), with the start's pmf
+// from log_choose; it walks outward, below and above in turn, each pmf from
+// its neighbour's by the ratio recurrence, spending u down that fixed order
+// of the support: O(sqrt(n·q)) steps, exact up to the pmfs' rounding.
+std::uint64_t binomial(std::uint64_t n, double p, double u) {
+  const bool reflect = p > 0.5;
+  const double q = reflect ? 1.0 - p : p;
+  const double nd = static_cast<double>(n);
+  const double odds = q / (1.0 - q);
+  std::uint64_t k =
+      nd * q < 30.0 ? 0 : static_cast<std::uint64_t>((nd + 1.0) * q);
+  const double kd = static_cast<double>(k);
+  double f_lo = std::exp(log_choose(nd, kd) + kd * std::log(q) +
+                         (nd - kd) * std::log1p(-q));
+  double f_hi = f_lo;
+  std::uint64_t lo = k, hi = k;
+  u -= f_lo;
+  // If rounding leaves u >= 0 past both ends, the start stands.
+  while (u >= 0.0 && (lo > 0 || hi < n)) {
+    if (lo > 0) {
+      f_lo *= static_cast<double>(lo) /
+              (static_cast<double>(n - lo + 1) * odds);
+      --lo;
+      u -= f_lo;
+      if (u < 0.0) {
+        k = lo;
+        break;
+      }
+    }
+    if (hi < n) {
+      f_hi *= static_cast<double>(n - hi) / static_cast<double>(hi + 1) * odds;
+      ++hi;
+      u -= f_hi;
+      if (u < 0.0) k = hi;
+    }
   }
+  return reflect ? n - k : k;
+}
+
+// Each column's ones over pattern counts: column c totals the counts of the
+// patterns with bit c set.
+std::array<std::uint64_t, kMaxProportionColumns> column_ones(
+    std::span<const std::uint64_t> counts) {
+  std::array<std::uint64_t, kMaxProportionColumns> ones{};
+  for (std::size_t k = 0; k < counts.size(); ++k)
+    for (std::size_t c = 0; c < ones.size(); ++c)
+      if ((k >> c) & 1) ones[c] += counts[k];
+  return ones;
+}
+
+// Replicate b of bootstrap_proportions. Resampling n rows and counting
+// their patterns is one multinomial draw over `counts`, made here as
+// conditional binomials over the nonzero patterns in ascending index: each
+// takes Binomial(rows left, count / mass left) from one uniform of Philox
+// substream b, and the last takes the rows left. Returns each column's ones
+// among the drawn rows.
+std::array<std::uint64_t, kMaxProportionColumns> proportions_replicate(
+    std::span<const std::uint64_t> counts, std::uint64_t n,
+    std::uint64_t master, std::size_t replicate) {
+  simd::Philox draws(master, static_cast<std::uint64_t>(replicate));
+  std::array<std::uint64_t, std::size_t{1} << kMaxProportionColumns> drawn{};
+  std::uint64_t rows_left = n, mass_left = n;
+  for (std::size_t k = 0; k < counts.size() && rows_left > 0; ++k) {
+    if (counts[k] == 0) continue;
+    drawn[k] = counts[k] == mass_left
+                   ? rows_left
+                   : binomial(rows_left,
+                              static_cast<double>(counts[k]) /
+                                  static_cast<double>(mass_left),
+                              draws.next_double());
+    rows_left -= drawn[k];
+    mass_left -= counts[k];
+  }
+  return column_ones(std::span(drawn).first(counts.size()));
 }
 
 void check_options(const BootstrapOptions& options) {
@@ -227,56 +281,45 @@ BootstrapResult bootstrap(std::span<const double> data,
 }
 
 std::vector<BootstrapResult> bootstrap_proportions(
-    std::span<const std::span<const double>> columns,
+    std::span<const std::uint64_t> pattern_counts,
     const BootstrapOptions& options) {
-  RCR_CHECK_MSG(!columns.empty(), "bootstrap_proportions needs a column");
-  RCR_CHECK_MSG(columns.size() <= kMaxProportionColumns,
-                "bootstrap_proportions takes at most " +
-                    std::to_string(kMaxProportionColumns) + " columns");
-  const std::size_t n = columns.front().size();
+  const std::size_t patterns = pattern_counts.size();
+  RCR_CHECK_MSG(patterns >= 2 && std::has_single_bit(patterns) &&
+                    patterns <= (std::size_t{1} << kMaxProportionColumns),
+                "bootstrap_proportions takes 2^c pattern counts, 1 <= c <= " +
+                    std::to_string(kMaxProportionColumns));
+  std::uint64_t n = 0;
+  for (std::uint64_t count : pattern_counts) n += count;
   RCR_CHECK_MSG(n > 0, "bootstrap of empty data");
   check_options(options);
 
-  // One byte per row: bit c holds column c's 0/1 value.
-  std::vector<std::uint8_t> patterns(n, 0);
-  std::vector<double> counts(columns.size(), 0.0);
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    RCR_CHECK_MSG(columns[c].size() == n,
-                  "bootstrap_proportions columns differ in length");
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = columns[c][i];
-      RCR_CHECK_MSG(v == 0.0 || v == 1.0,
-                    "bootstrap_proportions expects 0/1 data");
-      if (v == 1.0) {
-        patterns[i] |= static_cast<std::uint8_t>(1u << c);
-        counts[c] += 1.0;
-      }
-    }
-  }
-
-  std::vector<BootstrapResult> results(columns.size());
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    results[c].estimate = mean(columns[c]);
+  const auto columns = static_cast<std::size_t>(std::countr_zero(patterns));
+  const auto ones = column_ones(pattern_counts);
+  const double rows = static_cast<double>(n);
+  std::vector<BootstrapResult> results(columns);
+  for (std::size_t c = 0; c < columns; ++c) {
+    results[c].estimate = static_cast<double>(ones[c]) / rows;
     results[c].replicates.resize(options.replicates);
   }
-  run_replicates(options, columns.size(),
+  run_replicates(options, columns,
                  [&](std::size_t b, std::vector<double>&) {
-                   std::array<double, kMaxProportionColumns> values{};
-                   proportions_replicate(
-                       patterns, options.seed, b,
-                       std::span<double>(values.data(), columns.size()));
-                   for (std::size_t c = 0; c < columns.size(); ++c)
-                     results[c].replicates[b] = values[c];
+                   const auto hits = proportions_replicate(
+                       pattern_counts, n, options.seed, b);
+                   for (std::size_t c = 0; c < columns; ++c)
+                     results[c].replicates[b] =
+                         static_cast<double>(hits[c]) / rows;
                  });
 
-  // Leave-one-out mean of 0/1 data in closed form: its Neumaier sum is the
-  // exact integer count - x_i, so this equals mean(loo) bit for bit.
-  for (std::size_t c = 0; c < columns.size(); ++c) {
+  // Leave-one-out means of a 0/1 column in closed form: dropping one of its
+  // ones gives (ones - 1) / (n - 1), dropping a zero gives ones / (n - 1).
+  // At n = 1 the divisor stays 1: one jackknife value has acceleration 0.
+  const double loo_rows = std::max(rows - 1.0, 1.0);
+  for (std::size_t c = 0; c < columns; ++c) {
     summarize(results[c], n, options, [&](std::vector<double>& jack) {
-      for (std::size_t i = 0; i < n; ++i)
-        jack[i] = n > 1 ? (counts[c] - columns[c][i]) /
-                              static_cast<double>(n - 1)
-                        : results[c].estimate;
+      const auto split = jack.begin() + static_cast<std::ptrdiff_t>(ones[c]);
+      std::fill(jack.begin(), split,
+                (static_cast<double>(ones[c]) - 1.0) / loo_rows);
+      std::fill(split, jack.end(), static_cast<double>(ones[c]) / loo_rows);
     });
   }
   return results;

@@ -4,7 +4,8 @@
 // replicates out over a ThreadPool; replicate b draws from simd::Philox
 // substream b of the master seed (counter-based splitting — no hash
 // reseeding), making results identical whether run serially or on any
-// thread count.
+// thread count. The generic engine resamples rows; the proportions engine
+// draws each replicate's pattern counts directly.
 #pragma once
 
 #include <cstddef>
@@ -55,13 +56,16 @@ BootstrapResult bootstrap(std::span<const double> data,
 
 inline constexpr std::size_t kMaxProportionColumns = 8;
 
-// Bootstrap CIs for up to kMaxProportionColumns proportions over the same
-// rows: equal-length, non-empty columns of 0/1 values. All columns share
-// one resample stream per replicate and are counted in one pass over it,
-// so result[c] is bit-identical (replicates, every interval, BCa) to
-// bootstrap(columns[c], mean-lambda, options) at the cost of one column.
+// Bootstrap CIs for c proportions over the same n rows, from their
+// sufficient statistic: pattern_counts[k] counts the rows whose 0/1 values
+// form pattern k (bit j = column j), so the span holds 2^c entries,
+// 1 <= c <= kMaxProportionColumns, totalling n > 0; anything else throws.
+// Replicate b draws the resampled rows' pattern counts as one multinomial,
+// by one binomial per nonzero pattern from Philox substream b. result[j]'s
+// estimate is count_j / n, the bits of mean(column j); its replicates equal
+// those of bootstrap(column j, mean-lambda) in distribution, not in bits.
 std::vector<BootstrapResult> bootstrap_proportions(
-    std::span<const std::span<const double>> columns,
+    std::span<const std::uint64_t> pattern_counts,
     const BootstrapOptions& options = {});
 
 }  // namespace rcr::stats

@@ -61,7 +61,7 @@ constexpr Golden kGolden[] = {
     {"F4", 0xc588abf635872500ULL},
     {"F5", 0x9ed70083f786c61bULL},
     {"F6", 0x3019daf58434a570ULL},
-    {"F7", 0xc85f417bad58207dULL},
+    {"F7", 0x0e548cdef42fa128ULL},
     {"F8", 0x848a3892b0bbb0ddULL},
     {"F9", 0x46f908d9407008cfULL},
     {"F10", 0xb411a8e126d88d8cULL},

@@ -1,15 +1,20 @@
-// The batched resampling paths' determinism contract, pinned bitwise:
+// The batched resampling paths, pinned bitwise or checked against their
+// distribution:
 //
 //   * Bootstrap replicate b resamples exactly the indices of one n-sized
 //     fill of Philox substream b, Lemire-reduced.
-//   * The resampling fast paths (bootstrap_proportions, bernoulli_mask)
-//     reproduce their generic counterparts byte for byte.
+//   * bernoulli_mask reproduces its sequential coins byte for byte.
+//   * bootstrap_proportions draws each replicate's pattern counts as one
+//     multinomial: one column's replicate is Binomial(n, p) / n (a
+//     chi-square test against the exact pmf), two columns covary as
+//     resampled rows do, the bits are the same on any pool, and one small
+//     case is pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -106,49 +111,188 @@ void expect_same_bootstrap(const stats::BootstrapResult& got,
   EXPECT_EQ(bits_of(got.bca_bias_z0), bits_of(want.bca_bias_z0));
 }
 
-TEST(RngBatchTest, BootstrapProportionUsesFastPathBitwise) {
-  // n = 200 fits in one draw block; n = 5003 spans several and ends in a
-  // partial one. Four columns of different rates share each n's rows.
+// Each replicate's count of ones: replicate value × n, rounded.
+std::vector<std::uint64_t> replicate_counts(
+    const stats::BootstrapResult& result, std::uint64_t n) {
+  std::vector<std::uint64_t> counts;
+  for (double v : result.replicates)
+    counts.push_back(
+        static_cast<std::uint64_t>(std::llround(v * static_cast<double>(n))));
+  return counts;
+}
+
+// Pearson's chi-square of `draws` against Binomial(n, p), as the z-score
+// (X² − df) / sqrt(2·df). The pmf comes from std::lgamma. Bins are merged
+// from k = 0 upwards until each expects at least 5 draws; a short last bin
+// joins the one before it.
+double binomial_gof_z(const std::vector<std::uint64_t>& draws,
+                      std::uint64_t n, double p) {
+  std::vector<std::uint64_t> observed(n + 1, 0);
+  for (std::uint64_t k : draws) ++observed[k];
+  const double nd = static_cast<double>(n);
+  const double total = static_cast<double>(draws.size());
+  std::vector<double> bin_expected{0.0}, bin_observed{0.0};
+  for (std::uint64_t k = 0; k <= n; ++k) {
+    if (bin_expected.back() >= 5.0) {
+      bin_expected.push_back(0.0);
+      bin_observed.push_back(0.0);
+    }
+    const double kd = static_cast<double>(k);
+    bin_expected.back() +=
+        total * std::exp(std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                         std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                         (nd - kd) * std::log1p(-p));
+    bin_observed.back() += static_cast<double>(observed[k]);
+  }
+  if (bin_expected.back() < 5.0) {
+    const double e = bin_expected.back(), o = bin_observed.back();
+    bin_expected.pop_back();
+    bin_observed.pop_back();
+    bin_expected.back() += e;
+    bin_observed.back() += o;
+  }
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < bin_expected.size(); ++b) {
+    const double d = bin_observed[b] - bin_expected[b];
+    chi2 += d * d / bin_expected[b];
+  }
+  const double df = static_cast<double>(bin_expected.size() - 1);
+  return (chi2 - df) / std::sqrt(2.0 * df);
+}
+
+TEST(RngBatchTest, BootstrapProportionOneColumnIsBinomial) {
+  // Counts {n - k, k}: each replicate's ones are one Binomial(n, k/n)
+  // draw. The cases cover inversion from 0 (n·q < 30), the search from the
+  // mode, and the reflection for p > 1/2 (the zeros' pattern is drawn
+  // first, at p = (n - k)/n). At (60, 30) the search from the mode takes
+  // few steps of large pmf ratios, so an off-by-one in either recurrence
+  // shows; at the larger n it hides in the ratios' last digits.
+  struct Case {
+    std::uint64_t n, k;
+  };
+  parallel::ThreadPool pool(4);
+  for (const Case c : {Case{40, 12}, Case{60, 30}, Case{200, 190},
+                       Case{5000, 40}, Case{250000, 75000}}) {
+    const std::uint64_t counts[] = {c.n - c.k, c.k};
+    stats::BootstrapOptions opts;
+    opts.replicates = 100000;
+    opts.seed = 1000 + c.n;
+    opts.pool = &pool;
+    const auto boot = stats::bootstrap_proportions(counts, opts).front();
+    const double z =
+        binomial_gof_z(replicate_counts(boot, c.n), c.n,
+                       static_cast<double>(c.k) / static_cast<double>(c.n));
+    EXPECT_LT(std::abs(z), 4.0) << "n=" << c.n << " k=" << c.k << " z=" << z;
+  }
+}
+
+TEST(RngBatchTest, BootstrapProportionTwoColumnsCovaryLikeRows) {
+  // Columns a (bit 0) and b (bit 1) over n = 1000 rows: p_a = 0.4,
+  // p_b = 0.5, p_ab = 0.35, so a replicate pair has covariance
+  // (p_ab - p_a·p_b) / n. Replicates come back sorted per column, which
+  // hides the pairs, but a call's replicate means do not: with 2
+  // replicates per call, Cov(mean_a, mean_b) = Cov(a, b) / 2 over calls,
+  // each with its own seed. Drawing the columns as independent binomials
+  // keeps both marginals and loses the covariance.
+  const std::uint64_t n = 1000;
+  const std::uint64_t counts[] = {450, 50, 150, 350};
+  const double p_a = 0.4, p_b = 0.5, p_ab = 0.35;
+  const std::size_t calls = 10000;
+  std::vector<double> mean_a, mean_b;
+  for (std::size_t k = 0; k < calls; ++k) {
+    stats::BootstrapOptions opts;
+    opts.replicates = 2;
+    opts.seed = 7000 + k;
+    const auto boots = stats::bootstrap_proportions(counts, opts);
+    ASSERT_EQ(boots.size(), 2u);
+    mean_a.push_back(stats::mean(boots[0].replicates));
+    mean_b.push_back(stats::mean(boots[1].replicates));
+  }
+  const double var_a = p_a * (1.0 - p_a) / static_cast<double>(n);
+  const double var_b = p_b * (1.0 - p_b) / static_cast<double>(n);
+  const double cov = (p_ab - p_a * p_b) / static_cast<double>(n);
+  const double m_a = stats::mean(mean_a), m_b = stats::mean(mean_b);
+  double s_aa = 0.0, s_bb = 0.0, s_ab = 0.0;
+  for (std::size_t k = 0; k < calls; ++k) {
+    s_aa += (mean_a[k] - m_a) * (mean_a[k] - m_a);
+    s_bb += (mean_b[k] - m_b) * (mean_b[k] - m_b);
+    s_ab += (mean_a[k] - m_a) * (mean_b[k] - m_b);
+  }
+  const double k1 = static_cast<double>(calls - 1);
+  const double rt = std::sqrt(static_cast<double>(calls));
+  // Each bound is 4 Monte Carlo standard errors.
+  EXPECT_NEAR(m_a, p_a, 4.0 * std::sqrt(var_a / 2.0) / rt);
+  EXPECT_NEAR(m_b, p_b, 4.0 * std::sqrt(var_b / 2.0) / rt);
+  EXPECT_NEAR(2.0 * s_aa / k1, var_a, 4.0 * var_a * std::sqrt(2.0) / rt);
+  EXPECT_NEAR(2.0 * s_bb / k1, var_b, 4.0 * var_b * std::sqrt(2.0) / rt);
+  EXPECT_NEAR(2.0 * s_ab / k1, cov,
+              4.0 * std::sqrt(var_a * var_b + cov * cov) / rt);
+}
+
+TEST(RngBatchTest, BootstrapProportionSameOnAnyPool) {
+  // Four columns of different rates; n = 200 and n = 5003 rows. Each
+  // estimate equals the generic bootstrap's mean of the 0/1 column bit for
+  // bit, and BCa's closed-form jackknife matches its row-by-row one.
   const double rates[] = {0.37, 0.9, 0.05, 0.5};
   for (const std::size_t n : {std::size_t{200}, std::size_t{5003}}) {
-    std::vector<std::vector<double>> cols;
-    for (std::size_t c = 0; c < 4; ++c) {
-      Rng rng(3 + c);
-      std::vector<double>& col = cols.emplace_back(n);
-      for (auto& v : col) v = rng.bernoulli(rates[c]) ? 1.0 : 0.0;
+    std::vector<std::vector<double>> cols(4);
+    std::vector<std::uint64_t> counts(16, 0);
+    Rng rng(3 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t pattern = 0;
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        const bool hit = rng.bernoulli(rates[c]);
+        cols[c].push_back(hit ? 1.0 : 0.0);
+        pattern |= static_cast<std::size_t>(hit) << c;
+      }
+      ++counts[pattern];
     }
-    const std::vector<std::span<const double>> spans(cols.begin(),
-                                                     cols.end());
 
     stats::BootstrapOptions opts;
     opts.replicates = 250;
     opts.seed = 29;
     opts.compute_bca = true;
-    std::vector<stats::BootstrapResult> generic;
-    for (const auto& col : cols)
-      generic.push_back(stats::bootstrap(
-          col, [](std::span<const double> x) { return stats::mean(x); },
-          opts));
+    const auto serial = stats::bootstrap_proportions(counts, opts);
+    ASSERT_EQ(serial.size(), cols.size());
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      const auto generic = stats::bootstrap(
+          cols[c], [](std::span<const double> x) { return stats::mean(x); },
+          opts);
+      EXPECT_EQ(bits_of(serial[c].estimate), bits_of(generic.estimate));
+      EXPECT_NEAR(serial[c].bca_acceleration, generic.bca_acceleration,
+                  1e-12);
+    }
 
-    // Serial, then pools of 1, 2 and 8 threads.
-    for (const std::size_t threads : {0, 1, 2, 8}) {
-      std::optional<parallel::ThreadPool> pool;
+    for (const std::size_t threads : {1, 2, 8}) {
+      parallel::ThreadPool pool(threads);
       stats::BootstrapOptions run = opts;
-      if (threads > 0) run.pool = &pool.emplace(threads);
-      const std::string where =
-          "n=" + std::to_string(n) + " threads=" + std::to_string(threads);
-      expect_same_bootstrap(
-          stats::bootstrap_proportions(
-              std::span<const std::span<const double>>(spans).first(1), run)
-              .front(),
-          generic[0], where + " one column");
-      const auto all = stats::bootstrap_proportions(spans, run);
-      ASSERT_EQ(all.size(), cols.size());
+      run.pool = &pool;
+      const auto pooled = stats::bootstrap_proportions(counts, run);
+      ASSERT_EQ(pooled.size(), serial.size());
       for (std::size_t c = 0; c < cols.size(); ++c)
-        expect_same_bootstrap(all[c], generic[c],
-                              where + " column " + std::to_string(c));
+        expect_same_bootstrap(pooled[c], serial[c],
+                              "n=" + std::to_string(n) + " threads=" +
+                                  std::to_string(threads) + " column " +
+                                  std::to_string(c));
     }
   }
+}
+
+TEST(RngBatchTest, BootstrapProportionReplicatesPinned) {
+  // Three columns over n = 200 rows, two patterns empty: the walk searches
+  // from the mode for the large patterns and inverts from 0 for the small
+  // ones. Each column's sorted replicate counts are pinned.
+  const std::uint64_t n = 200;
+  const std::uint64_t counts[] = {120, 45, 0, 20, 0, 0, 3, 12};
+  stats::BootstrapOptions opts;
+  opts.replicates = 6;
+  opts.seed = 2026;
+  const auto boots = stats::bootstrap_proportions(counts, opts);
+  ASSERT_EQ(boots.size(), 3u);
+  const std::vector<std::vector<std::uint64_t>> want = {
+      {71, 72, 74, 77, 79, 81}, {25, 31, 32, 32, 41, 44}, {9, 12, 14, 16, 18, 19}};
+  for (std::size_t c = 0; c < boots.size(); ++c)
+    EXPECT_EQ(replicate_counts(boots[c], n), want[c]) << "column " << c;
 }
 
 }  // namespace
